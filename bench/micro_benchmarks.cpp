@@ -94,7 +94,7 @@ void BM_PosgSchedule(benchmark::State& state) {
     core::InstanceTracker tracker(op, config);
     for (int i = 0; i < 10'000; ++i) {
       if (auto shipment = tracker.on_executed(i % 4096, 1.0 + i % 64)) {
-        scheduler.on_sketches(std::move(*shipment));
+        scheduler.on_feedback(std::move(*shipment));
         break;
       }
     }
@@ -106,7 +106,7 @@ void BM_PosgSchedule(benchmark::State& state) {
   while (scheduler.state() != core::PosgScheduler::State::kRun && seq < 10 * k) {
     const auto decision = scheduler.schedule(seq % 4096, seq);
     if (decision.sync_request) {
-      scheduler.on_sync_reply(core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
+      scheduler.on_feedback(core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
     }
     ++seq;
   }
@@ -144,10 +144,10 @@ void BM_RouterThroughput(benchmark::State& state) {
     auto& tracker = trackers[decision.instance];
     if (auto shipment =
             tracker.on_executed(item, 1.0 + static_cast<double>(rng.next_below(64)))) {
-      scheduler.on_sketches(std::move(*shipment));
+      scheduler.on_feedback(std::move(*shipment));
     }
     if (decision.sync_request) {
-      scheduler.on_sync_reply(
+      scheduler.on_feedback(
           core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
     }
     ++seq;
@@ -186,10 +186,10 @@ void BM_RouterThroughputDegraded(benchmark::State& state) {
     auto& tracker = trackers[decision.instance];
     if (auto shipment =
             tracker.on_executed(item, 1.0 + static_cast<double>(rng.next_below(64)))) {
-      scheduler.on_sketches(std::move(*shipment));
+      scheduler.on_feedback(std::move(*shipment));
     }
     if (decision.sync_request) {
-      scheduler.on_sync_reply(
+      scheduler.on_feedback(
           core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
       scheduler.set_derate(k - 1, 4.0);
     }
@@ -229,10 +229,10 @@ void BM_RouterThroughputTraced(benchmark::State& state) {
     auto& tracker = trackers[decision.instance];
     if (auto shipment =
             tracker.on_executed(item, 1.0 + static_cast<double>(rng.next_below(64)))) {
-      scheduler.on_sketches(std::move(*shipment));
+      scheduler.on_feedback(std::move(*shipment));
     }
     if (decision.sync_request) {
-      scheduler.on_sync_reply(
+      scheduler.on_feedback(
           core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
     }
     ++seq;
@@ -272,10 +272,10 @@ void BM_RouterThroughputElasticIdle(benchmark::State& state) {
     auto& tracker = trackers[decision.instance];
     if (auto shipment =
             tracker.on_executed(item, 1.0 + static_cast<double>(rng.next_below(64)))) {
-      scheduler.on_sketches(std::move(*shipment));
+      scheduler.on_feedback(std::move(*shipment));
     }
     if (decision.sync_request) {
-      scheduler.on_sync_reply(
+      scheduler.on_feedback(
           core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
     }
     ++seq;
@@ -393,10 +393,10 @@ void BM_RouterThroughputBatched(benchmark::State& state) {
       auto& tracker = trackers[decision.instance];
       if (auto shipment =
               tracker.on_executed(items[i], 1.0 + static_cast<double>(rng.next_below(64)))) {
-        scheduler.on_sketches(std::move(*shipment));
+        scheduler.on_feedback(std::move(*shipment));
       }
       if (decision.sync_request) {
-        scheduler.on_sync_reply(
+        scheduler.on_feedback(
             core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
       }
     }

@@ -24,10 +24,14 @@ Decision BacklogOracleScheduler::schedule(common::Item item, common::SeqNo seq) 
   return Decision{best, std::nullopt};
 }
 
-void BacklogOracleScheduler::on_tuple_executed(common::InstanceId instance,
-                                               common::TimeMs execution_time) {
-  common::require(instance < backlog_.size(), "BacklogOracleScheduler: unknown instance");
-  backlog_[instance] = std::max(0.0, backlog_[instance] - execution_time);
+void BacklogOracleScheduler::on_feedback(FeedbackEvent&& event) {
+  const auto* executed = std::get_if<TupleExecuted>(&event);
+  if (executed == nullptr) {
+    return;
+  }
+  common::require(executed->instance < backlog_.size(), "BacklogOracleScheduler: unknown instance");
+  backlog_[executed->instance] =
+      std::max(0.0, backlog_[executed->instance] - executed->execution_time);
 }
 
 }  // namespace posg::core

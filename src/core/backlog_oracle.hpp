@@ -24,7 +24,8 @@ class BacklogOracleScheduler final : public Scheduler {
   BacklogOracleScheduler(std::size_t instances, Oracle oracle);
 
   Decision schedule(common::Item item, common::SeqNo seq) override;
-  void on_tuple_executed(common::InstanceId instance, common::TimeMs execution_time) override;
+  /// Subtracts each TupleExecuted's work from its instance's backlog.
+  void on_feedback(FeedbackEvent&& event) override;
   std::size_t instances() const override { return backlog_.size(); }
   std::string name() const override { return "backlog-oracle"; }
 

@@ -7,15 +7,10 @@
 
 /// The typed feedback-event vocabulary behind `Scheduler::on_feedback`.
 ///
-/// Before the multi-source tier the `Scheduler` interface grew one virtual
-/// per feedback kind (`on_sketches` ×2, `on_sync_reply`,
-/// `on_tuple_executed`, `on_load_report`): every substrate (sim, engine,
-/// runtime) had to know each kind by name, and every new kind widened the
-/// interface. `FeedbackEvent` folds them into one closed variant so a
-/// substrate delivers feedback through a single entry point and a
-/// demultiplexer (core/multi_source.hpp) can route events to per-source
-/// views without enumerating virtuals. The legacy virtuals survive as
-/// default shims, so existing policies compile unchanged.
+/// Every substrate (sim, engine, runtime) delivers feedback through that
+/// single entry point, and a demultiplexer (core/multi_source.hpp) can
+/// route events to per-source views without knowing their kinds. A policy
+/// picks the kinds it consumes out of the variant.
 namespace posg::core {
 
 /// Execution feedback: `instance` finished one tuple that took
@@ -34,8 +29,8 @@ struct LoadReport {
 };
 
 /// One feedback delivery from the substrate to a scheduling policy. The
-/// variant is closed by design: adding a kind here (plus a default shim on
-/// `Scheduler`) is the whole cost of a new feedback channel.
+/// variant is closed by design: adding a kind here is the whole cost of a
+/// new feedback channel — policies that do not read it are untouched.
 using FeedbackEvent = std::variant<SketchShipment, SyncReply, TupleExecuted, LoadReport>;
 
 }  // namespace posg::core

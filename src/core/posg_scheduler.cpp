@@ -41,9 +41,9 @@ PosgScheduler::PosgScheduler(std::shared_ptr<InstancePool> pool, const PosgConfi
       greedy_scores_scratch_(k_, 0.0),
       greedy_alive_scratch_(k_, true) {
   common::require(k_ >= 1, "PosgScheduler: need at least one instance");
-  // No heavy-hitter ledger → the merged view is a pure cell sum and can be
-  // computed per estimate instead of materialized per shipment.
-  lazy_merged_ = config.heavy_hitter_capacity == 0;
+  if (config.heavy_hitter_capacity > 0) {
+    merged_heavy_.emplace(config.heavy_hitter_capacity);
+  }
   shipped_ops_.reserve(k_);
   shipped_cells_.reserve(k_);
   rebuild_greedy();
@@ -60,29 +60,27 @@ common::TimeMs PosgScheduler::scheduling_estimate(common::InstanceId instance,
 
 common::TimeMs PosgScheduler::scheduling_estimate(common::InstanceId instance, common::Item item,
                                                   const hash::BucketDigest& digest) const {
-  if (lazy_merged_) {
-    if (!config_.shared_billing) {
-      const auto& own = sketches_[instance];
-      if (own.has_value()) {
-        if (auto estimate = own->estimate(item, digest, config_.estimator)) {
-          return *estimate;
-        }
-        return global_mean_;
+  if (!config_.shared_billing) {
+    const auto& own = sketches_[instance];
+    if (own.has_value()) {
+      if (auto estimate = own->estimate(item, digest, config_.estimator)) {
+        return *estimate;
       }
+      return global_mean_;
     }
-    common::ensure(!shipped_ops_.empty(), "PosgScheduler: estimating without a sketch");
-    if (auto estimate = merged_estimate(digest)) {
-      return *estimate;
-    }
-    return global_mean_;
+    // A rejoined instance carries no per-instance sketch until its tracker
+    // ships a fresh (F, W) pair; bill it from the merged view so
+    // per-instance billing never dereferences an empty slot.
   }
-  const auto& own = config_.shared_billing ? merged_ : sketches_[instance];
-  // A rejoined instance carries no per-instance sketch until its tracker
-  // ships a fresh (F, W) pair; bill it from the merged view so
-  // per-instance billing never dereferences an empty slot.
-  const auto& sketch = own.has_value() ? own : merged_;
-  common::ensure(sketch.has_value(), "PosgScheduler: estimating without a sketch");
-  if (auto estimate = sketch->estimate(item, digest, config_.estimator)) {
+  common::ensure(!shipped_ops_.empty(), "PosgScheduler: estimating without a sketch");
+  // Hybrid estimator over the merged view: a heavy item bills its exact
+  // mean from the merged ledger, everything else the merged W/F cells.
+  if (merged_heavy_) {
+    if (auto exact = merged_heavy_->mean_time(item)) {
+      return *exact;
+    }
+  }
+  if (auto estimate = merged_estimate(digest)) {
     return *estimate;
   }
   // Never-seen item: bill the *global* mean execution time over all
@@ -101,6 +99,9 @@ void PosgScheduler::refresh_global_mean() noexcept {
   common::TimeMs total = 0.0;
   shipped_ops_.clear();
   shipped_cells_.clear();
+  if (merged_heavy_) {
+    merged_heavy_->clear();
+  }
   for (std::size_t op = 0; op < k_; ++op) {
     const auto& sketch = sketches_[op];
     if (!sketch) {
@@ -110,52 +111,26 @@ void PosgScheduler::refresh_global_mean() noexcept {
     shipped_cells_.push_back(sketch->cells().data());
     updates += sketch->update_count();
     total += sketch->total_execution_time();
-  }
-  global_mean_ = updates > 0 ? total / static_cast<double>(updates) : 0.0;
-  if (lazy_merged_) {
-    // The merged view is summed per estimate (merged_estimate); rebuilding
-    // it here would re-add every cell of every shipped sketch on every
-    // shipment — the exact O(k·r·c) pass lazy mode exists to remove.
-    merged_.reset();
-    return;
-  }
-  // Eager mode (heavy-hitter configs): seed the merged view with a
-  // copy-assign into the existing storage when possible — this runs on
-  // every shipment, and resetting the optional first would free and
-  // re-allocate the r·c fused cell array each time. Copy-assignment of
-  // identical values produces identical cells, so the merged sketch is
-  // unchanged vs. rebuild-from-scratch.
-  bool seeded = false;
-  for (const auto op : shipped_ops_) {
-    const auto& sketch = sketches_[op];
-    if (!seeded) {
-      if (merged_.has_value()) {
-        *merged_ = *sketch;
-      } else {
-        merged_ = *sketch;
-      }
-      seeded = true;
-    } else {
-      merged_->merge_from(*sketch);
+    if (merged_heavy_) {
+      // Merging into the empty ledger first copies the lowest id's table
+      // exactly, so the fold matches build_merged's heavy-table merge.
+      merged_heavy_->merge_from(*sketch->heavy_hitters());
     }
   }
-  if (!seeded) {
-    merged_.reset();
-  }
+  global_mean_ = updates > 0 ? total / static_cast<double>(updates) : 0.0;
 }
 
 std::optional<common::TimeMs> PosgScheduler::merged_estimate(
     const hash::BucketDigest& digest) const noexcept {
-  // Mirrors DualSketch::estimate over a virtual merged cell: f and w are
-  // summed across the shipped sketches in ascending op order — the same
-  // additions, in the same order, the eager materialization performs
+  // Mirrors DualSketch::estimate's cell walk over a virtual merged cell: f
+  // and w are summed across the shipped sketches in ascending op order —
+  // the same additions, in the same order, a materialized merge performs
   // (seeding from the first shipped sketch and merge_from-ing the rest),
-  // so every per-row (f, w) pair is bit-identical to the materialized
-  // merged cell. The accumulators start at (0, 0.0): 0.0 + x is exact for
-  // the non-negative weights these cells hold, and uint64 addition is
-  // associative, so starting from zero instead of the seed copy changes
-  // nothing. Lazy mode never configures a heavy-hitter ledger, so the
-  // exact-sample shortcut DualSketch::estimate consults cannot fire.
+  // so every per-row (f, w) pair is bit-identical to the merged cell. The
+  // accumulators start at (0, 0.0): 0.0 + x is exact for the non-negative
+  // weights these cells hold, and uint64 addition is associative, so
+  // starting from zero instead of the seed copy changes nothing. The
+  // heavy-hitter shortcut is scheduling_estimate's merged_heavy_ probe.
   const std::size_t rows = digest.rows();
 
   if (config_.estimator == sketch::EstimatorVariant::kArgMinFrequency) {
@@ -383,8 +358,8 @@ Decision PosgScheduler::schedule(common::Item item, common::SeqNo seq) {
         if (markers_outstanding_ == 0) {
           state_ = State::kWaitAll;  // Fig. 3.C
           // The last reply can only follow the last marker, so completion
-          // is always detected in on_sync_reply (or in mark_failed when
-          // the replying instance died instead).
+          // is always detected in ingest_reply (or in remove_instance when
+          // the replying instance left instead).
         }
       }
       decision = Decision{target, marker};
@@ -429,6 +404,10 @@ void PosgScheduler::schedule_batch(const common::Item* items, const common::SeqN
     out[0] = schedule(items[0], seqs[0]);
     return;
   }
+  // Adopt peer membership transitions before choosing a path: they can
+  // move state_ (a lost last sketch falls back to ROUND_ROBIN) and start
+  // ramps, and both decide whether the batch may share one greedy pick.
+  sync_pool_if_stale();
   const bool greedy_state = state_ == State::kWaitAll || state_ == State::kRun;
   if (!greedy_state || ramps_active_ > 0) {
     // ROUND_ROBIN / SEND_ALL rotate per tuple (markers piggy-back on
@@ -440,16 +419,15 @@ void PosgScheduler::schedule_batch(const common::Item* items, const common::SeqN
     return;
   }
   POSG_PROFILE_SCOPE(prof_schedule_);
-  sync_pool_if_stale();
   if (live_count_ == 0) {
     throw NoLiveInstanceError(
         "PosgScheduler: no live instance to schedule onto (all quarantined; awaiting rejoin)");
   }
   // One argmin + one digest amortized over the batch: the head tuple's
   // estimate stands in for the whole batch, billed in a single fused Ĉ
-  // update with a single argmin nudge. State transitions only happen in
-  // on_sketches/on_sync_reply — never inside schedule() in the greedy
-  // states — so the batch cannot straddle a protocol edge.
+  // update with a single argmin nudge. State transitions only happen on
+  // feedback and membership events — never inside schedule() in the
+  // greedy states — so the batch cannot straddle a protocol edge.
   POSG_PROFILE_SCOPE(prof_bill_);
   const common::InstanceId target = greedy_pick();
   const common::TimeMs head_estimate =
@@ -514,42 +492,30 @@ bool PosgScheduler::all_live_shipped() const noexcept {
   return true;
 }
 
-bool PosgScheduler::shipment_admissible(const SketchShipment& shipment) const {
-  common::require(shipment.instance < k_, "PosgScheduler: shipment from unknown instance");
-  if (failed_[shipment.instance] || draining_[shipment.instance]) {
+void PosgScheduler::on_feedback(FeedbackEvent&& event) {
+  if (auto* shipment = std::get_if<SketchShipment>(&event)) {
+    ingest_shipment(std::move(*shipment));
+  } else if (const auto* reply = std::get_if<SyncReply>(&event)) {
+    ingest_reply(*reply);
+  }
+}
+
+void PosgScheduler::ingest_shipment(SketchShipment&& shipment) {
+  const common::InstanceId op = shipment.instance;
+  common::require(op < k_, "PosgScheduler: shipment from unknown instance");
+  if (failed_[op] || draining_[op]) {
     // Late frame from a quarantined instance, or a final shipment from a
     // draining one: either way the sender is leaving — refreshing the
     // merged estimates (and churning the epoch machinery) over a replica
     // that will never be billed again would only skew the survivors.
-    return false;
+    return;
   }
   common::require(shipment.sketch.dims() == config_.dims() &&
                       shipment.sketch.seed() == config_.sketch_seed &&
                       shipment.sketch.heavy_capacity() == config_.heavy_hitter_capacity &&
                       shipment.sketch.conservative() == config_.conservative_update,
                   "PosgScheduler: shipment sketch layout mismatch");
-  return true;
-}
-
-void PosgScheduler::on_sketches(const SketchShipment& shipment) {
-  if (!shipment_admissible(shipment)) {
-    return;
-  }
-  // Copy-assign reuses the existing slot's cell storage when the layouts
-  // match (they always do — shipment_admissible enforces it).
-  sketches_[shipment.instance] = shipment.sketch;
-  shipment_ingested(shipment.instance);
-}
-
-void PosgScheduler::on_sketches(SketchShipment&& shipment) {
-  if (!shipment_admissible(shipment)) {
-    return;
-  }
-  sketches_[shipment.instance] = std::move(shipment.sketch);
-  shipment_ingested(shipment.instance);
-}
-
-void PosgScheduler::shipment_ingested(common::InstanceId op) {
+  sketches_[op] = std::move(shipment.sketch);
   refresh_global_mean();
   if (trace_writer_) {
     trace_writer_->record(obs::TraceEvent{
@@ -583,10 +549,10 @@ void PosgScheduler::shipment_ingested(common::InstanceId op) {
 }
 
 void PosgScheduler::maybe_complete_epoch() noexcept {
-  // The !merged_ case arises only transiently inside mark_failed (the last
-  // sketch-bearing instance just died); its round-robin fallback runs next
-  // and abandons the epoch wholesale — completing into RUN without any
-  // billed sketch would be meaningless.
+  // The no-sketch case arises only transiently inside remove_instance (the
+  // last sketch-bearing instance just left); its round-robin fallback runs
+  // next and abandons the epoch wholesale — completing into RUN without
+  // any billed sketch would be meaningless.
   if (state_ != State::kWaitAll || live_count_ == 0 || !has_billed_sketch()) {
     return;
   }
@@ -644,7 +610,7 @@ void PosgScheduler::maybe_complete_epoch() noexcept {
 #endif
 }
 
-void PosgScheduler::on_sync_reply(const SyncReply& reply) {
+void PosgScheduler::ingest_reply(const SyncReply& reply) {
   common::require(reply.instance < k_, "PosgScheduler: reply from unknown instance");
   if (failed_[reply.instance]) {
     return;  // reply raced with the quarantine — already abandoned
@@ -696,21 +662,10 @@ void PosgScheduler::mark_failed(common::InstanceId op) {
   if (failed_[op]) {
     return;  // idempotent: EOF and epoch deadline may both report the crash
   }
-  // Publish to the membership authority first; a 0 seq means a peer
-  // source's detector reported the same crash between our staleness sync
-  // and now — adopt its event instead of applying twice.
-  const std::uint64_t seq = pool_raw_->report_quarantine(op, source_id_);
-  if (seq == 0) {
-    sync_with_pool();
-    return;
-  }
-  if (seq == pool_cursor_ + 1) {
-    pool_cursor_ = seq;  // our own event; do not replay it
-  }
-  quarantine_local(op);
-#if POSG_DCHECK_IS_ON
-  debug_validate();
-#endif
+  // Publish to the membership authority, then adopt the log. A 0 seq means
+  // a peer source's detector reported the same crash between our staleness
+  // sync and now — adopting its event applies the quarantine once.
+  adopt_pool_events(pool_raw_->report_quarantine(op, source_id_));
 }
 
 void PosgScheduler::quarantine_local(common::InstanceId op) {
@@ -726,32 +681,37 @@ void PosgScheduler::quarantine_local(common::InstanceId op) {
   remove_instance(op, /*redistribute=*/true);
 }
 
-std::size_t PosgScheduler::sync_with_pool() {
+std::size_t PosgScheduler::adopt_pool_events(std::uint64_t own_seq, common::TimeMs final_delta) {
   pool_events_scratch_.clear();
   const std::uint64_t newest = pool_raw_->events_since(pool_cursor_, pool_events_scratch_);
-  std::size_t applied = 0;
+  std::size_t changed = 0;
+  std::size_t peer_applied = 0;
   for (const auto& event : pool_events_scratch_) {
-    if (apply_pool_event(event)) {
-      ++applied;
+    const bool own = event.seq == own_seq;
+    if (apply_pool_event(event, own ? final_delta : 0.0)) {
+      ++changed;
+      if (!own) {
+        ++peer_applied;
+      }
     }
   }
   pool_cursor_ = newest;
-  pool_events_applied_ += applied;
+  pool_events_applied_ += peer_applied;
 #if POSG_DCHECK_IS_ON
-  if (applied > 0) {
+  if (changed > 0) {
     debug_validate();
   }
 #endif
-  return applied;
+  return peer_applied;
 }
 
-bool PosgScheduler::apply_pool_event(const MemberEvent& event) {
+bool PosgScheduler::apply_pool_event(const MemberEvent& event, common::TimeMs final_delta) {
   const common::InstanceId op = event.op;
   common::ensure(op < k_, "PosgScheduler: pool event names an unknown instance");
   switch (event.kind) {
     case MemberEvent::Kind::kQuarantine:
       if (failed_[op]) {
-        return false;  // our own event replayed, or already adopted
+        return false;  // already adopted
       }
       quarantine_local(op);
       return true;
@@ -782,10 +742,10 @@ bool PosgScheduler::apply_pool_event(const MemberEvent& event) {
         }
         begin_drain_local(op);
       }
-      // A peer measured the final Δ against *its* Ĉ view; this view's
-      // share of the drained work is its own frozen cut, discarded by the
-      // retirement (retire_local folds a zero Δ).
-      retire_local(op, 0.0);
+      // The initiator folds the final Δ it measured. A peer measured that
+      // Δ against *its* Ĉ view; this view's share of the drained work is
+      // its own frozen cut, discarded by the retirement (a zero Δ).
+      retire_local(op, final_delta);
       return true;
   }
   return false;
@@ -798,21 +758,46 @@ void PosgScheduler::cancel_drain_local(common::InstanceId op) {
   rebuild_greedy();
 }
 
+void PosgScheduler::leave_epoch(common::InstanceId op) noexcept {
+  if (state_ == State::kSendAll && marker_pending_[op]) {
+    marker_pending_[op] = false;
+    --markers_outstanding_;
+    if (markers_outstanding_ == 0) {
+      state_ = State::kWaitAll;
+    }
+  }
+  // A quarantined instance's slot is skipped by epoch completion anyway.
+  if (!failed_[op] && (state_ == State::kSendAll || state_ == State::kWaitAll)) {
+    reply_received_[op] = true;
+    reply_delta_[op] = 0.0;
+  }
+  marker_estimate_[op] = -1.0;
+}
+
+void PosgScheduler::retire_ramp(common::InstanceId op) {
+  if (ramp_left_[op] == 0) {
+    return;
+  }
+  ramp_left_[op] = 0;
+  ramp_tokens_[op] = 0.0;
+  --ramps_active_;
+  ramp_completions_.erase(std::remove(ramp_completions_.begin(), ramp_completions_.end(), op),
+                          ramp_completions_.end());
+}
+
+void PosgScheduler::fall_back_to_round_robin() noexcept {
+  std::fill(marker_pending_.begin(), marker_pending_.end(), false);
+  markers_outstanding_ = 0;
+  state_ = State::kRoundRobin;
+}
+
 void PosgScheduler::remove_instance(common::InstanceId op, bool redistribute) {
   failed_[op] = true;
   --live_count_;
   health_.on_quarantined(op);
   derate_[op] = 1.0;
-  marker_estimate_[op] = -1.0;
-  if (ramp_left_[op] > 0) {
-    // A ramping rejoiner died mid-ramp: retire its bucket and any
-    // completion notice not yet collected.
-    ramp_left_[op] = 0;
-    ramp_tokens_[op] = 0.0;
-    --ramps_active_;
-    ramp_completions_.erase(std::remove(ramp_completions_.begin(), ramp_completions_.end(), op),
-                            ramp_completions_.end());
-  }
+  // A ramping rejoiner that leaves mid-ramp never collects its grant.
+  retire_ramp(op);
 
   if (live_count_ > 0 && redistribute) {
     // Redistribute the dead instance's Ĉ share evenly over the serving
@@ -868,15 +853,9 @@ void PosgScheduler::remove_instance(common::InstanceId op, bool redistribute) {
   sketches_[op].reset();
   refresh_global_mean();
 
-  // Abandon its outstanding marker and reply so the in-flight epoch can
-  // complete on the survivors alone (the WAIT_ALL liveness hole).
-  if (state_ == State::kSendAll && marker_pending_[op]) {
-    marker_pending_[op] = false;
-    --markers_outstanding_;
-    if (markers_outstanding_ == 0) {
-      state_ = State::kWaitAll;
-    }
-  }
+  // Abandon its outstanding marker so the in-flight epoch can complete on
+  // the survivors alone (the WAIT_ALL liveness hole).
+  leave_epoch(op);
   maybe_complete_epoch();
 
   if (state_ == State::kRoundRobin) {
@@ -890,16 +869,10 @@ void PosgScheduler::remove_instance(common::InstanceId op, bool redistribute) {
       }
     }
   } else if (!has_billed_sketch()) {
-    // Degradation ladder, bottom rung: every sketch-bearing instance is
-    // gone, so no estimates exist — fall back to round-robin over the
-    // survivors until fresh sketches arrive. Abandon the in-flight epoch
-    // wholesale (markers and replies alike): without sketches there is no
-    // Ĉ left for a late Δ to correct.
-    for (std::size_t other = 0; other < k_; ++other) {
-      marker_pending_[other] = false;
-    }
-    markers_outstanding_ = 0;
-    state_ = State::kRoundRobin;
+    // Every sketch-bearing instance is gone, so no estimates exist. The
+    // in-flight epoch is abandoned wholesale (markers and replies alike):
+    // without sketches there is no Ĉ left for a late Δ to correct.
+    fall_back_to_round_robin();
   }
 }
 
@@ -912,29 +885,17 @@ common::TimeMs PosgScheduler::begin_drain(common::InstanceId op) {
                   "PosgScheduler: draining the last serving instance would stall the stream");
   const std::uint64_t seq = pool_raw_->report_drain(op, source_id_);
   common::require(seq != 0, "PosgScheduler: drain lost a race to a concurrent pool transition");
-  if (seq == pool_cursor_ + 1) {
-    pool_cursor_ = seq;
-  }
-  const common::TimeMs cut = begin_drain_local(op);
-#if POSG_DCHECK_IS_ON
-  debug_validate();
-#endif
-  return cut;
+  adopt_pool_events(seq);
+  // Ĉ[op] stays frozen from the drain event on: it is the cut.
+  return c_est_[op];
 }
 
-common::TimeMs PosgScheduler::begin_drain_local(common::InstanceId op) {
+void PosgScheduler::begin_drain_local(common::InstanceId op) {
   draining_[op] = true;
   --serving_count_;
   ++drains_begun_;
-  if (ramp_left_[op] > 0) {
-    // Draining a still-ramping rejoiner: retire the ramp — it will never
-    // win another tuple.
-    ramp_left_[op] = 0;
-    ramp_tokens_[op] = 0.0;
-    --ramps_active_;
-    ramp_completions_.erase(std::remove(ramp_completions_.begin(), ramp_completions_.end(), op),
-                            ramp_completions_.end());
-  }
+  // A still-ramping rejoiner will never win another tuple.
+  retire_ramp(op);
 
   // The drain cut: everything billed to op up to this instant. FIFO links
   // mean every tuple routed before the DrainRequest executes before the
@@ -943,23 +904,10 @@ common::TimeMs PosgScheduler::begin_drain_local(common::InstanceId op) {
   // in and the final Ĉ equals the true executed work, counted once.
   const common::TimeMs cut = c_est_[op];
 
-  // Leave any in-flight epoch at once: clear an unsent marker, pre-satisfy
-  // the reply slot (zeroing a Δ that may already have arrived — folding it
-  // *and* the final DrainComplete Δ would double-correct the pre-cut
-  // drift), and disarm the marker estimate so a late genuine reply counts
-  // stale instead of feeding the drift detector.
-  if (state_ == State::kSendAll && marker_pending_[op]) {
-    marker_pending_[op] = false;
-    --markers_outstanding_;
-    if (markers_outstanding_ == 0) {
-      state_ = State::kWaitAll;
-    }
-  }
-  if (state_ == State::kSendAll || state_ == State::kWaitAll) {
-    reply_received_[op] = true;
-    reply_delta_[op] = 0.0;
-  }
-  marker_estimate_[op] = -1.0;
+  // Leave any in-flight epoch at once. Pre-satisfying the reply slot zeroes
+  // a Δ that may already have arrived: folding it *and* the final
+  // DrainComplete Δ would double-correct the pre-cut drift.
+  leave_epoch(op);
 
   rebuild_greedy();
   if (trace_writer_) {
@@ -976,26 +924,22 @@ common::TimeMs PosgScheduler::begin_drain_local(common::InstanceId op) {
 #if POSG_DCHECK_IS_ON
   debug_validate();
 #endif
-  return cut;
 }
 
 common::TimeMs PosgScheduler::retire(common::InstanceId op, common::TimeMs final_delta) {
   common::require(op < k_, "PosgScheduler: retire of unknown instance");
   sync_pool_if_stale();
   common::require(draining_[op], "PosgScheduler: retire of an instance that is not draining");
+  // Ĉ[op] is frozen while op drains, so the final bill is fixed before the
+  // event is adopted (retire_local folds the same Δ into the same cut).
+  const common::TimeMs final_billed = std::max(0.0, c_est_[op] + final_delta);
   const std::uint64_t seq = pool_raw_->report_retire(op, source_id_);
   common::require(seq != 0, "PosgScheduler: retire lost a race to a concurrent pool transition");
-  if (seq == pool_cursor_ + 1) {
-    pool_cursor_ = seq;
-  }
-  const common::TimeMs billed = retire_local(op, final_delta);
-#if POSG_DCHECK_IS_ON
-  debug_validate();
-#endif
-  return billed;
+  adopt_pool_events(seq, final_delta);
+  return final_billed;
 }
 
-common::TimeMs PosgScheduler::retire_local(common::InstanceId op, common::TimeMs final_delta) {
+void PosgScheduler::retire_local(common::InstanceId op, common::TimeMs final_delta) {
   // Fold the final Δ: cut + (C_real − cut) = the work the instance truly
   // executed, billed exactly once. The clamp mirrors the epoch correction:
   // exact arithmetic is non-negative; only float rounding can dip below.
@@ -1016,7 +960,6 @@ common::TimeMs PosgScheduler::retire_local(common::InstanceId op, common::TimeMs
 #if POSG_DCHECK_IS_ON
   debug_validate();
 #endif
-  return final_billed;
 }
 
 bool PosgScheduler::is_draining(common::InstanceId op) const {
@@ -1038,20 +981,9 @@ void PosgScheduler::rejoin(common::InstanceId op) {
   common::require(op < k_, "PosgScheduler: rejoin of unknown instance");
   sync_pool_if_stale();
   common::require(failed_[op], "PosgScheduler: rejoin of an instance that is not quarantined");
-  const std::uint64_t seq = pool_raw_->report_rejoin(op, source_id_);
-  if (seq == 0) {
-    // A peer re-admitted the instance between our staleness sync and now;
-    // adopt its event (which seeds from *this* view's serving minimum).
-    sync_with_pool();
-    return;
-  }
-  if (seq == pool_cursor_ + 1) {
-    pool_cursor_ = seq;
-  }
-  rejoin_local(op);
-#if POSG_DCHECK_IS_ON
-  debug_validate();
-#endif
+  // A 0 seq means a peer re-admitted the instance between our staleness
+  // sync and now; adopting its event seeds from *this* view's minimum.
+  adopt_pool_events(pool_raw_->report_rejoin(op, source_id_));
 }
 
 void PosgScheduler::rejoin_local(common::InstanceId op) {
@@ -1091,7 +1023,7 @@ void PosgScheduler::rejoin_local(common::InstanceId op) {
 
   // The rejoiner did not see this epoch's marker: re-arm it as already
   // replied so WAIT_ALL does not hang on it, and flag its marker slot so a
-  // stale pre-quarantine Δ is counted and discarded (see on_sync_reply).
+  // stale pre-quarantine Δ is counted and discarded (see ingest_reply).
   marker_pending_[op] = false;
   reply_received_[op] = true;
   reply_delta_[op] = 0.0;
@@ -1110,11 +1042,7 @@ void PosgScheduler::rejoin_local(common::InstanceId op) {
   if (!has_billed_sketch()) {
     // No sketch-bearing instance anywhere (the rejoiner ships a fresh one
     // once its tracker warms up): round-robin until estimates exist.
-    for (std::size_t other = 0; other < k_; ++other) {
-      marker_pending_[other] = false;
-    }
-    markers_outstanding_ = 0;
-    state_ = State::kRoundRobin;
+    fall_back_to_round_robin();
   }
 #if POSG_DCHECK_IS_ON
   debug_validate();
@@ -1350,33 +1278,38 @@ void PosgScheduler::restore(const CheckpointState& state) {
   if (pool_private_) {
     pool_raw_->adopt_membership(state.failed, state.draining);
   } else {
+    using Lifecycle = InstancePool::Lifecycle;
+    std::vector<Lifecycle> target(k_);
     for (std::size_t op = 0; op < k_; ++op) {
-      switch (pool_raw_->lifecycle(op)) {
-        case InstancePool::Lifecycle::kQuarantined:
-          if (!failed_[op]) {
-            quarantine_local(op);
-          }
-          break;
-        case InstancePool::Lifecycle::kServing:
-          if (failed_[op]) {
-            rejoin_local(op);
-          } else if (draining_[op]) {
-            cancel_drain_local(op);
-          }
-          break;
-        case InstancePool::Lifecycle::kDraining:
-          if (failed_[op]) {
-            rejoin_local(op);
-          }
-          if (!draining_[op] && serving_count_ >= 2) {
-            begin_drain_local(op);
-          }
-          break;
+      target[op] = pool_raw_->lifecycle(op);
+    }
+    // Liveness first — rejoins, then quarantines — so the serving count
+    // the drain guard reads already includes every instance the pool
+    // re-admitted, whatever its id. Cancels precede new drains for the
+    // same reason.
+    for (std::size_t op = 0; op < k_; ++op) {
+      if (failed_[op] && target[op] != Lifecycle::kQuarantined) {
+        rejoin_local(op);
+      }
+    }
+    for (std::size_t op = 0; op < k_; ++op) {
+      if (!failed_[op] && target[op] == Lifecycle::kQuarantined) {
+        quarantine_local(op);
+      }
+    }
+    for (std::size_t op = 0; op < k_; ++op) {
+      if (draining_[op] && target[op] == Lifecycle::kServing) {
+        cancel_drain_local(op);
+      }
+    }
+    for (std::size_t op = 0; op < k_; ++op) {
+      if (!draining_[op] && target[op] == Lifecycle::kDraining && serving_count_ >= 2) {
+        begin_drain_local(op);
       }
     }
   }
   // Self-heal a WAIT_ALL image whose last missing reply will never come
-  // (epoch completion is edge-triggered in on_sync_reply; a checkpoint cut
+  // (epoch completion is edge-triggered in ingest_reply; a checkpoint cut
   // between the final reply and the completion edge must not hang).
   maybe_complete_epoch();
 #if POSG_DCHECK_IS_ON
@@ -1395,21 +1328,10 @@ common::TimeMs PosgScheduler::reattach(common::InstanceId op) {
   // The crash window swallowed whatever marker/reply traffic was in
   // flight toward op: clear its unsent marker, pre-satisfy its reply slot,
   // and disarm its marker estimate so a Δ computed against a pre-crash
-  // baseline is counted stale (on_sync_reply) instead of folded — the
+  // baseline is counted stale (ingest_reply) instead of folded — the
   // exact isolation rejoin() applies, minus the re-seeding (op's Ĉ is the
   // restored cut, already consistent with the work billed to it).
-  if (state_ == State::kSendAll && marker_pending_[op]) {
-    marker_pending_[op] = false;
-    --markers_outstanding_;
-    if (markers_outstanding_ == 0) {
-      state_ = State::kWaitAll;
-    }
-  }
-  if (state_ == State::kSendAll || state_ == State::kWaitAll) {
-    reply_received_[op] = true;
-    reply_delta_[op] = 0.0;
-  }
-  marker_estimate_[op] = -1.0;
+  leave_epoch(op);
   const common::TimeMs cut = c_est_[op];
   if (trace_writer_) {
     trace_writer_->record(obs::TraceEvent{.type = obs::TraceEventType::kReattach,
@@ -1556,13 +1478,8 @@ void PosgScheduler::debug_validate() const {
     POSG_CHECK(shipped_cells_[i] == sketches_[shipped_ops_[i]]->cells().data(),
                "PosgScheduler: stale shipped-cell pointer (sketch slot mutated without refresh)");
   }
-  if (lazy_merged_) {
-    POSG_CHECK(!merged_.has_value(), "PosgScheduler: lazy mode materialized a merged sketch");
-    if (auto merged = build_merged()) {
-      merged->debug_validate();
-    }
-  } else if (merged_.has_value()) {
-    merged_->debug_validate();
+  if (auto merged = build_merged()) {
+    merged->debug_validate();
   }
 
   // State-machine consistency (Fig. 3).

@@ -109,12 +109,10 @@ class PosgScheduler final : public Scheduler {
   void schedule_batch(const common::Item* items, const common::SeqNo* seqs, std::size_t n,
                       Decision* out);
 
-  void on_sketches(const SketchShipment& shipment) override;
-  /// Move form: steals the shipped sketch instead of copying its r·c cell
-  /// array. Preferred on the hot feedback path (engine, runtime, bench);
-  /// both overloads ingest identical cell values.
-  void on_sketches(SketchShipment&& shipment) override;
-  void on_sync_reply(const SyncReply& reply) override;
+  /// Consumes the two messages POSG is fed: stable (F, W) shipments,
+  /// whose sketch is moved into the billing slot rather than copied, and
+  /// Δ replies. Execution feedback and load reports are ignored.
+  void on_feedback(FeedbackEvent&& event) override;
   std::size_t instances() const override { return k_; }
   std::string name() const override { return "posg"; }
 
@@ -271,13 +269,14 @@ class PosgScheduler final : public Scheduler {
   /// The shared membership pool behind this view.
   const std::shared_ptr<InstancePool>& pool() const noexcept { return pool_; }
 
-  /// Adopts every pool transition this view has not applied yet (peer
-  /// quarantines/rejoins/drains/retires). Called automatically at each
-  /// scheduling decision behind a relaxed version check; exposed so
+  /// Adopts every pool transition this view has not applied yet, in log
+  /// order (peer quarantines/rejoins/drains/retires). Called automatically
+  /// at each scheduling decision behind a relaxed version check, and by
+  /// this view's own membership ops right after they publish; exposed so
   /// coordinators can reconcile views at a deterministic point (and tests
   /// can pin the resulting membership). Returns the number of peer events
   /// applied by this call.
-  std::size_t sync_with_pool();
+  std::size_t sync_with_pool() { return adopt_pool_events(0); }
 
   /// Peer-initiated membership events this view has adopted so far.
   std::uint64_t pool_events_applied() const noexcept { return pool_events_applied_; }
@@ -370,9 +369,9 @@ class PosgScheduler final : public Scheduler {
   /// shipped sketch's mean execution time for never-seen items.
   common::TimeMs scheduling_estimate(common::InstanceId instance, common::Item item) const;
   /// Digest form: `digest` is the item's one-pass hash digest under the
-  /// configured (seed, dims) — valid for every shipped and merged sketch,
-  /// because on_sketches rejects any other layout. schedule() computes it
-  /// once per tuple.
+  /// configured (seed, dims) — valid for every shipped sketch, because
+  /// ingest_shipment rejects any other layout. schedule() computes it once
+  /// per tuple.
   common::TimeMs scheduling_estimate(common::InstanceId instance, common::Item item,
                                      const hash::BucketDigest& digest) const;
 
@@ -395,35 +394,43 @@ class PosgScheduler final : public Scheduler {
   void rebuild_greedy();
   common::InstanceId next_round_robin() noexcept;
   void enter_send_all() noexcept;
-  /// Shared tail of mark_failed and retire: quarantines `op` (leaves the
-  /// candidate set, drops its sketch, abandons its marker, re-derives the
-  /// argmin, walks the degradation ladder). `redistribute` picks the Ĉ
+  /// Shared tail of quarantine_local and retire_local: removes `op` (leaves
+  /// the candidate set, drops its sketch, abandons its marker, re-derives
+  /// the argmin, walks the degradation ladder). `redistribute` picks the Ĉ
   /// semantics: a crash hands its share to the serving survivors (the work
   /// must be redone somewhere); a retirement discards it (the work is
   /// done).
   void remove_instance(common::InstanceId op, bool redistribute);
+  /// Takes `op` out of any in-flight epoch: clears its unsent marker (the
+  /// last one moves SEND_ALL to WAIT_ALL), pre-satisfies a live instance's
+  /// reply slot with a zero Δ, and disarms its marker estimate so a late
+  /// genuine reply counts stale. Drain, reattach and removal share it.
+  void leave_epoch(common::InstanceId op) noexcept;
+  /// Cancels `op`'s rejoin admission ramp, with any completion notice not
+  /// yet collected.
+  void retire_ramp(common::InstanceId op);
+  /// Degradation ladder, bottom rung: no billed sketch is left, so abandon
+  /// the epoch's markers and schedule round-robin until sketches arrive.
+  void fall_back_to_round_robin() noexcept;
+  /// Rebuilds the billing view after any sketches_ slot changed: the
+  /// shipped-op index and cell pointers, the global mean, and the merged
+  /// heavy-hitter ledger.
   void refresh_global_mean() noexcept;
-  /// Shared admission check of both on_sketches overloads: layout
-  /// validation plus the quarantined/draining-sender drop.
-  bool shipment_admissible(const SketchShipment& shipment) const;
-  /// Shared tail of both on_sketches overloads, run after sketches_[op]
-  /// was replaced: refresh the billing view, trace, drive the FSM.
-  void shipment_ingested(common::InstanceId op);
+  /// Stores a stable (F, W) shipment after layout validation (a
+  /// quarantined or draining sender's frame is dropped), then refreshes
+  /// the billing view, traces, and drives the state machine (Fig. 3.A/B/F).
+  void ingest_shipment(SketchShipment&& shipment);
+  /// Records a Δ reply for the current epoch (stale and duplicate replies
+  /// are counted and dropped) and completes the epoch when it was the last.
+  void ingest_reply(const SyncReply& reply);
   /// Merged-view estimate without a materialized merged sketch: sums the
-  /// digest's r cells across the shipped sketches in ascending op order —
-  /// the same additions, in the same order, refresh_global_mean's
-  /// materialization performs per cell, so the result is bit-identical to
-  /// estimating on merged_. Only valid in lazy mode (no heavy-hitter
-  /// ledger to consult).
+  /// digest's r cells across the shipped sketches in ascending op order,
+  /// so each per-row (f, w) pair is bit-identical to the cell a
+  /// materialized merge (build_merged) would hold.
   std::optional<common::TimeMs> merged_estimate(const hash::BucketDigest& digest) const noexcept;
-  /// True when at least one instance bills a sketch — the lazy-mode
-  /// equivalent of merged_.has_value() (the two are kept interchangeable:
-  /// shipped_ops_ is rebuilt wherever merged_ used to be).
-  bool has_billed_sketch() const noexcept {
-    return lazy_merged_ ? !shipped_ops_.empty() : merged_.has_value();
-  }
-  /// Materializes the merged sketch for the rare paths that need the full
-  /// object in lazy mode (debug_validate).
+  /// True when at least one instance bills a sketch.
+  bool has_billed_sketch() const noexcept { return !shipped_ops_.empty(); }
+  /// Materializes the merged sketch for debug_validate.
   std::optional<sketch::DualSketch> build_merged() const;
   void maybe_complete_epoch() noexcept;
   bool all_live_shipped() const noexcept;
@@ -445,18 +452,26 @@ class PosgScheduler final : public Scheduler {
       sync_with_pool();
     }
   }
-  /// Applies one peer transition to this view's replica, guarded for
-  /// idempotence (this view's own events come back through the log and
-  /// must be no-ops). Returns true when the event changed local state.
-  bool apply_pool_event(const MemberEvent& event);
-  // Local halves of the four membership transitions: exactly the pre-tier
-  // bodies (Ĉ redistribution / seeding, epoch abandonment, ramps, the
-  // degradation ladder), minus the authority — the public methods publish
-  // to the pool first, peer views replay via apply_pool_event.
+  /// Applies every pool event past the cursor, in log order. `own_seq`
+  /// names the event this view just published (0 = none): it is adopted
+  /// like any other but not counted as a peer event, and when it is a
+  /// retirement it folds `final_delta` — the one value the log cannot
+  /// carry (a peer's retirement folds zero). Returns the number of peer
+  /// events that changed this view.
+  std::size_t adopt_pool_events(std::uint64_t own_seq, common::TimeMs final_delta = 0.0);
+  /// Applies one pool transition to this view's replica, guarded for
+  /// idempotence (a restore may already have reconciled the transition an
+  /// event records). Returns true when the event changed local state.
+  bool apply_pool_event(const MemberEvent& event, common::TimeMs final_delta);
+  // Local bodies of the membership transitions (Ĉ redistribution /
+  // seeding, epoch abandonment, ramps, the degradation ladder). The public
+  // methods validate and publish to the pool; every view, the publisher
+  // included, applies them through apply_pool_event (restore's
+  // reconciliation is the only other caller).
   void quarantine_local(common::InstanceId op);
   void rejoin_local(common::InstanceId op);
-  common::TimeMs begin_drain_local(common::InstanceId op);
-  common::TimeMs retire_local(common::InstanceId op, common::TimeMs final_delta);
+  void begin_drain_local(common::InstanceId op);
+  void retire_local(common::InstanceId op, common::TimeMs final_delta);
   /// Peer's drain was cancelled upstream (pool says serving, view says
   /// draining after a checkpoint restore): press the instance back into
   /// this view's rotation.
@@ -477,12 +492,12 @@ class PosgScheduler final : public Scheduler {
   bool pool_private_ = true;
   common::SourceId source_id_ = 0;
   std::uint64_t pool_events_applied_ = 0;
-  /// Scratch for sync_with_pool so reconciliation does not allocate.
+  /// Scratch for adopt_pool_events so reconciliation does not allocate.
   std::vector<MemberEvent> pool_events_scratch_;
   /// Gossiped peer load per instance (empty = per_source_greedy mode).
   std::vector<common::TimeMs> external_load_;
   /// The configured (seed, dims) hash set — identical to the one inside
-  /// every shipped sketch (on_sketches enforces the layout), so schedule()
+  /// every shipped sketch (ingest_shipment enforces the layout), so schedule()
   /// can digest each tuple once, up front, for all sketch reads.
   hash::HashSet hashes_;
   State state_ = State::kRoundRobin;
@@ -492,19 +507,10 @@ class PosgScheduler final : public Scheduler {
   /// Latest stable sketch shipped by each instance (empty until first
   /// shipment).
   std::vector<std::optional<sketch::DualSketch>> sketches_;
-  /// Sum of the latest sketches; billing source when config.shared_billing
-  /// is set. Only materialized in eager mode (heavy-hitter configs, whose
-  /// merged top-N ledger cannot be recomputed cell-wise); in lazy mode the
-  /// merged view is summed on demand per estimate (merged_estimate), which
-  /// turns the per-shipment O(k·r·c) rebuild into O(r·|shipped|) loads per
-  /// scheduling decision.
-  std::optional<sketch::DualSketch> merged_;
-  /// Lazy merged view enabled: no heavy-hitter ledger configured, so the
-  /// merged estimate is a pure cell sum and need not be materialized.
-  bool lazy_merged_ = false;
   /// Ascending ids of instances whose sketches_ slot holds a sketch —
-  /// the summation order of the merged view. Rebuilt by
-  /// refresh_global_mean alongside global_mean_.
+  /// the summation order of the merged view, which is never materialized:
+  /// merged_estimate sums it per estimate. Rebuilt by refresh_global_mean
+  /// alongside global_mean_.
   std::vector<common::InstanceId> shipped_ops_;
   /// shipped_ops_'s sketches as raw fused-cell pointers, in the same
   /// order — the per-decision merged_estimate sum reads these directly
@@ -512,6 +518,10 @@ class PosgScheduler final : public Scheduler {
   /// Invalidated by any sketches_ slot mutation; every such site calls
   /// refresh_global_mean, which rebuilds both vectors together.
   std::vector<const sketch::FWCell*> shipped_cells_;
+  /// Heavy-hitter configs only: the shipped sketches' Space-Saving tables
+  /// merged in shipped_ops_ order, probed ahead of merged_estimate so heavy
+  /// items bill from exact samples. Rebuilt with shipped_cells_.
+  std::optional<sketch::SpaceSaving> merged_heavy_;
   /// Ĉ (Listing III.2).
   std::vector<common::TimeMs> c_est_;
   /// Mean execution time across all shipped sketches — the

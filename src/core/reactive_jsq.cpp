@@ -30,15 +30,18 @@ Decision ReactiveJsqScheduler::schedule(common::Item item, common::SeqNo seq) {
   return Decision{best, std::nullopt};
 }
 
-void ReactiveJsqScheduler::on_load_report(common::InstanceId instance, common::TimeMs backlog,
-                                          common::TimeMs mean_execution_time) {
-  common::require(instance < reported_backlog_.size(),
+void ReactiveJsqScheduler::on_feedback(FeedbackEvent&& event) {
+  const auto* report = std::get_if<LoadReport>(&event);
+  if (report == nullptr) {
+    return;
+  }
+  common::require(report->instance < reported_backlog_.size(),
                   "ReactiveJsqScheduler: report from unknown instance");
-  common::require(backlog >= 0.0 && mean_execution_time >= 0.0,
+  common::require(report->backlog >= 0.0 && report->mean_execution_time >= 0.0,
                   "ReactiveJsqScheduler: negative report");
-  reported_backlog_[instance] = backlog;
-  sent_since_report_[instance] = 0;
-  mean_execution_time_ = mean_execution_time;
+  reported_backlog_[report->instance] = report->backlog;
+  sent_since_report_[report->instance] = 0;
+  mean_execution_time_ = report->mean_execution_time;
 }
 
 }  // namespace posg::core

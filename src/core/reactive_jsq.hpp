@@ -15,8 +15,8 @@ namespace posg::core {
 /// The scheduler holds the latest *reported* backlog per instance and
 /// routes every tuple to the minimum, counting what it has sent since
 /// the report (it cannot know per-tuple costs, so each in-flight tuple
-/// counts as one average unit). Reports arrive through
-/// on_load_report(); their period and latency — i.e. their staleness —
+/// counts as one average unit). Reports arrive as LoadReport feedback
+/// events; their period and latency — i.e. their staleness —
 /// are the substrate's business (the simulator exposes both), and the
 /// `ablation_reactive` bench sweeps them against POSG.
 class ReactiveJsqScheduler final : public Scheduler {
@@ -27,11 +27,10 @@ class ReactiveJsqScheduler final : public Scheduler {
   std::size_t instances() const override { return reported_backlog_.size(); }
   std::string name() const override { return "reactive-jsq"; }
 
-  /// Delivery of one instance's queue-state report: `backlog` is the
-  /// work (in time units) queued at the instance when the report was
+  /// Consumes LoadReport events (other kinds are ignored): `backlog` is
+  /// the work (in time units) queued at the instance when the report was
   /// taken. Resets the sent-since-report counter for that instance.
-  void on_load_report(common::InstanceId instance, common::TimeMs backlog,
-                      common::TimeMs mean_execution_time);
+  void on_feedback(FeedbackEvent&& event) override;
 
  private:
   /// Reported backlog plus an optimistic estimate of what we sent since.

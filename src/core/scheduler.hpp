@@ -1,8 +1,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
-#include <variant>
 
 #include "common/types.hpp"
 #include "core/feedback.hpp"
@@ -27,65 +25,13 @@ class Scheduler {
   /// deliver to that instance along with the tuple.
   virtual Decision schedule(common::Item item, common::SeqNo seq) = 0;
 
-  /// Single feedback entry point: every delivery from the substrate —
-  /// sketch shipment, synchronization reply, execution feedback, load
-  /// report — arrives as one typed event. The default implementation
-  /// demultiplexes to the legacy per-kind virtuals below (which default to
-  /// no-ops), so existing policies compile and behave unchanged whether
-  /// the substrate calls this or the per-kind form. Policies wanting the
-  /// whole feedback stream (multiplexers, recorders) override this once
-  /// instead of chasing four virtuals.
-  virtual void on_feedback(FeedbackEvent&& event) {
-    std::visit(
-        [this](auto&& payload) {
-          using T = std::decay_t<decltype(payload)>;
-          if constexpr (std::is_same_v<T, SketchShipment>) {
-            on_sketches(std::move(payload));
-          } else if constexpr (std::is_same_v<T, SyncReply>) {
-            on_sync_reply(payload);
-          } else if constexpr (std::is_same_v<T, TupleExecuted>) {
-            on_tuple_executed(payload.instance, payload.execution_time);
-          } else {
-            static_assert(std::is_same_v<T, LoadReport>);
-            on_load_report(payload.instance, payload.backlog, payload.mean_execution_time);
-          }
-        },
-        std::move(event));
-  }
-
-  /// Delivery of a stable (F, W) pair from an operator instance.
-  /// Policies that do not use feedback ignore it.
-  /// Legacy per-kind shim: prefer delivering through on_feedback().
-  virtual void on_sketches(const SketchShipment& shipment) { (void)shipment; }
-
-  /// Move form of the same delivery: implementations that store the sketch
-  /// may steal its r·c cell array instead of copying it. Defaults to the
-  /// copying overload so policies only need to implement one.
-  virtual void on_sketches(SketchShipment&& shipment) {
-    on_sketches(static_cast<const SketchShipment&>(shipment));
-  }
-
-  /// Delivery of a synchronization reply from an operator instance.
-  virtual void on_sync_reply(const SyncReply& reply) { (void)reply; }
-
-  /// Execution feedback: `instance` finished a tuple that took
-  /// `execution_time`. Only backlog-style policies need this; POSG itself
-  /// deliberately does not (its feedback channel is the sketch shipment).
-  virtual void on_tuple_executed(common::InstanceId instance, common::TimeMs execution_time) {
-    (void)instance;
-    (void)execution_time;
-  }
-
-  /// Delivery of a periodic queue-state report (reactive policies only;
-  /// see core/reactive_jsq.hpp). `backlog` is the work queued at the
-  /// instance when the report was taken, `mean_execution_time` the
-  /// instance's observed per-tuple mean.
-  virtual void on_load_report(common::InstanceId instance, common::TimeMs backlog,
-                              common::TimeMs mean_execution_time) {
-    (void)instance;
-    (void)backlog;
-    (void)mean_execution_time;
-  }
+  /// The feedback entry point: every delivery from the substrate — sketch
+  /// shipment, synchronization reply, execution feedback, load report —
+  /// arrives as one typed event (core/feedback.hpp), passed by rvalue so a
+  /// policy may keep its payload without a copy. A policy reads the kinds
+  /// it consumes from the variant and ignores the rest; the default
+  /// ignores everything (feedback-free policies such as round-robin).
+  virtual void on_feedback(FeedbackEvent&& event) { (void)event; }
 
   /// Number of downstream instances k.
   virtual std::size_t instances() const = 0;

@@ -74,10 +74,10 @@ void PosgGrouping::deliver_now(Delivery&& delivery) {
   if (delivery.shipment) {
     // The delivery is consumed here — hand the sketch to the scheduler by
     // move so the r·c cell array is stolen, not copied.
-    scheduler_.on_sketches(std::move(*delivery.shipment));
+    scheduler_.on_feedback(std::move(*delivery.shipment));
   }
   if (delivery.reply) {
-    scheduler_.on_sync_reply(*delivery.reply);
+    scheduler_.on_feedback(*delivery.reply);
   }
 }
 

@@ -756,7 +756,7 @@ void SchedulerRuntime::reader_loop(common::InstanceId op) {
       }
       // Data-path messages echoed at the scheduler are ignored.
       // Feedback is where epoch boundaries happen (the WAIT_ALL → RUN
-      // edge fires in on_sync_reply), so this is the checkpoint capture
+      // edge fires on the last Δ reply), so this is the checkpoint capture
       // point — a cheap cadence check on every other message.
       maybe_checkpoint_locked();
     } catch (const std::invalid_argument&) {

@@ -193,32 +193,7 @@ void DualSketch::merge_from(const DualSketch& other) {
     cells[i].w += from[i].w;
   }
   if (heavy_ && other.heavy_) {
-    // Sum entries item-wise, then keep the heaviest `capacity` by count.
-    auto combined = heavy_->entries();
-    for (const auto& [item, entry] : other.heavy_->entries()) {
-      auto& slot = combined[item];
-      slot.count += entry.count;
-      slot.error += entry.error;
-      slot.observed += entry.observed;
-      slot.time_sum += entry.time_sum;
-    }
-    if (combined.size() > heavy_->capacity()) {
-      std::vector<std::pair<common::Item, SpaceSaving::Entry>> ranked(combined.begin(),
-                                                                      combined.end());
-      // Strict total order: count descending, item id ascending on ties.
-      // With ties broken only by count, nth_element's partition (and hence
-      // the surviving item *set*) depended on the unordered_map's iteration
-      // order, making merged sketches irreproducible across runs.
-      std::nth_element(ranked.begin(), ranked.begin() + heavy_->capacity() - 1, ranked.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.second.count != b.second.count ? a.second.count > b.second.count
-                                                                 : a.first < b.first;
-                       });
-      ranked.resize(heavy_->capacity());
-      combined.clear();
-      combined.insert(ranked.begin(), ranked.end());
-    }
-    heavy_->restore(combined);
+    heavy_->merge_from(*other.heavy_);
   }
   updates_ += other.updates_;
   total_time_ += other.total_time_;

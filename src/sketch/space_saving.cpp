@@ -1,5 +1,9 @@
 #include "sketch/space_saving.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace posg::sketch {
 
 SpaceSaving::SpaceSaving(std::size_t capacity) : capacity_(capacity) {
@@ -79,6 +83,36 @@ std::optional<common::TimeMs> SpaceSaving::mean_time(common::Item item,
 void SpaceSaving::clear() {
   entries_.clear();
   by_count_.clear();
+}
+
+void SpaceSaving::merge_from(const SpaceSaving& other) {
+  common::require(capacity_ == other.capacity_, "SpaceSaving: merge requires matching capacities");
+  for (const auto& [item, entry] : other.entries_) {
+    auto& slot = entries_[item];
+    slot.count += entry.count;
+    slot.error += entry.error;
+    slot.observed += entry.observed;
+    slot.time_sum += entry.time_sum;
+  }
+  if (entries_.size() > capacity_) {
+    std::vector<std::pair<common::Item, Entry>> ranked(entries_.begin(), entries_.end());
+    // Strict total order: count descending, item id ascending on ties.
+    // With ties broken only by count, nth_element's partition (and hence
+    // the surviving item *set*) depended on the unordered_map's iteration
+    // order, making merged ledgers irreproducible across runs.
+    std::nth_element(ranked.begin(), ranked.begin() + capacity_ - 1, ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second.count != b.second.count ? a.second.count > b.second.count
+                                                               : a.first < b.first;
+                     });
+    ranked.resize(capacity_);
+    entries_.clear();
+    entries_.insert(ranked.begin(), ranked.end());
+  }
+  by_count_.clear();
+  for (const auto& [item, entry] : entries_) {
+    index_insert(item, entry.count);
+  }
 }
 
 void SpaceSaving::restore(const std::unordered_map<common::Item, Entry>& entries) {

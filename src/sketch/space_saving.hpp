@@ -55,6 +55,11 @@ class SpaceSaving {
 
   void clear();
 
+  /// Adds another ledger's entries item-wise (count, error, observed and
+  /// time_sum all sum), then keeps the `capacity` heaviest by count, ties
+  /// broken toward the lower item id. Capacities must match.
+  void merge_from(const SpaceSaving& other);
+
   /// Rebuilds the tracker from externally provided entries (wire codec).
   void restore(const std::unordered_map<common::Item, Entry>& entries);
 

@@ -175,7 +175,7 @@ PosgScheduler make_running_scheduler(std::size_t k) {
   PosgConfig config = small_config();
   PosgScheduler scheduler(k, config);
   for (std::size_t op = 0; op < k; ++op) {
-    scheduler.on_sketches(SketchShipment{op, instance_sketch(config)});
+    scheduler.on_feedback(SketchShipment{op, instance_sketch(config)});
   }
   // SEND_ALL: route tuples until every marker went out, replying as they do.
   std::uint64_t seq = 0;
@@ -183,7 +183,7 @@ PosgScheduler make_running_scheduler(std::size_t k) {
     const auto decision = scheduler.schedule(seq % 16, seq);
     ++seq;
     if (decision.sync_request) {
-      scheduler.on_sync_reply(
+      scheduler.on_feedback(
           SyncReply{decision.instance, decision.sync_request->epoch, 0.125});
     }
   }
@@ -199,9 +199,9 @@ TEST(PosgSchedulerValidate, EveryProtocolStatePasses) {
   PosgConfig config = small_config();
   PosgScheduler scheduler(3, config);
   scheduler.debug_validate();  // ROUND_ROBIN
-  scheduler.on_sketches(SketchShipment{0, instance_sketch(config)});
-  scheduler.on_sketches(SketchShipment{1, instance_sketch(config)});
-  scheduler.on_sketches(SketchShipment{2, instance_sketch(config)});
+  scheduler.on_feedback(SketchShipment{0, instance_sketch(config)});
+  scheduler.on_feedback(SketchShipment{1, instance_sketch(config)});
+  scheduler.on_feedback(SketchShipment{2, instance_sketch(config)});
   scheduler.debug_validate();  // SEND_ALL
   std::uint64_t seq = 0;
   std::vector<posg::core::Decision> markers;
@@ -214,7 +214,7 @@ TEST(PosgSchedulerValidate, EveryProtocolStatePasses) {
   }
   scheduler.debug_validate();  // WAIT_ALL
   for (const auto& decision : markers) {
-    scheduler.on_sync_reply(
+    scheduler.on_feedback(
         SyncReply{decision.instance, decision.sync_request->epoch, 0.5});
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
@@ -263,7 +263,7 @@ TEST(PosgSchedulerValidateDeathTest, CorruptShippedSketchAborts) {
   PosgScheduler scheduler(2, config);
   DualSketch bad = instance_sketch(config);
   bad.cells_mutable()[0].w = -1.0;
-  scheduler.on_sketches(SketchShipment{0, bad});
+  scheduler.on_feedback(SketchShipment{0, bad});
   EXPECT_DEATH(scheduler.debug_validate(), "W cell went negative");
 }
 

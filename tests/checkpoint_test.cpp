@@ -52,10 +52,10 @@ void drive_epochs(PosgScheduler& scheduler, std::vector<core::InstanceTracker>& 
     ++seq;
     auto& tracker = trackers[decision.instance];
     if (auto shipment = tracker.on_executed(item, 1.0 + static_cast<double>(item % 8))) {
-      scheduler.on_sketches(*shipment);
+      scheduler.on_feedback(*shipment);
     }
     if (decision.sync_request) {
-      scheduler.on_sync_reply(tracker.on_sync_request(*decision.sync_request));
+      scheduler.on_feedback(tracker.on_sync_request(*decision.sync_request));
     }
   }
   ASSERT_GE(scheduler.epochs_completed(), target) << "driver never completed the target epochs";
@@ -235,7 +235,7 @@ TEST(Checkpoint, ReattachIsolatesPreCrashRepliesFromBilling) {
     auto& tracker = trackers[decision.instance];
     if (auto shipment = tracker.on_executed(item, 1.0 + static_cast<double>(item % 8))) {
       if (scheduler.state() == PosgScheduler::State::kRun) {
-        scheduler.on_sketches(*shipment);  // reopen the next epoch
+        scheduler.on_feedback(*shipment);  // reopen the next epoch
       }
     }
     if (decision.sync_request) {
@@ -267,7 +267,7 @@ TEST(Checkpoint, ReattachIsolatesPreCrashRepliesFromBilling) {
   // The withheld pre-crash replies finally arrive (an instance replaying
   // its buffered frames). Counted stale, never billed.
   for (const auto& [op, marker] : held) {
-    restarted.on_sync_reply(trackers[op].on_sync_request(marker));
+    restarted.on_feedback(trackers[op].on_sync_request(marker));
   }
   EXPECT_EQ(restarted.estimated_loads(), loads_after_reattach);
   EXPECT_EQ(restarted.stale_reply_count(), stale_before + held.size());

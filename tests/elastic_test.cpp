@@ -266,7 +266,7 @@ core::SketchShipment make_shipment(common::InstanceId op, const PosgConfig& conf
 /// Drives a k-instance scheduler through one complete epoch into RUN.
 void drive_to_run(PosgScheduler& scheduler, const PosgConfig& config, std::size_t k) {
   for (common::InstanceId op = 0; op < k; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   std::vector<core::SyncRequest> requests(k);
   for (common::SeqNo i = 0; i < k; ++i) {
@@ -277,7 +277,7 @@ void drive_to_run(PosgScheduler& scheduler, const PosgConfig& config, std::size_
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
   for (common::InstanceId op = 0; op < k; ++op) {
-    scheduler.on_sync_reply({op, requests[op].epoch, 0.0});
+    scheduler.on_feedback(core::SyncReply{op, requests[op].epoch, 0.0});
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }

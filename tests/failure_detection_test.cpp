@@ -41,7 +41,7 @@ core::SketchShipment make_shipment(common::InstanceId op, const PosgConfig& conf
 std::vector<SyncRequest> drive_to_run(PosgScheduler& scheduler, const PosgConfig& config,
                                       std::size_t k) {
   for (common::InstanceId op = 0; op < k; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   std::vector<SyncRequest> requests(k);
   for (common::SeqNo i = 0; i < k; ++i) {
@@ -52,7 +52,7 @@ std::vector<SyncRequest> drive_to_run(PosgScheduler& scheduler, const PosgConfig
   }
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
   for (common::InstanceId op = 0; op < k; ++op) {
-    scheduler.on_sync_reply({op, requests[op].epoch, 0.0});
+    scheduler.on_feedback(core::SyncReply{op, requests[op].epoch, 0.0});
   }
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
   return requests;
@@ -160,7 +160,7 @@ TEST(MarkFailed, DuringWaitAllCompletesEpochOnSurvivors) {
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
   for (common::InstanceId op = 0; op < 3; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   std::vector<SyncRequest> requests(3);
   for (common::SeqNo i = 0; i < 3; ++i) {
@@ -170,8 +170,8 @@ TEST(MarkFailed, DuringWaitAllCompletesEpochOnSurvivors) {
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
 
-  scheduler.on_sync_reply({0, requests[0].epoch, 5.0});
-  scheduler.on_sync_reply({1, requests[1].epoch, -2.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 5.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, -2.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);  // still waiting on 2
 
   scheduler.mark_failed(2);
@@ -183,7 +183,7 @@ TEST(MarkFailed, DuringSendAllAbandonsPendingMarker) {
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
   for (common::InstanceId op = 0; op < 3; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
 
@@ -209,7 +209,7 @@ TEST(MarkFailed, DuringSendAllAbandonsPendingMarker) {
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
   for (common::InstanceId op = 0; op < 3; ++op) {
     if (op != victim) {
-      scheduler.on_sync_reply({op, requests[op].epoch, 0.0});
+      scheduler.on_feedback(core::SyncReply{op, requests[op].epoch, 0.0});
     }
   }
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
@@ -219,7 +219,7 @@ TEST(MarkFailed, RoundRobinRotationSkipsQuarantined) {
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
   // Only instance 0 shipped: still ROUND_ROBIN when 1 dies.
-  scheduler.on_sketches(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(0, config));
   scheduler.mark_failed(1);
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRoundRobin);
   std::vector<int> hits(3, 0);
@@ -236,8 +236,8 @@ TEST(MarkFailed, UnblocksBootstrapWhenMissingShipperDies) {
   // ROUND_ROBIN — a crashed instance must not pin the scheduler there.
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(1, config));
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRoundRobin);
   scheduler.mark_failed(2);
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
@@ -251,8 +251,8 @@ TEST(MarkFailed, IgnoresLateTrafficFromQuarantinedInstance) {
   scheduler.mark_failed(0);
   const auto loads = scheduler.estimated_loads();
   // A zombie's late shipment and reply must both be dropped.
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sync_reply({0, requests[0].epoch, 1e6});
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 1e6});
   EXPECT_EQ(scheduler.estimated_loads(), loads);
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }
@@ -268,12 +268,12 @@ TEST(StaleReplies, DelayedReplyIsCountedAndNotFoldedIn) {
 
   // A fresh shipment opens epoch 2; now deliver instance 1's epoch-1
   // reply again, "delayed in the network".
-  scheduler.on_sketches(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(0, config));
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
   ASSERT_EQ(scheduler.epoch(), 2u);
   const auto loads = scheduler.estimated_loads();
 
-  scheduler.on_sync_reply({1, epoch1[1].epoch, 777.0});
+  scheduler.on_feedback(core::SyncReply{1, epoch1[1].epoch, 777.0});
   EXPECT_EQ(scheduler.stale_reply_count(), 1u);
   EXPECT_EQ(scheduler.estimated_loads(), loads);
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
@@ -285,10 +285,10 @@ TEST(StaleReplies, DelayedReplyIsCountedAndNotFoldedIn) {
     ASSERT_TRUE(d.sync_request.has_value());
     requests[d.instance] = *d.sync_request;
   }
-  scheduler.on_sync_reply({0, requests[0].epoch, 0.0});
-  scheduler.on_sync_reply({1, requests[1].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, 0.0});
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
-  scheduler.on_sync_reply({0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
   EXPECT_EQ(scheduler.stale_reply_count(), 2u);
 }
 
@@ -296,10 +296,10 @@ TEST(StaleReplies, FutureEpochRepliesAreStaleToo) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
   for (common::InstanceId op = 0; op < 2; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
-  scheduler.on_sync_reply({0, scheduler.epoch() + 5, 1.0});
+  scheduler.on_feedback(core::SyncReply{0, scheduler.epoch() + 5, 1.0});
   EXPECT_EQ(scheduler.stale_reply_count(), 1u);
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
 }
@@ -309,7 +309,7 @@ TEST(PendingReplies, TracksLiveInstancesOwingTheCurrentEpoch) {
   PosgScheduler scheduler(3, config);
   EXPECT_TRUE(scheduler.pending_replies().empty());  // no epoch active
   for (common::InstanceId op = 0; op < 3; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   std::vector<SyncRequest> requests(3);
   for (common::SeqNo i = 0; i < 3; ++i) {
@@ -317,11 +317,11 @@ TEST(PendingReplies, TracksLiveInstancesOwingTheCurrentEpoch) {
     requests[d.instance] = *d.sync_request;
   }
   EXPECT_EQ(scheduler.pending_replies(), (std::vector<common::InstanceId>{0, 1, 2}));
-  scheduler.on_sync_reply({1, requests[1].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, 0.0});
   EXPECT_EQ(scheduler.pending_replies(), (std::vector<common::InstanceId>{0, 2}));
   scheduler.mark_failed(0);
   EXPECT_EQ(scheduler.pending_replies(), (std::vector<common::InstanceId>{2}));
-  scheduler.on_sync_reply({2, requests[2].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{2, requests[2].epoch, 0.0});
   EXPECT_TRUE(scheduler.pending_replies().empty());
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }

@@ -16,14 +16,26 @@
 /// changes any of these sequences, it is not an optimization — it is a
 /// behaviour change and must be rejected.
 ///
-/// Regenerating (only legitimate after an *intentional* policy change) —
-/// one g++ command, wrapped here for width:
-///   g++ -std=c++20 -O2 -DGOLDEN_GENERATE -I src tests/golden_schedule_test.cpp
-///       src/core/posg_scheduler.cpp src/hash/two_universal.cpp
-///       src/sketch/dual_sketch.cpp src/sketch/space_saving.cpp
-///       src/common/prng.cpp -o /tmp/golden_gen && /tmp/golden_gen
+/// The GoldenBilling cases pin the estimation path itself: shared vs
+/// per-instance billing, each with plain sketches and with a heavy-hitter
+/// ledger, over a skewed stream (so the ledger monitors hot items) with a
+/// failure and a later rejoin (so per-instance billing falls back to the
+/// merged view for the sketch-less rejoiner). Their constants were
+/// generated from the scheduler that still materialized the merged sketch
+/// eagerly for heavy-hitter configs.
+///
+/// Regenerating (only legitimate after an *intentional* policy change):
+/// build the libraries (`cmake -B build -S . && cmake --build build -j`),
+/// then from the repository root, wrapped here for width:
+///   g++ -std=c++20 -O2 -DGOLDEN_GENERATE -DPOSG_DCHECKS_ENABLED=1 -I src
+///       tests/golden_schedule_test.cpp build/src/core/libposg_core.a
+///       build/src/sketch/libposg_sketch.a build/src/hash/libposg_hash.a
+///       build/src/obs/libposg_obs.a build/src/common/libposg_common.a
+///       -pthread -o build/golden_gen && build/golden_gen
 
 #include <cstdint>
+#include <optional>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -50,19 +62,38 @@ std::uint64_t sequence_hash(const std::vector<common::InstanceId>& sequence) {
   return h;
 }
 
+/// Estimation-path variant of the golden workload (GoldenBilling): the
+/// billing mode and the heavy-hitter ledger every shipped sketch carries.
+/// A variant also skews the item draw (75% of tuples hit 8 hot items) and
+/// rejoins the failed instance, without changing how many random numbers
+/// the stream consumes.
+struct Billing {
+  bool shared;
+  std::size_t heavy_capacity;
+};
+
 /// Deterministic end-to-end drive of one PosgScheduler. Every source of
 /// input (items, sketch contents, reply deltas, failure timing) is fixed,
 /// so the returned instance sequence is a pure function of the scheduler's
 /// decision logic.
 std::vector<common::InstanceId> run_schedule_stream(std::size_t k, bool with_failure,
-                                                    bool with_hints) {
+                                                    bool with_hints,
+                                                    std::optional<Billing> billing = {}) {
   core::PosgConfig config;
   config.epsilon = 0.05;  // 54 columns — the paper's coarse sketch
   config.delta = 0.1;     // 4 rows
+  if (billing) {
+    config.shared_billing = billing->shared;
+    config.heavy_hitter_capacity = billing->heavy_capacity;
+  }
 
   core::PosgScheduler scheduler(k, config);
   const auto dims = config.dims();
   common::Xoshiro256StarStar rng(42);
+  const auto draw = [&] {
+    const common::Item raw = rng.next_below(256);
+    return billing && raw % 16 < 12 ? raw % 8 : raw;
+  };
 
   if (with_hints) {
     std::vector<common::TimeMs> hints(k);
@@ -78,13 +109,13 @@ std::vector<common::InstanceId> run_schedule_stream(std::size_t k, bool with_fai
   // Phase 1: ROUND_ROBIN until every instance shipped a sketch. Interleave
   // scheduling with the shipments so the rotation is exercised too.
   for (common::InstanceId op = 0; op < k; ++op) {
-    sequence.push_back(scheduler.schedule(rng.next_below(256), seq++).instance);
-    sketch::DualSketch sketch(dims, config.sketch_seed);
+    sequence.push_back(scheduler.schedule(draw(), seq++).instance);
+    sketch::DualSketch sketch(dims, config.sketch_seed, config.heavy_hitter_capacity);
     for (int i = 0; i < 400; ++i) {
-      const common::Item item = rng.next_below(256);
+      const common::Item item = draw();
       sketch.update(item, 0.5 + static_cast<double>(item % 7));
     }
-    scheduler.on_sketches(core::SketchShipment{op, sketch});
+    scheduler.on_feedback(core::SketchShipment{op, sketch});
   }
 
   // Phase 2: 2000 tuples across SEND_ALL -> WAIT_ALL -> RUN, with sync
@@ -92,7 +123,7 @@ std::vector<common::InstanceId> run_schedule_stream(std::size_t k, bool with_fai
   // restart) and optionally one failure.
   std::vector<std::pair<common::InstanceId, core::SyncRequest>> pending_markers;
   for (int step = 0; step < 2000; ++step) {
-    const common::Item item = rng.next_below(256);
+    const common::Item item = draw();
     const core::Decision decision = scheduler.schedule(item, seq++);
     sequence.push_back(decision.instance);
     if (decision.sync_request) {
@@ -102,28 +133,31 @@ std::vector<common::InstanceId> run_schedule_stream(std::size_t k, bool with_fai
       const auto [op, marker] = pending_markers.front();
       pending_markers.erase(pending_markers.begin());
       const common::TimeMs delta = static_cast<double>(step % 3 - 1) * 0.125;
-      scheduler.on_sync_reply(core::SyncReply{op, marker.epoch, delta});
+      scheduler.on_feedback(core::SyncReply{op, marker.epoch, delta});
     }
     if (with_failure && step == 700) {
       scheduler.mark_failed(k / 2);
     }
+    if (billing && with_failure && step == 1200) {
+      scheduler.rejoin(k / 2);
+    }
     if (step == 1000) {
-      sketch::DualSketch sketch(dims, config.sketch_seed);
+      sketch::DualSketch sketch(dims, config.sketch_seed, config.heavy_hitter_capacity);
       for (int i = 0; i < 300; ++i) {
-        const common::Item item2 = rng.next_below(256);
+        const common::Item item2 = draw();
         sketch.update(item2, 1.0 + static_cast<double>(item2 % 5));
       }
-      scheduler.on_sketches(core::SketchShipment{0, sketch});
+      scheduler.on_feedback(core::SketchShipment{0, sketch});
     }
   }
 
   // Phase 3: flush the leftover replies (stale ones are discarded by
   // design), then a tail of pure greedy scheduling.
   for (const auto& [op, marker] : pending_markers) {
-    scheduler.on_sync_reply(core::SyncReply{op, marker.epoch, 0.0});
+    scheduler.on_feedback(core::SyncReply{op, marker.epoch, 0.0});
   }
   for (int step = 0; step < 200; ++step) {
-    sequence.push_back(scheduler.schedule(rng.next_below(256), seq++).instance);
+    sequence.push_back(scheduler.schedule(draw(), seq++).instance);
   }
 
   scheduler.debug_validate();
@@ -153,6 +187,17 @@ int main() {
     const auto sequence = posg::run_schedule_stream(c.k, c.with_failure, c.with_hints);
     std::printf("%s: size=%zu hash=0x%016llXULL\n", c.name, sequence.size(),
                 static_cast<unsigned long long>(posg::sequence_hash(sequence)));
+  }
+  for (const std::size_t k : {std::size_t{4}, std::size_t{50}}) {
+    for (const bool shared : {true, false}) {
+      for (const std::size_t heavy : {std::size_t{0}, std::size_t{16}}) {
+        const auto sequence =
+            posg::run_schedule_stream(k, true, false, posg::Billing{shared, heavy});
+        std::printf("k=%zu shared=%d heavy=%zu: size=%zu hash=0x%016llXULL\n", k, shared ? 1 : 0,
+                    heavy, sequence.size(),
+                    static_cast<unsigned long long>(posg::sequence_hash(sequence)));
+      }
+    }
   }
   return 0;
 }
@@ -201,6 +246,45 @@ TEST(GoldenSchedule, RepeatedRunsAreIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenSchedule, ::testing::ValuesIn(kGoldenCases),
                          [](const ::testing::TestParamInfo<GoldenCase>& param_info) {
+                           return std::string(param_info.param.name);
+                         });
+
+struct BillingCase {
+  const char* name;
+  std::size_t k;
+  Billing billing;
+  std::size_t expected_size;
+  std::uint64_t expected_hash;
+};
+
+void PrintTo(const BillingCase& c, std::ostream* os) { *os << c.name; }
+
+// Generated from the eager-merge scheduler (see file header); every case
+// runs with the failure at step 700 and the rejoin at step 1200.
+constexpr BillingCase kBillingCases[] = {
+    {"SmallKSharedPlain", 4, {true, 0}, 2204, 0xA8042921F5D88FE9ULL},
+    {"SmallKSharedLedger", 4, {true, 16}, 2204, 0x57A056C6C5B2EE01ULL},
+    {"SmallKPerInstancePlain", 4, {false, 0}, 2204, 0xAB3C16CF604643ADULL},
+    {"SmallKPerInstanceLedger", 4, {false, 16}, 2204, 0xF67319B400E8B17EULL},
+    {"LargeKSharedPlain", 50, {true, 0}, 2250, 0x34D1B4D0A9E88852ULL},
+    {"LargeKSharedLedger", 50, {true, 16}, 2250, 0x985406D714269D6DULL},
+    {"LargeKPerInstancePlain", 50, {false, 0}, 2250, 0x01F9B8807EB8A8F4ULL},
+    {"LargeKPerInstanceLedger", 50, {false, 16}, 2250, 0x53A7B7F26466CF97ULL},
+};
+
+class GoldenBilling : public ::testing::TestWithParam<BillingCase> {};
+
+TEST_P(GoldenBilling, SequenceMatchesEagerMergeScheduler) {
+  const BillingCase& c = GetParam();
+  const auto sequence = run_schedule_stream(c.k, /*with_failure=*/true, /*with_hints=*/false,
+                                            c.billing);
+  EXPECT_EQ(sequence.size(), c.expected_size);
+  EXPECT_EQ(sequence_hash(sequence), c.expected_hash)
+      << "estimation path diverged from the golden sequence for " << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, GoldenBilling, ::testing::ValuesIn(kBillingCases),
+                         [](const ::testing::TestParamInfo<BillingCase>& param_info) {
                            return std::string(param_info.param.name);
                          });
 

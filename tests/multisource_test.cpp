@@ -18,11 +18,18 @@
 ///      owning source and refuse a mismatch (the double-billing guard),
 ///      and every source-stamped wire frame round-trips and rejects
 ///      truncation.
+///   5. A view adopts the pool log before acting on it — a micro-batch
+///      picks its path only after adopting peer events, a shared-pool
+///      restore reconciles liveness before drains, and membership ops
+///      issued while other sources route leave every view matching the
+///      pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -271,6 +278,10 @@ TEST(MultiSourcePool, QuarantineAndRejoinPropagateAcrossViews) {
   }
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(scheduler.view(static_cast<common::SourceId>(s)).pool_lag(), 0u);
+    // Only peer-initiated events count: the initiator adopts its own
+    // quarantine from the log without counting it.
+    EXPECT_EQ(scheduler.view(static_cast<common::SourceId>(s)).pool_events_applied(),
+              s == 0 ? 0u : 1u);
   }
 
   // Rejoin through a different sibling: pool state flips back, every view
@@ -359,6 +370,182 @@ TEST(MultiSourceCheckpoint, SharedPoolRestoreAdoptsPoolNotImage) {
   EXPECT_EQ(pool->lifecycle(3), core::InstancePool::Lifecycle::kQuarantined);
   for (int i = 0; i < 200; ++i) {
     EXPECT_NE(restarted.schedule(i % 64, seq++).instance, 3u);
+  }
+}
+
+/// A view over `pool` driven straight into RUN: synchronization is off and
+/// every instance ships one sketch through it.
+std::unique_ptr<core::PosgScheduler> make_running_view(std::shared_ptr<core::InstancePool> pool,
+                                                       common::SourceId source) {
+  core::PosgConfig config;
+  config.sync_enabled = false;
+  auto view = std::make_unique<core::PosgScheduler>(std::move(pool), config, source,
+                                                    /*private_pool=*/false);
+  for (common::InstanceId op = 0; op < view->instances(); ++op) {
+    sketch::DualSketch sketch(config.dims(), config.sketch_seed);
+    sketch.update(op, 1.0 + static_cast<double>(op));
+    view->on_feedback(core::SketchShipment{op, sketch});
+  }
+  return view;
+}
+
+/// A batch must adopt the pool log before picking its path. Here a peer's
+/// churn removed every sketch this view billed from, so the view is back
+/// in ROUND_ROBIN: the batch rotates per tuple over the one live instance
+/// instead of estimating from the greedy path's missing sketches.
+TEST(MultiSourceBatch, AdoptsPeerEventsBeforeChoosingTheGreedyPath) {
+  auto pool = std::make_shared<core::InstancePool>(2);
+  auto view = make_running_view(pool, /*source=*/0);
+  ASSERT_EQ(view->state(), core::PosgScheduler::State::kRun);
+  core::PosgScheduler peer(pool, core::PosgConfig{}, /*source=*/1, /*private_pool=*/false);
+  peer.mark_failed(1);
+  peer.rejoin(1);
+  peer.mark_failed(0);
+
+  std::vector<common::Item> items(8, 5);
+  std::vector<common::SeqNo> seqs(8);
+  std::vector<core::Decision> out(8);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    seqs[i] = i;
+  }
+  ASSERT_NO_THROW(view->schedule_batch(items.data(), seqs.data(), items.size(), out.data()));
+  EXPECT_EQ(view->state(), core::PosgScheduler::State::kRoundRobin);
+  for (const auto& decision : out) {
+    EXPECT_EQ(decision.instance, 1u);
+  }
+}
+
+/// Same ordering, second effect: a peer's rejoin starts a ramp in this
+/// view, and a pacing ramp must see every admission. The batch therefore
+/// routes exactly like eight per-tuple calls on an identical view, and
+/// each tuple the rejoiner wins is charged to its ramp.
+TEST(MultiSourceBatch, AdoptedRejoinRampPacesTheBatch) {
+  const auto run = [](bool batched) {
+    auto pool = std::make_shared<core::InstancePool>(3);
+    auto view = make_running_view(pool, /*source=*/0);
+    core::PosgScheduler peer(pool, core::PosgConfig{}, /*source=*/1, /*private_pool=*/false);
+    peer.mark_failed(0);
+    peer.rejoin(0);
+    std::vector<common::Item> items(8, 5);
+    std::vector<common::SeqNo> seqs(8);
+    std::vector<core::Decision> out(8);
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      seqs[i] = i;
+    }
+    if (batched) {
+      view->schedule_batch(items.data(), seqs.data(), items.size(), out.data());
+    } else {
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        out[i] = view->schedule(items[i], seqs[i]);
+      }
+    }
+    std::vector<common::InstanceId> targets;
+    for (const auto& decision : out) {
+      targets.push_back(decision.instance);
+    }
+    return std::make_pair(targets, view->ramp_remaining(0));
+  };
+  const auto [batch_targets, batch_ramp] = run(true);
+  const auto [tuple_targets, tuple_ramp] = run(false);
+  EXPECT_EQ(batch_targets, tuple_targets);
+  const auto to_rejoiner = static_cast<std::uint64_t>(
+      std::count(batch_targets.begin(), batch_targets.end(), 0u));
+  EXPECT_LT(to_rejoiner, batch_targets.size()) << "the ramp did not pace the rejoiner";
+  EXPECT_EQ(batch_ramp, core::RejoinRampConfig{}.ramp_tuples - to_rejoiner);
+  EXPECT_EQ(batch_ramp, tuple_ramp);
+}
+
+/// A shared-pool restore reconciles liveness before drains. The image has
+/// instance 1 quarantined; since then a peer rejoined 1 and drained 0. Only
+/// once 1 is back does the view have the two serving instances a drain of
+/// 0 needs, so the rejoin must be reconciled first even though its id is
+/// higher.
+TEST(MultiSourceCheckpoint, SharedPoolRestoreReconcilesRejoinsBeforeDrains) {
+  auto pool = std::make_shared<core::InstancePool>(2);
+  core::PosgConfig config;
+  core::CheckpointState image;
+  {
+    core::PosgScheduler view(pool, config, /*source=*/0, /*private_pool=*/false);
+    view.mark_failed(1);
+    image = view.checkpoint_state();
+  }
+  core::PosgScheduler peer(pool, config, /*source=*/1, /*private_pool=*/false);
+  peer.rejoin(1);
+  peer.begin_drain(0);
+  ASSERT_EQ(pool->lifecycle(0), core::InstancePool::Lifecycle::kDraining);
+
+  core::PosgScheduler restarted(pool, config, /*source=*/0, /*private_pool=*/false);
+  restarted.restore(image);
+  EXPECT_EQ(restarted.pool_lag(), 0u);
+  EXPECT_TRUE(restarted.is_draining(0));
+  EXPECT_FALSE(restarted.is_failed(1));
+  for (common::SeqNo seq = 0; seq < 8; ++seq) {
+    EXPECT_EQ(restarted.schedule(static_cast<common::Item>(seq), seq).instance, 1u)
+        << "routed to the drainee";
+  }
+  restarted.debug_validate();
+}
+
+/// Membership ops issued while other sources route. Each of S = 3 threads
+/// routes its own source's tuples and, every few hundred tuples,
+/// quarantines and later rejoins "its" instance through its own view, so
+/// own events and peer events interleave in the pool log. Afterwards
+/// every view matches the pool, no decision is lost, and every view's
+/// invariants hold.
+TEST(MultiSourcePool, ConcurrentMembershipOpsKeepViewsConsistent) {
+  constexpr std::size_t kSources = 3;
+  constexpr std::size_t kInstances = kSources + 1;  // instance 3 never leaves
+  constexpr int kTuples = 4000;
+  core::PosgConfig config;
+  config.sync_enabled = false;
+  core::MultiSourceConfig multi;
+  multi.sources = kSources;
+  core::MultiSourceScheduler scheduler(kInstances, config, multi);
+
+  const auto ship = [&](common::SourceId source, common::InstanceId op) {
+    sketch::DualSketch sketch(config.dims(), config.sketch_seed);
+    sketch.update(op, 1.0 + static_cast<double>(op));
+    scheduler.on_feedback(source, core::SketchShipment{op, sketch});
+  };
+
+  std::vector<std::thread> threads;
+  for (common::SourceId s = 0; s < kSources; ++s) {
+    threads.emplace_back([&, s] {
+      const common::InstanceId own = s;
+      for (common::InstanceId op = 0; op < kInstances; ++op) {
+        ship(s, op);
+      }
+      for (int i = 0; i < kTuples; ++i) {
+        const common::SeqNo seq = static_cast<common::SeqNo>(s) * kTuples + i;
+        scheduler.schedule(s, static_cast<common::Item>(i % 64), seq);
+        if (i % 400 == 100) {
+          scheduler.mark_failed(s, own);
+        } else if (i % 400 == 300) {
+          scheduler.rejoin(s, own);
+          ship(s, own);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(scheduler.total_decisions(), kSources * static_cast<std::uint64_t>(kTuples));
+  const auto& pool = *scheduler.pool();
+  pool.debug_validate();
+  for (common::SourceId s = 0; s < kSources; ++s) {
+    core::PosgScheduler& view = scheduler.view(s);
+    view.sync_with_pool();
+    EXPECT_EQ(view.pool_lag(), 0u);
+    for (common::InstanceId op = 0; op < kInstances; ++op) {
+      const auto lifecycle = pool.lifecycle(op);
+      EXPECT_EQ(view.is_failed(op), lifecycle == core::InstancePool::Lifecycle::kQuarantined)
+          << "view " << s << " instance " << op;
+      EXPECT_EQ(view.is_draining(op), lifecycle == core::InstancePool::Lifecycle::kDraining)
+          << "view " << s << " instance " << op;
+    }
+    view.debug_validate();
   }
 }
 

@@ -234,9 +234,9 @@ TEST(DistributedPosg, ProtocolCompletesOverSockets) {
         const auto message = net::decode(*frame);
         std::lock_guard lock(scheduler_mutex);
         if (const auto* shipment = std::get_if<core::SketchShipment>(&message)) {
-          scheduler.on_sketches(*shipment);
+          scheduler.on_feedback(*shipment);
         } else if (const auto* reply = std::get_if<core::SyncReply>(&message)) {
-          scheduler.on_sync_reply(*reply);
+          scheduler.on_feedback(*reply);
           replies.fetch_add(1);
         }
       }

@@ -86,7 +86,7 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomInterleavings) {
     } else if (action < 78) {
       // Ship fresh matrices from a random instance (possibly one that is
       // already quarantined — must be ignored, not folded in).
-      scheduler.on_sketches(make_shipment(rng.next_below(k)));
+      scheduler.on_feedback(make_shipment(rng.next_below(k)));
     } else if (action < 82) {
       // Crash a random instance mid-protocol; the scheduler must absorb
       // the quarantine in any state, but always keep one live instance.
@@ -108,7 +108,7 @@ TEST_P(ProtocolFuzz, InvariantsHoldUnderRandomInterleavings) {
       reply.instance = rng.next_below(k);
       reply.epoch = scheduler.epoch() + rng.next_below(4) - 2;  // epoch-2 .. epoch+1
       reply.delta = static_cast<double>(rng.next_below(2000)) - 1000.0;
-      scheduler.on_sync_reply(reply);
+      scheduler.on_feedback(reply);
     }
 
     // Global invariants. Returning to ROUND_ROBIN after leaving it is

@@ -256,7 +256,7 @@ TEST(Derate, SkewsGreedySharesAwayFromDegradedInstance) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
   for (common::InstanceId op = 0; op < 2; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   std::vector<SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
@@ -266,7 +266,7 @@ TEST(Derate, SkewsGreedySharesAwayFromDegradedInstance) {
     }
   }
   for (common::InstanceId op = 0; op < 2; ++op) {
-    scheduler.on_sync_reply({op, requests[op].epoch, 0.0});
+    scheduler.on_feedback(core::SyncReply{op, requests[op].epoch, 0.0});
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 
@@ -301,7 +301,7 @@ void run_epoch(PosgScheduler& scheduler, const PosgConfig& config,
   // one the markers below belong to (replies quote the marker's epoch).
   for (common::InstanceId op = 0; op < k; ++op) {
     if (!scheduler.is_failed(op)) {
-      scheduler.on_sketches(make_shipment(op, config));
+      scheduler.on_feedback(make_shipment(op, config));
     }
   }
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
@@ -324,7 +324,7 @@ void run_epoch(PosgScheduler& scheduler, const PosgConfig& config,
     const auto it = ratios.find(op);
     const double ratio = it == ratios.end() ? 1.0 : it->second;
     const common::TimeMs delta = (ratio - 1.0) * requests[op]->estimated_cumulated;
-    scheduler.on_sync_reply({op, requests[op]->epoch, delta});
+    scheduler.on_feedback(core::SyncReply{op, requests[op]->epoch, delta});
   }
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }
@@ -440,7 +440,7 @@ TEST(Rejoin, StaleDeltaFromBeforeQuarantineCannotCorruptSeededLoad) {
   run_epoch(scheduler, config, {}, seq);
 
   // Open epoch 2 and push all markers out.
-  scheduler.on_sketches(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(0, config));
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
   std::vector<std::optional<SyncRequest>> requests(k);
   while (scheduler.state() == PosgScheduler::State::kSendAll) {
@@ -453,7 +453,7 @@ TEST(Rejoin, StaleDeltaFromBeforeQuarantineCannotCorruptSeededLoad) {
   ASSERT_TRUE(requests[1].has_value());
   const common::Epoch epoch = requests[1]->epoch;
 
-  scheduler.on_sync_reply({0, epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{0, epoch, 0.0});
   scheduler.mark_failed(1);  // its reply is now abandoned
   scheduler.rejoin(1);       // re-admitted mid-epoch, re-armed as replied
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
@@ -463,14 +463,14 @@ TEST(Rejoin, StaleDeltaFromBeforeQuarantineCannotCorruptSeededLoad) {
 
   // The pre-quarantine Δ finally arrives — late, huge, and for the very
   // epoch that is still in flight. It must be counted and discarded.
-  scheduler.on_sync_reply({1, epoch, 1e6});
+  scheduler.on_feedback(core::SyncReply{1, epoch, 1e6});
   EXPECT_EQ(scheduler.stale_reply_count(), stale_before + 1);
   EXPECT_EQ(scheduler.estimated_loads(), loads_at_rejoin);
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
 
   // The remaining survivor's reply completes the epoch; the rejoiner's
   // seeded Ĉ enters the correction with Δ = 0.
-  scheduler.on_sync_reply({2, epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{2, epoch, 0.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
   EXPECT_DOUBLE_EQ(scheduler.estimated_loads()[1], loads_at_rejoin[1]);
   scheduler.debug_validate();

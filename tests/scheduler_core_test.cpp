@@ -107,9 +107,9 @@ TEST(BacklogOracle, SubtractsExecutedWork) {
   EXPECT_EQ(scheduler.schedule(1, 0).instance, 0u);
   EXPECT_EQ(scheduler.schedule(1, 1).instance, 1u);
   // Instance 0 finishes its tuple: its backlog returns to zero.
-  scheduler.on_tuple_executed(0, 5.0);
+  scheduler.on_feedback(core::TupleExecuted{0, 5.0});
   EXPECT_EQ(scheduler.schedule(1, 2).instance, 0u);
-  EXPECT_THROW(scheduler.on_tuple_executed(9, 1.0), std::invalid_argument);
+  EXPECT_THROW(scheduler.on_feedback(core::TupleExecuted{9, 1.0}), std::invalid_argument);
 }
 
 TEST(ReactiveJsq, RoutesByReportedBacklogPlusSent) {
@@ -118,8 +118,8 @@ TEST(ReactiveJsq, RoutesByReportedBacklogPlusSent) {
   // knowledge, mean = 0) — degenerate but well-defined.
   EXPECT_EQ(scheduler.schedule(1, 0).instance, 0u);
   // Reports arrive: instance 0 is loaded, instance 1 idle.
-  scheduler.on_load_report(0, 100.0, 5.0);
-  scheduler.on_load_report(1, 0.0, 5.0);
+  scheduler.on_feedback(core::LoadReport{0, 100.0, 5.0});
+  scheduler.on_feedback(core::LoadReport{1, 0.0, 5.0});
   EXPECT_EQ(scheduler.schedule(1, 1).instance, 1u);
   // Everything sent since the report is valued at the mean (5.0); after
   // 20 sends instance 1 looks as loaded as instance 0.
@@ -131,14 +131,14 @@ TEST(ReactiveJsq, RoutesByReportedBacklogPlusSent) {
 
 TEST(ReactiveJsq, FreshReportResetsTheCounter) {
   core::ReactiveJsqScheduler scheduler(2);
-  scheduler.on_load_report(0, 10.0, 1.0);
-  scheduler.on_load_report(1, 0.0, 1.0);
+  scheduler.on_feedback(core::LoadReport{0, 10.0, 1.0});
+  scheduler.on_feedback(core::LoadReport{1, 0.0, 1.0});
   for (int i = 0; i < 5; ++i) {
     scheduler.schedule(1, i);
   }
-  scheduler.on_load_report(1, 0.0, 1.0);  // instance 1 drained everything
+  scheduler.on_feedback(core::LoadReport{1, 0.0, 1.0});  // instance 1 drained everything
   EXPECT_EQ(scheduler.schedule(1, 10).instance, 1u);
-  EXPECT_THROW(scheduler.on_load_report(7, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(scheduler.on_feedback(core::LoadReport{7, 0.0, 1.0}), std::invalid_argument);
 }
 
 TEST(TwoChoices, SamplesOnlyValidInstancesAndBalances) {
@@ -214,11 +214,11 @@ TEST(PosgScheduler, StartsInRoundRobinAndCycles) {
 TEST(PosgScheduler, StaysRoundRobinUntilAllInstancesShipped) {
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
-  scheduler.on_sketches(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(0, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRoundRobin);
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(1, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRoundRobin);
-  scheduler.on_sketches(make_shipment(2, config));
+  scheduler.on_feedback(make_shipment(2, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
   EXPECT_EQ(scheduler.epoch(), 1u);
 }
@@ -227,7 +227,7 @@ TEST(PosgScheduler, SendAllPiggybacksExactlyOneMarkerPerInstance) {
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
   for (common::InstanceId op = 0; op < 3; ++op) {
-    scheduler.on_sketches(make_shipment(op, config));
+    scheduler.on_feedback(make_shipment(op, config));
   }
   std::vector<int> markers(3, 0);
   for (common::SeqNo i = 0; i < 3; ++i) {
@@ -246,8 +246,8 @@ TEST(PosgScheduler, SendAllPiggybacksExactlyOneMarkerPerInstance) {
 TEST(PosgScheduler, SyncCompletesAndCorrectsDrift) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config, 1, 2.0));
-  scheduler.on_sketches(make_shipment(1, config, 1, 2.0));
+  scheduler.on_feedback(make_shipment(0, config, 1, 2.0));
+  scheduler.on_feedback(make_shipment(1, config, 1, 2.0));
 
   // Drain SEND_ALL; capture markers.
   std::vector<core::SyncRequest> requests(2);
@@ -260,10 +260,10 @@ TEST(PosgScheduler, SyncCompletesAndCorrectsDrift) {
 
   // Instances reply with known drifts (Δ = C_real − Ĉ_marker; the negative
   // one stays above −Ĉ, as any honest instance's reply must).
-  scheduler.on_sync_reply({0, requests[0].epoch, 10.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 10.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
   const auto loads_before = scheduler.estimated_loads();
-  scheduler.on_sync_reply({1, requests[1].epoch, -1.5});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, -1.5});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
   const auto& loads_after = scheduler.estimated_loads();
   EXPECT_NEAR(loads_after[0], loads_before[0] + 10.0, 1e-12);
@@ -276,16 +276,16 @@ TEST(PosgScheduler, DriftCorrectionClampsAtZero) {
   // zero rather than produce a negative estimated load.
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config, 1, 2.0));
-  scheduler.on_sketches(make_shipment(1, config, 1, 2.0));
+  scheduler.on_feedback(make_shipment(0, config, 1, 2.0));
+  scheduler.on_feedback(make_shipment(1, config, 1, 2.0));
   std::vector<core::SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
     const Decision d = scheduler.schedule(1, i);
     ASSERT_TRUE(d.sync_request.has_value());
     requests[d.instance] = *d.sync_request;
   }
-  scheduler.on_sync_reply({0, requests[0].epoch, 0.0});
-  scheduler.on_sync_reply({1, requests[1].epoch, -1000.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, -1000.0});
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
   EXPECT_EQ(scheduler.estimated_loads()[1], 0.0);
   scheduler.debug_validate();
@@ -294,21 +294,21 @@ TEST(PosgScheduler, DriftCorrectionClampsAtZero) {
 TEST(PosgScheduler, IgnoresStaleAndDuplicateReplies) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(1, config));
   std::vector<core::SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
     const Decision d = scheduler.schedule(1, i);
     requests[d.instance] = *d.sync_request;
   }
   // Stale epoch: ignored.
-  scheduler.on_sync_reply({0, requests[0].epoch + 7, 100.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch + 7, 100.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
   // Duplicate from the same instance: second one ignored.
-  scheduler.on_sync_reply({0, requests[0].epoch, 1.0});
-  scheduler.on_sync_reply({0, requests[0].epoch, 999.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 1.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 999.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
-  scheduler.on_sync_reply({1, requests[1].epoch, 1.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, 1.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }
 
@@ -317,31 +317,31 @@ TEST(PosgScheduler, ReplyBeforeAllMarkersSentIsAccepted) {
   // markers are still unsent.
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(1, config));
   const Decision first = scheduler.schedule(1, 0);
   ASSERT_TRUE(first.sync_request.has_value());
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
-  scheduler.on_sync_reply({first.instance, first.sync_request->epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{first.instance, first.sync_request->epoch, 0.0});
   // Now send the second marker and its reply: sync must still complete.
   const Decision second = scheduler.schedule(1, 1);
   ASSERT_TRUE(second.sync_request.has_value());
-  scheduler.on_sync_reply({second.instance, second.sync_request->epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{second.instance, second.sync_request->epoch, 0.0});
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }
 
 TEST(PosgScheduler, RunStateUsesGreedyOnEstimatedLoads) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config, 1, 4.0));
-  scheduler.on_sketches(make_shipment(1, config, 1, 4.0));
+  scheduler.on_feedback(make_shipment(0, config, 1, 4.0));
+  scheduler.on_feedback(make_shipment(1, config, 1, 4.0));
   std::vector<core::SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
     const Decision d = scheduler.schedule(1, i);
     requests[d.instance] = *d.sync_request;
   }
-  scheduler.on_sync_reply({0, requests[0].epoch, 0.0});
-  scheduler.on_sync_reply({1, requests[1].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, 0.0});
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 
   // Both instances were billed one 4.0 tuple during SEND_ALL; the greedy
@@ -356,8 +356,8 @@ TEST(PosgScheduler, RunStateUsesGreedyOnEstimatedLoads) {
 TEST(PosgScheduler, EstimateMatchesTrainedCost) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config, 7, 12.0));
-  scheduler.on_sketches(make_shipment(1, config, 7, 12.0));
+  scheduler.on_feedback(make_shipment(0, config, 7, 12.0));
+  scheduler.on_feedback(make_shipment(1, config, 7, 12.0));
   const auto estimate = scheduler.estimate(7);
   ASSERT_TRUE(estimate.has_value());
   EXPECT_NEAR(*estimate, 12.0, 1e-9);
@@ -367,8 +367,8 @@ TEST(PosgScheduler, UnseenItemFallsBackToGlobalMean) {
   auto config = test_config();
   config.epsilon = 0.001;  // wide sketch: cross-item collisions unlikely
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config, 7, 10.0));
-  scheduler.on_sketches(make_shipment(1, config, 7, 20.0));
+  scheduler.on_feedback(make_shipment(0, config, 7, 10.0));
+  scheduler.on_feedback(make_shipment(1, config, 7, 20.0));
   const auto estimate = scheduler.estimate(424242);
   ASSERT_TRUE(estimate.has_value());
   EXPECT_NEAR(*estimate, 15.0, 1e-9);  // global mean over both shipments
@@ -377,19 +377,19 @@ TEST(PosgScheduler, UnseenItemFallsBackToGlobalMean) {
 TEST(PosgScheduler, NewShipmentRestartsSynchronization) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(1, config));
   std::vector<core::SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
     const Decision d = scheduler.schedule(1, i);
     requests[d.instance] = *d.sync_request;
   }
-  scheduler.on_sync_reply({0, requests[0].epoch, 0.0});
-  scheduler.on_sync_reply({1, requests[1].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{1, requests[1].epoch, 0.0});
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 
   // Fig. 3.F: new matrices in RUN -> back to SEND_ALL with a fresh epoch.
-  scheduler.on_sketches(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(0, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
   EXPECT_EQ(scheduler.epoch(), 2u);
 }
@@ -398,13 +398,13 @@ TEST(PosgScheduler, SyncDisabledSkipsProtocol) {
   auto config = test_config();
   config.sync_enabled = false;
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(1, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
   const Decision d = scheduler.schedule(1, 0);
   EXPECT_FALSE(d.sync_request.has_value());
   // Further shipments keep it in RUN.
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(1, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 }
 
@@ -415,8 +415,8 @@ TEST(PosgScheduler, PerInstanceBillingUsesTargetSketch) {
   PosgScheduler scheduler(2, config);
   // Instance 0 saw item 7 at 10 ms, instance 1 at 30 ms (non-uniform
   // instances).
-  scheduler.on_sketches(make_shipment(0, config, 7, 10.0));
-  scheduler.on_sketches(make_shipment(1, config, 7, 30.0));
+  scheduler.on_feedback(make_shipment(0, config, 7, 10.0));
+  scheduler.on_feedback(make_shipment(1, config, 7, 30.0));
   std::vector<core::SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
     const Decision d = scheduler.schedule(7, i);
@@ -431,7 +431,7 @@ TEST(PosgScheduler, LatencyHintsBiasTheGreedyPick) {
   const auto config = test_config();
   PosgScheduler scheduler(3, config);
   for (common::InstanceId op = 0; op < 3; ++op) {
-    scheduler.on_sketches(make_shipment(op, config, 1, 2.0));
+    scheduler.on_feedback(make_shipment(op, config, 1, 2.0));
   }
   std::vector<core::SyncRequest> requests(3);
   for (common::SeqNo i = 0; i < 3; ++i) {
@@ -439,7 +439,7 @@ TEST(PosgScheduler, LatencyHintsBiasTheGreedyPick) {
     requests[d.instance] = *d.sync_request;
   }
   for (common::InstanceId op = 0; op < 3; ++op) {
-    scheduler.on_sync_reply({op, requests[op].epoch, 0.0});
+    scheduler.on_feedback(core::SyncReply{op, requests[op].epoch, 0.0});
   }
   ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
 
@@ -459,33 +459,33 @@ TEST(PosgScheduler, LostReplyDoesNotStallScheduling) {
   // scheduling greedily — no tuple is ever blocked on the protocol.
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  scheduler.on_sketches(make_shipment(0, config));
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(make_shipment(1, config));
   std::vector<core::SyncRequest> requests(2);
   for (common::SeqNo i = 0; i < 2; ++i) {
     const Decision d = scheduler.schedule(1, i);
     requests[d.instance] = *d.sync_request;
   }
-  scheduler.on_sync_reply({0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
   // Instance 1's reply is lost. Scheduling continues.
   for (common::SeqNo i = 2; i < 100; ++i) {
     EXPECT_LT(scheduler.schedule(1, i).instance, 2u);
   }
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
   // A later shipment restarts the protocol and unblocks the sync.
-  scheduler.on_sketches(make_shipment(1, config));
+  scheduler.on_feedback(make_shipment(1, config));
   EXPECT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
 }
 
 TEST(PosgScheduler, RejectsInvalidMessages) {
   const auto config = test_config();
   PosgScheduler scheduler(2, config);
-  EXPECT_THROW(scheduler.on_sketches(make_shipment(5, config)), std::invalid_argument);
-  EXPECT_THROW(scheduler.on_sync_reply({9, 0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(scheduler.on_feedback(make_shipment(5, config)), std::invalid_argument);
+  EXPECT_THROW(scheduler.on_feedback(core::SyncReply{9, 0, 0.0}), std::invalid_argument);
   auto wrong_layout = config;
   wrong_layout.epsilon = 0.7;
   auto shipment = make_shipment(0, wrong_layout);
-  EXPECT_THROW(scheduler.on_sketches(shipment), std::invalid_argument);
+  EXPECT_THROW(scheduler.on_feedback(shipment), std::invalid_argument);
 }
 
 }  // namespace

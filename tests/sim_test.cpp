@@ -217,10 +217,11 @@ TEST(Simulator, DeliversPeriodicLoadReports) {
     core::Decision schedule(common::Item, common::SeqNo seq) override {
       return core::Decision{seq % k, std::nullopt};
     }
-    void on_load_report(common::InstanceId, common::TimeMs backlog,
-                        common::TimeMs) override {
-      ++reports;
-      last_backlog = backlog;
+    void on_feedback(core::FeedbackEvent&& event) override {
+      if (const auto* report = std::get_if<core::LoadReport>(&event)) {
+        ++reports;
+        last_backlog = report->backlog;
+      }
     }
     std::size_t instances() const override { return k; }
     std::string name() const override { return "recorder"; }
