@@ -16,6 +16,8 @@
 #include "engine/queue.hpp"
 #include "engine/spsc_ring.hpp"
 #include "hash/two_universal.hpp"
+#include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "obs/trace_ring.hpp"
 #include "sketch/dual_sketch.hpp"
 
@@ -485,6 +487,52 @@ void BM_TrackerOnExecuted(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackerOnExecuted);
 
+// --- frame path: Socket::send_frame + recv_frame (src/net) ---
+
+/// BM_FrameSendRecv's payloads: a bare tuple, a tuple carrying a marker,
+/// and the first sketch shipment of a tracker under the default PosgConfig
+/// (the largest frame a healthy run sends routinely).
+const std::vector<std::vector<std::byte>>& frame_payloads() {
+  static const std::vector<std::vector<std::byte>> payloads = [] {
+    net::TupleMessage tuple;
+    tuple.seq = 1;
+    tuple.item = 42;
+    std::vector<std::vector<std::byte>> out{net::encode(tuple)};
+    tuple.marker = core::SyncRequest{3, 1234.5};
+    out.push_back(net::encode(tuple));
+    core::PosgConfig config;
+    core::InstanceTracker tracker(0, config);
+    for (common::SeqNo seq = 0; out.size() < 3; ++seq) {
+      if (auto shipment =
+              tracker.on_executed(seq % 4096, 1.0 + static_cast<double>(seq % 64))) {
+        out.push_back(net::encode(*shipment));
+      }
+    }
+    return out;
+  }();
+  return payloads;
+}
+
+/// One frame per iteration over a socket pair, on one thread: send_frame
+/// on one end, then recv_frame on the other. Argument: payload bytes. No
+/// peer wakeup is on this path; the row isolates the frame's syscalls and
+/// copies, to which a cross-process run adds the wakeups.
+void BM_FrameSendRecv(benchmark::State& state) {
+  const auto& payloads = frame_payloads();
+  const auto payload = std::find_if(payloads.begin(), payloads.end(), [&state](const auto& p) {
+    return static_cast<std::int64_t>(p.size()) == state.range(0);
+  });
+  auto [sender, receiver] = net::socket_pair();
+  for (auto _ : state) {
+    sender.send_frame(*payload);
+    auto frame = receiver.recv_frame();
+    benchmark::DoNotOptimize(frame);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sizeof(std::uint32_t) + payload->size()));
+}
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): stamps the authoritative
@@ -499,6 +547,13 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("posg_build_type", "debug");
 #endif
+  // Registered here, not with BENCHMARK(): the rows are named by payload
+  // size, and the shipment's size comes from running a tracker, which is
+  // no work for static initialization.
+  for (const auto& payload : frame_payloads()) {
+    benchmark::RegisterBenchmark("BM_FrameSendRecv", BM_FrameSendRecv)
+        ->Arg(static_cast<std::int64_t>(payload.size()));
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

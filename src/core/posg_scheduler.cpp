@@ -1587,11 +1587,8 @@ void PosgScheduler::register_metrics(obs::MetricsRegistry& registry, const std::
 
 std::vector<common::InstanceId> PosgScheduler::pending_replies() const {
   std::vector<common::InstanceId> out;
-  if (state_ != State::kSendAll && state_ != State::kWaitAll) {
-    return out;
-  }
   for (common::InstanceId op = 0; op < k_; ++op) {
-    if (!failed_[op] && !reply_received_[op]) {
+    if (reply_pending(op)) {
       out.push_back(op);
     }
   }

@@ -249,9 +249,14 @@ class PosgScheduler final : public Scheduler {
   /// epoch's bookkeeping.
   std::uint64_t stale_reply_count() const noexcept { return stale_replies_; }
   /// Live instances whose SyncReply for the current epoch is still
-  /// outstanding (empty outside SEND_ALL/WAIT_ALL). The runtime's epoch
-  /// deadline uses this to decide whom to quarantine.
+  /// outstanding (empty outside SEND_ALL/WAIT_ALL).
   std::vector<common::InstanceId> pending_replies() const;
+  /// Whether `op` is in pending_replies(), without building the list: the
+  /// runtime's epoch deadline asks on every route() while an epoch is open.
+  bool reply_pending(common::InstanceId op) const noexcept {
+    return (state_ == State::kSendAll || state_ == State::kWaitAll) && !failed_[op] &&
+           !reply_received_[op];
+  }
 
   /// Extension (the paper's stated future work, Sec. VII): make the
   /// greedy pick latency-aware. `hints[op]` is the one-way data-path

@@ -24,6 +24,11 @@ enum class Tag : std::uint8_t {
   kReattachAck = 12,
 };
 
+static_assert(kMaxTupleFrameBytes == sizeof(Tag) + sizeof(common::SeqNo) + sizeof(common::Item) +
+                                         sizeof(std::uint8_t) + sizeof(common::Epoch) +
+                                         sizeof(common::TimeMs),
+              "TupleFrameBuffer must fit the marker layout exactly");
+
 class Writer {
  public:
   explicit Writer(std::vector<std::byte>& out) : out_(out) {}
@@ -88,14 +93,8 @@ std::vector<std::byte> encode(const Message& message) {
           writer.put(static_cast<std::uint64_t>(value.instance));
           writer.put(value.source);
         } else if constexpr (std::is_same_v<T, TupleMessage>) {
-          writer.put(Tag::kTuple);
-          writer.put(value.seq);
-          writer.put(value.item);
-          writer.put(static_cast<std::uint8_t>(value.marker.has_value() ? 1 : 0));
-          if (value.marker) {
-            writer.put(value.marker->epoch);
-            writer.put(value.marker->estimated_cumulated);
-          }
+          TupleFrameBuffer buffer{};
+          writer.put_bytes(encode_tuple(value, buffer));
         } else if constexpr (std::is_same_v<T, core::SketchShipment>) {
           // Shipments dominate control-bus bytes; size the frame up front
           // so the serialized matrices land in one allocation.
@@ -151,6 +150,29 @@ std::vector<std::byte> encode(const Message& message) {
         }
       },
       message);
+#if POSG_DCHECK_IS_ON
+  debug_validate_frame(payload);
+#endif
+  return payload;
+}
+
+std::span<const std::byte> encode_tuple(const TupleMessage& tuple,
+                                        TupleFrameBuffer& buffer) noexcept {
+  std::size_t size = 0;
+  const auto put = [&buffer, &size](const auto& value) {
+    static_assert(std::is_trivially_copyable_v<std::decay_t<decltype(value)>>);
+    std::memcpy(buffer.data() + size, &value, sizeof(value));
+    size += sizeof(value);
+  };
+  put(Tag::kTuple);
+  put(tuple.seq);
+  put(tuple.item);
+  put(static_cast<std::uint8_t>(tuple.marker.has_value() ? 1 : 0));
+  if (tuple.marker) {
+    put(tuple.marker->epoch);
+    put(tuple.marker->estimated_cumulated);
+  }
+  const std::span<const std::byte> payload(buffer.data(), size);
 #if POSG_DCHECK_IS_ON
   debug_validate_frame(payload);
 #endif

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <variant>
@@ -136,6 +137,18 @@ using Message = std::variant<Hello, TupleMessage, core::SketchShipment, core::Sy
 
 /// Encodes a message into one frame payload.
 std::vector<std::byte> encode(const Message& message);
+
+/// Largest TupleMessage payload: tag + seq + item + marker flag, plus the
+/// marker's epoch + Ĉ.
+inline constexpr std::size_t kMaxTupleFrameBytes = 1 + 8 + 8 + 1 + 8 + 8;
+using TupleFrameBuffer = std::array<std::byte, kMaxTupleFrameBytes>;
+
+/// Encodes a TupleMessage into `buffer` and returns the bytes written —
+/// the per-tuple frame of SchedulerRuntime::route(), built without a heap
+/// allocation. encode() builds its TupleMessage payloads with it, so the
+/// two are byte-identical.
+std::span<const std::byte> encode_tuple(const TupleMessage& tuple,
+                                        TupleFrameBuffer& buffer) noexcept;
 
 /// Decodes a frame payload. Throws std::invalid_argument on unknown tags
 /// or malformed payloads.

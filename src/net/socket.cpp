@@ -12,9 +12,11 @@
 #include <system_error>
 #include <thread>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/prng.hpp"
 #include "common/types.hpp"
+#include "net/iovec.hpp"
 
 namespace posg::net {
 
@@ -22,45 +24,6 @@ namespace {
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
-}
-
-void write_all(int fd, const std::byte* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    // MSG_NOSIGNAL: a peer that died mid-stream must surface as an EPIPE
-    // error the scheduler can quarantine, not as a process-killing SIGPIPE.
-    const ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("socket write");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-}
-
-/// Reads exactly `size` bytes. Returns false on EOF before the first byte
-/// (when allow_eof), throws on mid-read EOF.
-bool read_all(int fd, std::byte* data, std::size_t size, bool allow_eof) {
-  std::size_t read_so_far = 0;
-  while (read_so_far < size) {
-    const ssize_t n = ::read(fd, data + read_so_far, size - read_so_far);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("socket read");
-    }
-    if (n == 0) {
-      if (read_so_far == 0 && allow_eof) {
-        return false;
-      }
-      throw TransportError("socket read: unexpected EOF mid-frame");
-    }
-    read_so_far += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Waits for the fd to become readable (or EOF/error-readable). Returns
@@ -86,6 +49,61 @@ bool wait_readable(int fd, std::chrono::milliseconds deadline) {
       return true;  // readable, EOF, or a pending error — read() resolves which
     }
   }
+}
+
+/// Reads exactly `size` bytes. Returns false on EOF before the first byte
+/// (when allow_eof), throws on mid-read EOF.
+///
+/// With a `stall` bound the reads never block: whatever is buffered is
+/// taken at once, and only when the span is still incomplete — nothing
+/// buffered yet, or a short read — does the reader wait, at most `stall`
+/// for the next bytes, before throwing posg::TransportError.
+bool read_all(int fd, std::byte* data, std::size_t size, bool allow_eof,
+              std::optional<std::chrono::milliseconds> stall) {
+  const int flags = stall ? MSG_DONTWAIT : 0;
+  std::size_t read_so_far = 0;
+  while (read_so_far < size) {
+    const ssize_t n = ::recv(fd, data + read_so_far, size - read_so_far, flags);
+    if (n > 0) {
+      read_so_far += static_cast<std::size_t>(n);
+      if (read_so_far == size || !stall) {
+        continue;
+      }
+    } else if (n == 0) {
+      if (read_so_far == 0 && allow_eof) {
+        return false;
+      }
+      throw TransportError("socket read: unexpected EOF mid-frame");
+    } else if (errno == EINTR) {
+      continue;
+    } else if (!stall || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      throw_errno("socket read");
+    }
+    if (!wait_readable(fd, *stall)) {
+      throw TransportError("socket read: peer stalled mid-frame past the deadline");
+    }
+  }
+  return true;
+}
+
+/// Reads one frame (see read_all for `stall`). std::nullopt on EOF at a
+/// frame boundary.
+std::optional<std::vector<std::byte>> read_frame(
+    int fd, std::optional<std::chrono::milliseconds> stall) {
+  std::uint32_t length = 0;
+  std::byte header[sizeof(length)];
+  if (!read_all(fd, header, sizeof(length), /*allow_eof=*/true, stall)) {
+    return std::nullopt;
+  }
+  std::memcpy(&length, header, sizeof(length));
+  if (length > Socket::kMaxFrameBytes) {
+    throw ProtocolError("net: incoming frame exceeds the size bound");
+  }
+  std::vector<std::byte> payload(length);
+  if (length > 0) {
+    read_all(fd, payload.data(), payload.size(), /*allow_eof=*/false, stall);
+  }
+  return payload;
 }
 
 sockaddr_un make_address(const std::string& path) {
@@ -131,38 +149,40 @@ void Socket::send_frame(std::span<const std::byte> payload) {
   const auto length = static_cast<std::uint32_t>(payload.size());
   std::byte header[sizeof(length)];
   std::memcpy(header, &length, sizeof(length));
-  write_all(fd_, header, sizeof(length));
-  write_all(fd_, payload.data(), payload.size());
+  iovec parts[2] = {{header, sizeof(header)},
+                    {const_cast<std::byte*>(payload.data()), payload.size()}};
+  std::span<iovec> pending(parts);
+  while (!pending.empty()) {
+    msghdr message{};
+    message.msg_iov = pending.data();
+    message.msg_iovlen = pending.size();
+    // MSG_NOSIGNAL: a peer that died mid-stream must surface as an EPIPE
+    // error the scheduler can quarantine, not as a process-killing SIGPIPE.
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw_errno("socket write");
+    }
+    detail::advance_iovec(pending, static_cast<std::size_t>(n));
+  }
 }
 
 std::optional<std::vector<std::byte>> Socket::recv_frame() {
   common::require(valid(), "net: recv on closed socket");
-  std::uint32_t length = 0;
-  std::byte header[sizeof(length)];
-  if (!read_all(fd_, header, sizeof(length), /*allow_eof=*/true)) {
-    return std::nullopt;
-  }
-  std::memcpy(&length, header, sizeof(length));
-  if (length > kMaxFrameBytes) {
-    throw ProtocolError("net: incoming frame exceeds the size bound");
-  }
-  std::vector<std::byte> payload(length);
-  if (length > 0) {
-    read_all(fd_, payload.data(), payload.size(), /*allow_eof=*/false);
-  }
-  return payload;
+  return read_frame(fd_, std::nullopt);
 }
 
 RecvResult Socket::recv_frame(std::chrono::milliseconds deadline) {
   common::require(valid(), "net: recv on closed socket");
-  // The deadline guards the *start* of the frame only: an idle connection
-  // times out with zero bytes consumed (retry-safe); once the length
-  // prefix starts flowing, the peer is alive and the remainder is read to
-  // completion with plain blocking reads.
+  // An idle connection times out with zero bytes consumed (retry-safe).
+  // Once the frame has started, the same deadline bounds each wait for
+  // the rest of it.
   if (!wait_readable(fd_, deadline)) {
     return RecvResult{RecvStatus::kTimeout, {}};
   }
-  auto frame = recv_frame();
+  auto frame = read_frame(fd_, deadline);
   if (!frame) {
     return RecvResult{RecvStatus::kEof, {}};
   }
@@ -266,6 +286,19 @@ std::pair<Socket, Socket> socket_pair() {
     throw_errno("net: socketpair");
   }
   return {Socket(fds[0]), Socket(fds[1])};
+}
+
+void detail::advance_iovec(std::span<iovec>& pending, std::size_t sent) noexcept {
+  while (!pending.empty() && sent >= pending.front().iov_len) {
+    sent -= pending.front().iov_len;
+    pending = pending.subspan(1);
+  }
+  if (sent > 0) {
+    POSG_DCHECK(!pending.empty(), "net: advance_iovec past the end of the gather list");
+    iovec& head = pending.front();
+    head.iov_base = static_cast<std::byte*>(head.iov_base) + sent;
+    head.iov_len -= sent;
+  }
 }
 
 }  // namespace posg::net

@@ -27,7 +27,9 @@
 ///   - sends never raise SIGPIPE (MSG_NOSIGNAL) — a dead peer surfaces as
 ///     std::system_error(EPIPE) the caller can turn into a quarantine,
 ///   - receives accept an optional poll-based deadline so a reader thread
-///     can distinguish "peer is silent" from "peer is gone",
+///     can distinguish "peer is silent" from "peer is gone", and the same
+///     deadline bounds every wait inside a frame, so a peer that stalls
+///     mid-frame cannot pin the reader,
 ///   - connect retries with exponential backoff + deterministic jitter.
 namespace posg::net {
 
@@ -61,6 +63,13 @@ class Socket {
   /// Sends one length-prefixed frame (u32 little-endian length + payload).
   /// Blocks until fully written. A closed/reset peer surfaces as
   /// std::system_error(EPIPE/ECONNRESET), never as SIGPIPE.
+  ///
+  /// The prefix and the payload leave in one sendmsg(MSG_NOSIGNAL) over a
+  /// two-entry iovec, so a reader blocked on this link wakes once per
+  /// frame, not once for the prefix and again for the payload. A partial
+  /// write (a full socket buffer) resumes where it stopped, even inside the
+  /// prefix. Not writev: it takes no flags, so it cannot pass
+  /// MSG_NOSIGNAL, and a dead peer would raise SIGPIPE again.
   void send_frame(std::span<const std::byte> payload);
 
   /// Receives one frame. Returns std::nullopt on orderly peer shutdown
@@ -70,10 +79,12 @@ class Socket {
   std::optional<std::vector<std::byte>> recv_frame();
 
   /// Deadline-bounded receive. Waits at most `deadline` for the frame to
-  /// *start*; once the length prefix begins arriving the frame is read to
-  /// completion (a peer that stalls mid-frame past the deadline has broken
-  /// framing and raises posg::TransportError). Returns kTimeout with no
-  /// bytes consumed when the connection stayed idle — safe to retry.
+  /// *start*, and returns kTimeout with no bytes consumed when the
+  /// connection stayed idle — safe to retry. Once the frame has started,
+  /// each wait for its remaining bytes is bounded by the same `deadline`: a
+  /// peer that stalls mid-frame for longer has broken framing and raises
+  /// posg::TransportError. A frame already buffered whole costs no extra
+  /// syscall; a slow but steady peer (each gap under `deadline`) completes.
   RecvResult recv_frame(std::chrono::milliseconds deadline);
 
   void close() noexcept;

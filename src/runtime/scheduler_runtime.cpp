@@ -289,6 +289,7 @@ void SchedulerRuntime::start() {
     // acquisition here is free.
     MutexLock lock(mutex_);
     last_feedback_.assign(k_, std::chrono::steady_clock::now());
+    deadline_owing_.assign(k_, 0);
   }
   // Complete the registration-time SchedulerHello handshakes before any
   // tuple can be routed: the ReattachAck must reach each survivor ahead of
@@ -424,8 +425,16 @@ void SchedulerRuntime::check_epoch_deadline_locked() {
       state != core::PosgScheduler::State::kWaitAll) {
     return;
   }
+  // Snapshot who owes a reply before quarantining anyone: a quarantine can
+  // close the epoch, and the scan must still visit everyone who owed it.
+  for (common::InstanceId op = 0; op < k_; ++op) {
+    deadline_owing_[op] = scheduler_.reply_pending(op) ? 1 : 0;
+  }
   const auto now = std::chrono::steady_clock::now();
-  for (const common::InstanceId op : scheduler_.pending_replies()) {
+  for (common::InstanceId op = 0; op < k_; ++op) {
+    if (deadline_owing_[op] == 0) {
+      continue;
+    }
     const auto age = now - last_feedback_[op];
     if (age >= config_.epoch_deadline / 2) {
       // Halfway to quarantine: surface feedback staleness to the health
@@ -446,6 +455,12 @@ void SchedulerRuntime::check_epoch_deadline_locked() {
 
 common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq) {
   common::require(started_, "SchedulerRuntime: route before start");
+  // Ramp completions are taken with the decision, under its one lock, and
+  // announced once the tuple has landed, including those taken by an
+  // attempt whose send failed before the reroute.
+  std::vector<common::InstanceId> grants;
+  common::Epoch grant_epoch = 0;
+  net::TupleFrameBuffer buffer{};
   // One attempt per instance is enough: each failed send quarantines its
   // target, strictly shrinking the candidate set.
   for (std::size_t attempt = 0; attempt < k_; ++attempt) {
@@ -457,11 +472,14 @@ common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq)
       MutexLock lock(mutex_);
       check_epoch_deadline_locked();
       decision = scheduler_.schedule(item, seq);
+      const std::vector<common::InstanceId> done = scheduler_.take_ramp_completions();
+      if (!done.empty()) {
+        grants.insert(grants.end(), done.begin(), done.end());
+        grant_epoch = scheduler_.epoch();
+      }
     }
-    net::TupleMessage tuple;
-    tuple.seq = seq;
-    tuple.item = item;
-    tuple.marker = decision.sync_request;
+    const auto frame =
+        net::encode_tuple(net::TupleMessage{seq, item, decision.sync_request}, buffer);
     try {
       bool drained_under_us = false;
       {
@@ -474,7 +492,7 @@ common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq)
           // final Δ, which measures true executed work against the cut.
           drained_under_us = true;
         } else {
-          links_[decision.instance]->send_frame(net::encode(tuple));
+          links_[decision.instance]->send_frame(frame);
         }
       }
       if (drained_under_us) {
@@ -482,8 +500,6 @@ common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq)
         continue;
       }
       routed_[decision.instance].fetch_add(1, std::memory_order_relaxed);
-      announce_admission_grants();
-      return decision.instance;
     } catch (const std::exception&) {
       reroutes_.fetch_add(1, std::memory_order_relaxed);
       if (!handle_failure(decision.instance, "send failed: tuple " + std::to_string(seq))) {
@@ -491,22 +507,23 @@ common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq)
       }
       // Ĉ already billed the failed attempt; the next synchronization
       // absorbs that skew (and mark_failed zeroed the dead instance's Ĉ).
+      continue;
     }
+    announce_admission_grants(grants, grant_epoch);
+    return decision.instance;
   }
   throw core::NoLiveInstanceError("SchedulerRuntime: no live instance left to route to");
 }
 
-void SchedulerRuntime::announce_admission_grants() {
-  std::vector<common::InstanceId> done;
-  common::Epoch epoch = 0;
-  {
-    MutexLock lock(mutex_);
-    done = scheduler_.take_ramp_completions();
-    if (!done.empty()) {
-      epoch = scheduler_.epoch();
-    }
-  }
+void SchedulerRuntime::announce_admission_grants(const std::vector<common::InstanceId>& done,
+                                                 common::Epoch epoch) {
   for (const common::InstanceId op : done) {
+    {
+      MutexLock lock(mutex_);
+      if (scheduler_.is_failed(op) || scheduler_.is_draining(op)) {
+        continue;  // left rotation since its ramp completed; no grant owed
+      }
+    }
     try {
       send_locked(op, net::encode(net::AdmissionGrant{op, epoch}));
     } catch (const std::exception&) {

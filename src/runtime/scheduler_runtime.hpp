@@ -247,10 +247,17 @@ class SchedulerRuntime {
   /// survivors. Returns false when `op` was the last live instance (the
   /// run is lost; callers decide whether that is fatal).
   bool handle_failure(common::InstanceId op, const std::string& reason);
+  /// Epoch deadline (route()'s per-tuple check while an epoch is open):
+  /// instances owing a reply turn Suspect at half the deadline and are
+  /// quarantined at the deadline, except the last survivor without rejoin.
+  /// The scan allocates nothing.
   void check_epoch_deadline_locked() REQUIRES(mutex_);
   void send_locked(common::InstanceId op, const std::vector<std::byte>& frame);
-  /// Sends AdmissionGrant to any rejoiner whose ramp just finished.
-  void announce_admission_grants();
+  /// Sends AdmissionGrant to each instance in `done` (ramp completions
+  /// route() took under mutex_) still in rotation. Takes mutex_ only when
+  /// `done` is non-empty.
+  void announce_admission_grants(const std::vector<common::InstanceId>& done,
+                                 common::Epoch epoch);
   /// Captures a CheckpointState when an epoch boundary advanced past the
   /// checkpoint cadence and hands it to the writer thread (rank-increasing
   /// kSchedulerState → kCheckpointWriter acquisition). Off the hot path:
@@ -307,7 +314,7 @@ class SchedulerRuntime {
   std::vector<std::unique_ptr<net::FrameTransport>> links_;
   /// Per-link send serialization: route(), failure announcements and
   /// EndOfStream may write to the same link from different threads, and
-  /// interleaved write_all calls would shear frames. Ranked kNetSend so
+  /// interleaved partial sends would shear frames. Ranked kNetSend so
   /// request_drain's send-then-state acquisition is rank-increasing.
   std::vector<std::unique_ptr<Mutex>> send_mutexes_;
   /// Set when an instance is quarantined; its reader exits at the next
@@ -349,6 +356,9 @@ class SchedulerRuntime {
   /// Epoch-deadline tracking: when each instance last produced feedback
   /// (any decodable frame on its reader).
   std::vector<std::chrono::steady_clock::time_point> last_feedback_ GUARDED_BY(mutex_);
+  /// check_epoch_deadline_locked's snapshot of who owes the open epoch a
+  /// reply (1 = owes), sized k_ once so the per-route scan never allocates.
+  std::vector<std::uint8_t> deadline_owing_ GUARDED_BY(mutex_);
 
   // --- crash recovery (DESIGN.md §14) ---
   /// Hand-off slot between the capturing reader and the writer thread.

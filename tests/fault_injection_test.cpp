@@ -3,15 +3,19 @@
 // receives, connect retry with backoff, and scripted drop / delay /
 // corrupt / disconnect faults whose sequence is reproducible from a seed.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "net/fault_injection.hpp"
 #include "net/socket.hpp"
 
@@ -59,6 +63,92 @@ TEST(SocketDeadline, SendToClosedPeerThrowsInsteadOfSigpipe) {
         }
       },
       std::system_error);
+}
+
+/// Writes `raw` to the socket as-is, with no framing: a peer that starts
+/// a frame and then goes quiet.
+void send_raw(const net::Socket& socket, const std::vector<std::byte>& raw) {
+  EXPECT_EQ(::send(socket.fd(), raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+}
+
+/// Length prefix of a `size`-byte frame.
+std::vector<std::byte> prefix(std::uint32_t size) {
+  std::vector<std::byte> out(sizeof(size));
+  std::memcpy(out.data(), &size, sizeof(size));
+  return out;
+}
+
+/// recv_frame(100 ms) on `reader`, while `writer` holds a frame half sent,
+/// must give up with TransportError after the deadline. A receive still
+/// blocked after 2 s fails the test; `writer` is then shut down so the
+/// stuck read sees EOF, and the test ends instead of hanging.
+void expect_stall_throws(net::Socket& writer, net::Socket& reader) {
+  const auto start = Clock::now();
+  auto pending = std::async(std::launch::async, [&reader] {
+    return reader.recv_frame(std::chrono::milliseconds(100));
+  });
+  const auto status = pending.wait_for(std::chrono::milliseconds(2000));
+  if (status != std::future_status::ready) {
+    writer.shutdown();
+  }
+  ASSERT_EQ(status, std::future_status::ready) << "recv_frame(100 ms) still blocked after 2 s";
+  EXPECT_THROW(pending.get(), TransportError);
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(90));
+}
+
+TEST(SocketDeadline, StallInsidePrefixThrowsInsteadOfHanging) {
+  auto [a, b] = net::socket_pair();
+  auto header = prefix(8);
+  header.resize(2);  // half the length prefix, then silence
+  send_raw(a, header);
+  expect_stall_throws(a, b);
+}
+
+TEST(SocketDeadline, StallInsidePayloadThrowsInsteadOfHanging) {
+  // The whole prefix then nothing (a stall exactly at the boundary), and
+  // the prefix plus 3 of 10 payload bytes.
+  for (const std::size_t sent : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("payload bytes sent: " + std::to_string(sent));
+    auto [a, b] = net::socket_pair();
+    auto raw = prefix(10);
+    raw.resize(raw.size() + sent, std::byte{0x5A});
+    send_raw(a, raw);
+    expect_stall_throws(a, b);
+  }
+}
+
+TEST(SocketDeadline, TrickleUnderTheDeadlineCompletes) {
+  // One byte per 10 ms: the 20-byte frame takes ~200 ms in all, twice the
+  // deadline, but no single gap comes near it. The deadline bounds each
+  // wait, not the whole frame.
+  auto [a, b] = net::socket_pair();
+  std::vector<std::byte> payload(16);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::byte>(i * 13 + 1);
+  }
+  std::vector<std::byte> wire(sizeof(std::uint32_t) + payload.size());
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  std::memcpy(wire.data(), &length, sizeof(length));
+  std::memcpy(wire.data() + sizeof(length), payload.data(), payload.size());
+  std::thread trickler([&a, &wire] {
+    for (const std::byte byte : wire) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      send_raw(a, {byte});
+    }
+  });
+  auto pending = std::async(std::launch::async, [&b] {
+    return b.recv_frame(std::chrono::milliseconds(100));
+  });
+  const auto status = pending.wait_for(std::chrono::milliseconds(5000));
+  if (status != std::future_status::ready) {
+    a.shutdown();
+  }
+  trickler.join();
+  ASSERT_EQ(status, std::future_status::ready);
+  const net::RecvResult received = pending.get();
+  ASSERT_EQ(received.status, net::RecvStatus::kFrame);
+  EXPECT_EQ(received.payload, payload);
 }
 
 TEST(ConnectRetry, GivesUpAfterExhaustedSchedule) {

@@ -1,14 +1,18 @@
 // Tests for the network transport: framing, the wire protocol, and a full
 // distributed POSG run (scheduler + instances as socket peers).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "core/instance_tracker.hpp"
 #include "core/posg_scheduler.hpp"
+#include "net/iovec.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 
@@ -53,6 +57,98 @@ TEST(Socket, LargeFrameRoundTrips) {
   sender.join();
 }
 
+TEST(Socket, SendResumesAtEveryPartialWriteSplit) {
+  // A frame is one sendmsg over {prefix, payload}; a partial write may stop
+  // anywhere — inside the prefix, exactly at the boundary, inside the
+  // payload — and the next sendmsg must start at the first unsent byte.
+  // Every pair of consecutive splits of a (4 + n)-byte frame.
+  for (const std::size_t n : {0, 1, 3, 4, 5, 34}) {
+    std::vector<std::byte> header(4);
+    std::vector<std::byte> payload(n);
+    for (std::size_t i = 0; i < header.size(); ++i) {
+      header[i] = static_cast<std::byte>(0xA0 + i);
+    }
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::byte>(i + 1);
+    }
+    std::vector<std::byte> frame = header;
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    for (std::size_t first = 0; first <= frame.size(); ++first) {
+      for (std::size_t second = first; second <= frame.size(); ++second) {
+        iovec parts[2] = {{header.data(), header.size()}, {payload.data(), payload.size()}};
+        std::span<iovec> pending(parts);
+        net::detail::advance_iovec(pending, first);
+        net::detail::advance_iovec(pending, second - first);
+        std::vector<std::byte> rest;
+        for (const iovec& part : pending) {
+          const auto* begin = static_cast<const std::byte*>(part.iov_base);
+          rest.insert(rest.end(), begin, begin + part.iov_len);
+        }
+        ASSERT_EQ(rest, std::vector<std::byte>(frame.begin() + static_cast<std::ptrdiff_t>(second),
+                                               frame.end()))
+            << "payload " << n << " bytes, writes of " << first << " then " << second - first;
+        // An entry fully sent leaves the list: the loop ends on an empty list.
+        EXPECT_EQ(pending.empty(), second == frame.size());
+      }
+    }
+  }
+}
+
+TEST(Socket, BurstThroughShrunkSendBufferKeepsFrameBoundaries) {
+  auto [a, b] = net::socket_pair();
+  const int tiny = 1;  // the kernel raises it to its minimum buffer size
+  ASSERT_EQ(::setsockopt(a.fd(), SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)), 0);
+  ASSERT_EQ(::setsockopt(b.fd(), SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny)), 0);
+  // Empty; shorter than, equal to and just past the prefix; a tuple with
+  // a marker; and a payload many times the buffer.
+  const std::size_t sizes[] = {0, 1, 3, 4, 5, 34, 64 * 1024};
+  constexpr std::size_t kFrames = 40 * std::size(sizes);
+  const auto payload_for = [&sizes](std::size_t index) {
+    std::vector<std::byte> out(sizes[index % std::size(sizes)]);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<std::byte>(index * 131 + i * 7);
+    }
+    return out;
+  };
+  std::atomic<bool> send_failed{false};
+  std::thread sender([&] {
+    try {
+      for (std::size_t i = 0; i < kFrames; ++i) {
+        a.send_frame(payload_for(i));
+      }
+    } catch (const std::exception&) {
+      send_failed.store(true);  // the receiver gave up and shut its end
+    }
+  });
+  std::size_t received = 0;
+  for (; received < kFrames; ++received) {
+    // Alternate the blocking and the deadline-bounded receive; the latter
+    // waits between the pieces of a frame that is still arriving.
+    std::vector<std::byte> frame;
+    if (received % 2 == 0) {
+      auto next = b.recv_frame();
+      if (!next) {
+        break;
+      }
+      frame = std::move(*next);
+    } else {
+      auto next = b.recv_frame(std::chrono::milliseconds(5000));
+      if (next.status != net::RecvStatus::kFrame) {
+        break;
+      }
+      frame = std::move(next.payload);
+    }
+    if (frame != payload_for(received)) {
+      ADD_FAILURE() << "frame " << received << " (" << frame.size() << " bytes) differs";
+      break;
+    }
+  }
+  b.shutdown();  // unblocks the sender if the loop stopped early
+  sender.join();
+  EXPECT_EQ(received, kFrames);
+  EXPECT_FALSE(send_failed.load());
+}
+
 TEST(Socket, ListenerAcceptsConnections) {
   const auto path =
       (std::filesystem::temp_directory_path() / "posg_net_test.sock").string();
@@ -74,23 +170,48 @@ TEST(Protocol, AllMessageKindsRoundTrip) {
     const auto decoded = net::decode(net::encode(net::Hello{7}));
     EXPECT_EQ(std::get<net::Hello>(decoded).instance, 7u);
   }
-  // Tuple without marker
+  // Tuples, without and with a marker: the stack-buffer encoding route()
+  // sends equals encode() byte for byte, matches the documented layout,
+  // passes the frame validator and decodes back to the message.
+  const auto check_tuple_encoding = [](const net::TupleMessage& tuple) {
+    std::vector<std::byte> layout;
+    const auto put = [&layout](const auto& value) {
+      const auto* begin = reinterpret_cast<const std::byte*>(&value);
+      layout.insert(layout.end(), begin, begin + sizeof(value));
+    };
+    put(std::uint8_t{2});
+    put(tuple.seq);
+    put(tuple.item);
+    put(static_cast<std::uint8_t>(tuple.marker.has_value() ? 1 : 0));
+    if (tuple.marker) {
+      put(tuple.marker->epoch);
+      put(tuple.marker->estimated_cumulated);
+    }
+    net::TupleFrameBuffer buffer{};
+    const std::span<const std::byte> stacked = net::encode_tuple(tuple, buffer);
+    const std::vector<std::byte> encoded = net::encode(tuple);
+    EXPECT_TRUE(std::equal(stacked.begin(), stacked.end(), encoded.begin(), encoded.end()));
+    EXPECT_TRUE(std::equal(stacked.begin(), stacked.end(), layout.begin(), layout.end()));
+    net::debug_validate_frame(stacked);
+    return std::get<net::TupleMessage>(net::decode(stacked));
+  };
   {
     net::TupleMessage tuple;
     tuple.seq = 123;
     tuple.item = 456;
-    const auto decoded = std::get<net::TupleMessage>(net::decode(net::encode(tuple)));
+    const auto decoded = check_tuple_encoding(tuple);
     EXPECT_EQ(decoded.seq, 123u);
     EXPECT_EQ(decoded.item, 456u);
     EXPECT_FALSE(decoded.marker.has_value());
   }
-  // Tuple with marker
   {
     net::TupleMessage tuple;
     tuple.seq = 1;
     tuple.item = 2;
     tuple.marker = core::SyncRequest{9, 1234.5};
-    const auto decoded = std::get<net::TupleMessage>(net::decode(net::encode(tuple)));
+    const auto decoded = check_tuple_encoding(tuple);
+    EXPECT_EQ(decoded.seq, 1u);
+    EXPECT_EQ(decoded.item, 2u);
     ASSERT_TRUE(decoded.marker.has_value());
     EXPECT_EQ(decoded.marker->epoch, 9u);
     EXPECT_DOUBLE_EQ(decoded.marker->estimated_cumulated, 1234.5);

@@ -4,9 +4,11 @@
 // failure drills: crash mid-epoch, silent lost reply (epoch deadline),
 // corrupt feedback (quarantine), and registration validation.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -334,6 +336,51 @@ TEST(SchedulerRuntime, RegistrationGivesUpAfterAttemptBudget) {
   });
   EXPECT_THROW(rt.accept_registrations(listener), std::runtime_error);
   rogues.join();
+}
+
+/// A client that connects to the rejoin listener, sends one byte of a
+/// length prefix and then goes quiet must not pin the rejoin acceptor:
+/// finish() joins the acceptor and still returns within hello_deadline
+/// plus a margin.
+TEST(SchedulerRuntime, StalledRejoinClientDoesNotHangFinish) {
+  const std::size_t k = 2;
+  auto config = test_runtime_config(k);
+  config.allow_rejoin = true;
+  config.hello_deadline = std::chrono::milliseconds(300);
+  SchedulerRuntime rt(config);
+  std::vector<std::unique_ptr<TestInstance>> instances;
+  for (common::InstanceId op = 0; op < k; ++op) {
+    InstanceRuntimeConfig instance_config;
+    instance_config.posg = config.posg;
+    auto [sched_end, inst_end] = net::socket_pair();
+    rt.attach(op, std::make_unique<net::SocketTransport>(std::move(sched_end)));
+    instances.push_back(spawn_instance(op, instance_config, std::move(inst_end)));
+  }
+  rt.start();
+  const auto path =
+      (std::filesystem::temp_directory_path() / "posg_runtime_stalled_rejoin_test.sock").string();
+  net::Listener listener(path);
+  rt.enable_rejoin(listener);
+  route_stream(rt, 0, 256);
+
+  net::Socket rogue = net::connect(path);
+  const std::byte first_byte{0x01};
+  ASSERT_EQ(::send(rogue.fd(), &first_byte, 1, MSG_NOSIGNAL), 1);
+  // Let the acceptor take the connection and start reading the frame.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  auto finished = std::async(std::launch::async, [&rt] { rt.finish(); });
+  const auto status = finished.wait_for(config.hello_deadline + std::chrono::milliseconds(2000));
+  if (status != std::future_status::ready) {
+    rogue.shutdown();  // free a stuck acceptor, so the test fails instead of hanging
+  }
+  finished.wait();
+  for (auto& instance : instances) {
+    instance->join();
+  }
+  ASSERT_EQ(status, std::future_status::ready) << "finish() blocked behind a stalled client";
+  EXPECT_TRUE(rt.quarantined().empty());
+  EXPECT_TRUE(rt.rejoin_log().empty());
 }
 
 /// Rejoin end-to-end, in process: instance 2 crashes mid-run and is
