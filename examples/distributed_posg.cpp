@@ -13,6 +13,10 @@
 //                      [--sleep-scale F] [--arrival-us U]
 //                      [--spike-factor F] [--spike-at-ms T] [--spike-for-ms D]
 //
+// An id flag out of range (--kill/--slow >= k, --kill-source >= S) and a
+// non-empty --stats-dir are refused with exit code 2 before anything forks,
+// as is a numeric flag whose value does not parse whole.
+//
 // `--kill ID` demonstrates the fault-tolerance path: instance ID crashes
 // upon receiving the synchronization marker of epoch E (default 1) —
 // between the marker and its SyncReply, the exact window that would
@@ -117,12 +121,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "posg.hpp"
@@ -500,10 +506,13 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
   bool threw = false;
   try {
     runtime::InstanceRuntimeConfig config;
-    // Generous per-session redial budget: a severed source may stay down
-    // for a while before its restart binds the socket fresh, and every
-    // failed dial (one per loop pass) burns budget.
-    config.reconnect_attempts = 64;
+    // Per-session redial budget: each round is one ConnectRetryPolicy
+    // schedule, about 3 s of clock time, so 8 rounds give a severed source
+    // about 25 s to come back — the sched-kill campaign's budget, far above
+    // the churn restart gap (a tenth of the stream). The kill-only
+    // campaign ends only when the dead source's sessions spend it, so it
+    // also bounds that campaign's wall time.
+    config.reconnect_attempts = 8;
     runtime::InstanceRuntime instance(id, config);
     std::vector<net::SocketTransport> links;
     links.reserve(socket_paths.size());
@@ -809,10 +818,13 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources,
   return (rc == 0 && conservation && no_quarantine && pool_intact) ? 0 : 1;
 }
 
-}  // namespace
+/// Refuses a flag value the run would otherwise silently misuse; main
+/// prints the message and exits 2.
+[[noreturn]] void refuse(const std::string& message) {
+  throw Error(ErrorCode::kConfig, message);
+}
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+int run(const common::CliArgs& args) {
   const auto k = static_cast<std::size_t>(args.get_int("k", 3));
   const auto m = static_cast<std::size_t>(args.get_int("m", 20'000));
   const auto kill_id = args.get_int("kill", -1);
@@ -835,6 +847,24 @@ int main(int argc, char** argv) {
   // Multi-source tier: --sources S > 1 switches to the shared-pool
   // driver (DESIGN.md §15). Orthogonal to the single-source modes below.
   const auto sources = static_cast<std::size_t>(args.get_int("sources", 1));
+  const auto kill_source = args.get_int("kill-source", -1);
+  // Ids the run would never match, and stats files it would sum with an
+  // earlier run's, are refused before anything forks.
+  for (const auto& [flag, id] : {std::pair{"kill", kill_id}, std::pair{"slow", slow_id}}) {
+    if (id >= 0 && static_cast<std::size_t>(id) >= k) {
+      refuse(std::string("--") + flag + " " + std::to_string(id) +
+             " is not an instance id (k = " + std::to_string(k) + ")");
+    }
+  }
+  if (kill_source >= 0 && static_cast<std::size_t>(kill_source) >= sources) {
+    refuse("--kill-source " + std::to_string(kill_source) + " is not a source id (sources = " +
+           std::to_string(sources) + ")");
+  }
+  std::error_code no_dir;
+  if (!stats_dir.empty() && !std::filesystem::is_empty(stats_dir, no_dir) && !no_dir) {
+    refuse("--stats-dir " + stats_dir +
+           " is not empty: its files would be summed into this run's totals");
+  }
   if (sources > 1) {
     const std::string reconcile_name = args.get_string("reconcile", "per_source_greedy");
     core::ReconcileMode reconcile = core::ReconcileMode::kPerSourceGreedy;
@@ -846,8 +876,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto gossip_every = static_cast<std::uint64_t>(args.get_int("gossip-every", 256));
-    return run_multisource(k, m, sources, reconcile, gossip_every,
-                           static_cast<int>(args.get_int("kill-source", -1)),
+    return run_multisource(k, m, sources, reconcile, gossip_every, static_cast<int>(kill_source),
                            args.get_bool("restart-source", false), stats_dir, metrics_out);
   }
   // Scheduler kill-restart campaign mode: a non-empty --ckpt switches to
@@ -1272,4 +1301,18 @@ int main(int argc, char** argv) {
     }
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(common::CliArgs(argc, argv));
+  } catch (const Error& error) {
+    if (error.code() != ErrorCode::kConfig) {
+      throw;
+    }
+    std::fprintf(stderr, "distributed_posg: %s\n", error.what());
+    return 2;
+  }
 }

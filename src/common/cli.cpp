@@ -1,8 +1,23 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
+#include "common/error.hpp"
+
 namespace posg::common {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value, const char* what) {
+  throw Error(ErrorCode::kConfig,
+              "CliArgs: --" + name + " expects " + what + ", got '" + value + "'");
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) {
@@ -36,19 +51,32 @@ std::optional<std::string> CliArgs::raw(const std::string& name) const {
 }
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
-  auto value = raw(name);
-  if (!value || value->empty()) {
+  const auto value = raw(name);
+  if (!value) {
     return fallback;
   }
-  return std::stoll(*value);
+  std::int64_t out = 0;
+  const char* end = value->data() + value->size();
+  const auto [stop, error] = std::from_chars(value->data(), end, out);
+  if (error != std::errc{} || stop != end) {  // also rejects an empty value
+    bad_value(name, *value, "an integer");
+  }
+  return out;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  auto value = raw(name);
-  if (!value || value->empty()) {
+  const auto value = raw(name);
+  if (!value) {
     return fallback;
   }
-  return std::stod(*value);
+  char* stop = nullptr;
+  errno = 0;
+  const double out = std::strtod(value->c_str(), &stop);
+  if (value->empty() || stop != value->c_str() + value->size() || errno == ERANGE ||
+      !std::isfinite(out)) {
+    bad_value(name, *value, "a finite number");
+  }
+  return out;
 }
 
 std::string CliArgs::get_string(const std::string& name, const std::string& fallback) const {
@@ -70,7 +98,7 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (*value == "false" || *value == "0" || *value == "no" || *value == "off") {
     return false;
   }
-  throw std::invalid_argument("CliArgs: bad boolean for --" + name + ": '" + *value + "'");
+  bad_value(name, *value, "a boolean");
 }
 
 }  // namespace posg::common

@@ -22,6 +22,11 @@ class CliArgs {
   /// True when `--name` was present (with or without a value).
   bool has(const std::string& name) const;
 
+  /// Typed getters: `fallback` when `--name` is absent. A number must
+  /// parse whole — an empty value, trailing characters or an out-of-range
+  /// number is an error, as is a boolean outside true/false, 1/0, yes/no,
+  /// on/off (a bare flag reads true). Errors throw posg::Error
+  /// (ErrorCode::kConfig) naming the flag and the value.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::string get_string(const std::string& name, const std::string& fallback) const;

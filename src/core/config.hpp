@@ -277,7 +277,8 @@ struct InstanceRuntimeConfig {
   /// timed instead). Default: items 0..63 cost 1..64 units.
   std::function<common::TimeMs(common::Item)> cost_model;
 
-  /// Receive poll tick — bounds how fast run() notices request_stop().
+  /// Receive deadline; the poll tick is min(recv_deadline, 10 ms), which
+  /// bounds how fast run() notices request_stop().
   std::chrono::milliseconds recv_deadline{200};
 
   /// Deterministic fault injection at the process level: crash (sever the
@@ -325,12 +326,12 @@ struct InstanceRuntimeConfig {
   /// *reconnectable* — the instance re-dials this socket path with the
   /// standard backoff+jitter schedule, re-attaches via SchedulerHello,
   /// and resumes with its tracker intact. Empty (the default) keeps the
-  /// pre-recovery behaviour: the first link error ends the run loop.
+  /// pre-recovery behaviour: the first link error ends the session.
   std::string reconnect_path;
 
-  /// Reconnect rounds before giving up for good; each round runs one full
-  /// net::ConnectRetryPolicy schedule (~6 s). Read only when
-  /// reconnect_path is non-empty; must then be >= 1.
+  /// Reconnect rounds per outage before giving up for good; each round
+  /// runs one full net::ConnectRetryPolicy schedule (about 3 s). Read
+  /// only when reconnect_path is non-empty; must then be >= 1.
   std::size_t reconnect_attempts = 3;
 };
 

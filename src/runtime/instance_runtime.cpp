@@ -7,11 +7,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "core/instance_tracker.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 
 namespace posg::runtime {
+
+namespace {
+using Clock = std::chrono::steady_clock;
+}  // namespace
 
 InstanceRuntime::InstanceRuntime(common::InstanceId id, InstanceRuntimeConfig config)
     : id_(id), config_(std::move(config)) {
@@ -24,36 +29,12 @@ InstanceRuntime::InstanceRuntime(common::InstanceId id, InstanceRuntimeConfig co
 }
 
 InstanceRuntime::Stats InstanceRuntime::run(net::FrameTransport& link) {
-  const Stats stats = run_loop(link);
-  publish_metrics(stats);
-  return stats;
-}
-
-void InstanceRuntime::publish_metrics(const Stats& stats) {
-  const std::string prefix = "posg.instance." + std::to_string(id_);
-  metrics_.counter(prefix + ".executed").add(stats.executed);
-  metrics_.counter(prefix + ".shipments").add(stats.shipments);
-  metrics_.counter(prefix + ".replies_sent").add(stats.replies_sent);
-  metrics_.counter(prefix + ".peer_failures_seen").add(stats.peer_failures_seen);
-  metrics_.counter(prefix + ".decode_errors").add(stats.decode_errors);
-  metrics_.counter(prefix + ".rejoin_acks").add(stats.rejoin_acks);
-  metrics_.counter(prefix + ".admission_grants").add(stats.admission_grants);
-  metrics_.counter(prefix + ".reconnects").add(stats.reconnects);
-  metrics_.counter(prefix + ".reattach_acks").add(stats.reattach_acks);
-  metrics_.counter(prefix + ".crashes").add(stats.crashed ? 1 : 0);
-  metrics_.counter(prefix + ".drained").add(stats.drained ? 1 : 0);
-  metrics_.gauge(prefix + ".simulated_work_ms").set(stats.simulated_work);
-  metrics_.counter(prefix + ".sources_lost").add(stats.sources_lost);
-  for (std::size_t s = 0; s < stats.per_source_executed.size(); ++s) {
-    metrics_.counter(prefix + ".s" + std::to_string(s) + ".executed")
-        .add(stats.per_source_executed[s]);
-  }
+  return run_multi({SourceLink{0, &link, config_.reconnect_path}});
 }
 
 InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>& links) {
   common::require(!links.empty(), "InstanceRuntime: run_multi needs at least one session");
   Stats stats;
-  stats.per_source_executed.assign(links.size(), 0);
 
   // Per-scheduler session state. Each session owns its OWN tracker: the
   // tuples on link s were routed by source s's view, so s's sketches and
@@ -61,19 +42,28 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
   // billing is what keeps Σ_s Ĉ_s ≈ C_total without double counting.
   struct Session {
     common::SourceId source = 0;
+    // Rebound on reconnect; `owned` keeps a replacement transport alive
+    // (the caller still owns the first link).
     net::FrameTransport* link = nullptr;
     std::unique_ptr<net::FrameTransport> owned;
     std::unique_ptr<core::InstanceTracker> tracker;
+    // Frames whose send failed (or that were produced while the link was
+    // down), replayed in order after a successful re-attach. A replayed
+    // stale SyncReply is safe: the restarted scheduler's reattach disarmed
+    // the slot's marker, so the reply lands on the counted-stale path
+    // instead of billing twice.
     std::vector<std::vector<std::byte>> pending;
     std::string reconnect_path;
+    // Highest epoch observed on this link (markers, acks, drain requests):
+    // the SchedulerHello carries it so the scheduler knows how far this
+    // survivor's view reaches past the checkpoint it restored.
     common::Epoch last_epoch = 0;
     std::uint64_t executed = 0;
-    std::size_t dial_budget = 0;  // single connect attempts left
-    // Dials are paced in wall time, not loop passes: the loop spins as
-    // fast as the LIVE sessions' traffic allows, and burning the budget
-    // at that rate would end a session in microseconds when its
-    // scheduler needs real seconds to restart.
-    std::chrono::steady_clock::time_point next_dial{};
+    // Redial pacing of the current outage (see `redial`).
+    std::size_t dials = 0;
+    double backoff_ms = 0.0;
+    common::SplitMix64 jitter{0};
+    Clock::time_point next_dial{};
     bool link_down = false;
     bool muted = false;
     bool ended = false;
@@ -86,33 +76,40 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
     session.link = links[i].link;
     session.tracker = std::make_unique<core::InstanceTracker>(id_, config_.posg);
     session.reconnect_path = links[i].reconnect_path;
-    // Same total budget as the single-link loop (reconnect_attempts full
-    // ConnectRetryPolicy schedules), spent one dial per pass so the other
-    // sources keep flowing while this one's scheduler is down.
-    session.dial_budget =
-        session.reconnect_path.empty() ? 0 : config_.reconnect_attempts * 12;
+    // Decorrelate the k instances (and S sessions) redialing one restarted
+    // scheduler: distinct seeds give distinct jittered schedules.
+    session.jitter = common::SplitMix64(0x9E3779B97F4A7C15ULL ^
+                                        (static_cast<std::uint64_t>(id_) << 32U) ^
+                                        (static_cast<std::uint64_t>(session.source) << 16U));
     session.link->send_frame(net::encode(net::Hello{id_, session.source}));
   }
 
-  // One paced dial attempt; returns false only when the budget is gone.
-  const auto try_reconnect = [&](Session& session) -> bool {
-    if (session.dial_budget == 0) {
+  // The reconnect rule (see the header): a down session dials once when
+  // its next dial is due, on net::connect's own schedule — a round of
+  // max_attempts dials with jittered backoff between them, and
+  // reconnect_attempts rounds per outage — but timed against the clock
+  // instead of slept, so the live sessions keep flowing meanwhile.
+  // Returns false once the session is gone for good.
+  const net::ConnectRetryPolicy schedule;
+  const auto round = static_cast<std::size_t>(schedule.max_attempts);
+  const std::size_t dial_budget = config_.reconnect_attempts * round;
+  net::ConnectRetryPolicy one_dial;
+  one_dial.max_attempts = 1;
+  const auto redial = [&](Session& session) -> bool {
+    if (session.reconnect_path.empty() || session.dials >= dial_budget) {
       return false;
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     if (now < session.next_dial) {
       return true;  // between dials: the session stays alive, waiting
     }
-    session.next_dial = now + std::chrono::milliseconds(50);
-    --session.dial_budget;
-    net::ConnectRetryPolicy policy;
-    policy.max_attempts = 1;
-    policy.jitter_seed = 0x9E3779B97F4A7C15ULL ^ (static_cast<std::uint64_t>(id_) << 32U) ^
-                         (static_cast<std::uint64_t>(session.source) << 16U) ^
-                         session.dial_budget;
+    if (session.dials % round == 0) {
+      session.backoff_ms = static_cast<double>(schedule.initial_backoff.count());
+    }
+    ++session.dials;
     try {
       session.owned =
-          std::make_unique<net::SocketTransport>(net::connect(session.reconnect_path, policy));
+          std::make_unique<net::SocketTransport>(net::connect(session.reconnect_path, one_dial));
       session.link = session.owned.get();
       session.link->send_frame(
           net::encode(net::SchedulerHello{id_, session.last_epoch, session.source}));
@@ -120,14 +117,30 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         session.link->send_frame(frame);
       }
     } catch (const std::exception&) {
-      return session.dial_budget > 0;  // keep the session while budget remains
+      // Nobody listening yet, or it died again mid-handshake. Inside a
+      // round, wait backoff × uniform[0.5, 1), as net::connect sleeps
+      // between refusals; after a round's last refusal the next round
+      // starts at once.
+      if (session.dials % round != 0) {
+        const double uniform =
+            0.5 + 0.5 * (static_cast<double>(session.jitter.next() >> 11U) * 0x1.0p-53);
+        session.next_dial =
+            now + std::chrono::milliseconds(
+                      std::max(1LL, static_cast<long long>(session.backoff_ms * uniform)));
+        session.backoff_ms = std::min(session.backoff_ms * schedule.multiplier,
+                                      static_cast<double>(schedule.max_backoff.count()));
+      }
+      return session.dials < dial_budget;
     }
     session.pending.clear();
     session.link_down = false;
+    session.dials = 0;  // the next outage gets the full budget again
     ++stats.reconnects;
     return true;
   };
 
+  // Sends one frame, or buffers it for post-reconnect replay when the
+  // link is (or just went) down.
   const auto send_or_stash = [&](Session& session, std::vector<std::byte> frame) {
     if (!session.link_down) {
       try {
@@ -142,26 +155,43 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
     }
   };
 
-  // Short poll tick so S sessions share one thread fairly: a session with
-  // traffic never waits on an idle sibling for more than the tick.
+  // A crash is physical and the *absence* of protocol: the whole instance
+  // dies, severing every source's link with no EndOfStream handshake —
+  // exactly what the schedulers' failure detectors must cope with.
+  const auto crash = [&] {
+    stats.crashed = true;
+    for (Session& session : sessions) {
+      if (!session.ended && !session.link_down) {
+        session.link->close();
+      }
+    }
+  };
+
+  std::size_t active = sessions.size();
+  const auto end_session = [&](Session& session) {
+    session.ended = true;
+    --active;
+  };
+  // The poll tick (see the header): no session waits on an idle sibling
+  // for longer than this.
   const auto tick = std::min<std::chrono::milliseconds>(config_.recv_deadline,
                                                         std::chrono::milliseconds(10));
-  std::size_t active = sessions.size();
-  while (!stop_.load() && active > 0) {
+  while (!stop_.load() && active > 0 && !stats.crashed) {
     bool polled = false;  // did any session actually wait on its link?
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      Session& session = sessions[i];
+    auto wake = Clock::time_point::max();  // earliest due dial of a down session
+    for (Session& session : sessions) {
       if (session.ended) {
         continue;
       }
       if (session.link_down) {
-        if (!try_reconnect(session)) {
+        if (!redial(session)) {
           // This source's scheduler is gone for good: its session ends,
           // the instance keeps serving the other sources (a dead source
           // must never take the instance down — DESIGN.md §15).
-          session.ended = true;
+          end_session(session);
           ++stats.sources_lost;
-          --active;
+        } else if (session.link_down) {
+          wake = std::min(wake, session.next_dial);
         }
         continue;
       }
@@ -170,7 +200,7 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
       try {
         received = session.link->recv_frame(tick);
       } catch (const std::exception&) {
-        session.link_down = true;
+        session.link_down = true;  // transport error: redial or end next pass
         continue;
       }
       if (received.status == net::RecvStatus::kTimeout) {
@@ -184,12 +214,11 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
       try {
         message = net::decode(received.payload);
       } catch (const std::invalid_argument&) {
-        ++stats.decode_errors;
+        ++stats.decode_errors;  // corrupt frame: drop it, stay alive
         continue;
       }
       if (std::holds_alternative<net::EndOfStream>(message)) {
-        session.ended = true;
-        --active;
+        end_session(session);
         continue;
       }
       if (std::holds_alternative<net::InstanceFailed>(message)) {
@@ -197,12 +226,18 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         continue;
       }
       if (const auto* ack = std::get_if<net::RejoinAck>(&message)) {
+        // Rejoin handshake accept: restart the sketch FSM and rebase C_op
+        // to the scheduler's seeded Ĉ so the next Δ measures only
+        // post-rejoin drift (see InstanceTracker::rearm).
         session.tracker->rearm(ack->seeded_cumulated);
         session.last_epoch = std::max(session.last_epoch, ack->epoch);
         ++stats.rejoin_acks;
         continue;
       }
       if (const auto* ack = std::get_if<net::ReattachAck>(&message)) {
+        // Re-attach accept after a scheduler restart: rebase C_op to the
+        // checkpointed (or rejoin-seeded) cut — the pre-crash history was
+        // already billed by the checkpointed Ĉ and must not be billed again.
         session.tracker->rearm(ack->seeded_cut);
         session.last_epoch = std::max(session.last_epoch, ack->epoch);
         ++stats.reattach_acks;
@@ -213,7 +248,9 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         continue;
       }
       if (const auto* drain = std::get_if<net::DrainRequest>(&message)) {
-        // Lossless drain of this source's session: the final Δ and the
+        // Lossless drain of this source's session: the link is FIFO, so
+        // every tuple this source routed here arrived (and was executed)
+        // before this frame. The final Δ against the view's Ĉ cut and the
         // executed count are PER SOURCE (this view billed only its own
         // routed tuples — the conservation check is per scheduler).
         const common::TimeMs delta =
@@ -226,39 +263,31 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
           // Scheduler gone mid-drain: nothing left to report either way.
         }
         stats.drained = true;
-        session.ended = true;
-        --active;
+        end_session(session);
         continue;
       }
       const auto* tuple = std::get_if<net::TupleMessage>(&message);
       if (tuple == nullptr) {
-        continue;
+        continue;  // scheduler-bound message echoed back? ignore defensively
       }
       if (config_.crash_after_executed != 0 &&
           stats.executed + 1 == config_.crash_after_executed) {
-        // A crash is physical: the whole instance dies, severing every
-        // source's link without a handshake.
-        stats.crashed = true;
-        for (Session& other : sessions) {
-          if (!other.ended && !other.link_down) {
-            other.link->close();
-          }
-        }
-        for (std::size_t j = 0; j < sessions.size(); ++j) {
-          stats.per_source_executed[j] = sessions[j].executed;
-        }
-        publish_metrics(stats);
-        return stats;
+        crash();
+        break;
       }
       const bool straggling = stats.executed + 1 >= config_.straggle_after_executed;
       const common::TimeMs cost =
           config_.cost_model(tuple->item) * (straggling ? config_.cost_scale : 1.0);
       if (config_.real_sleep_scale > 0.0) {
+        // Elasticity demos need wall-clock reality: make the simulated
+        // cost cost real time so upstream queues genuinely back up.
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(cost * config_.real_sleep_scale));
       }
       if (auto shipment = session.tracker->on_executed(tuple->item, cost)) {
         if (!session.muted) {
+          // Counted when produced: a frame stashed by a down link is
+          // replayed by the reconnect handshake, so it still ships.
           shipment->source = session.source;
           send_or_stash(session, net::encode(*shipment));
           ++stats.shipments;
@@ -271,20 +300,11 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         session.last_epoch = std::max(session.last_epoch, tuple->marker->epoch);
         if (config_.crash_on_marker_epoch != 0 &&
             tuple->marker->epoch >= config_.crash_on_marker_epoch) {
-          stats.crashed = true;
-          for (Session& other : sessions) {
-            if (!other.ended && !other.link_down) {
-              other.link->close();
-            }
-          }
-          for (std::size_t j = 0; j < sessions.size(); ++j) {
-            stats.per_source_executed[j] = sessions[j].executed;
-          }
-          publish_metrics(stats);
-          return stats;
+          crash();  // die between the marker's execution and its SyncReply
+          break;
         }
         if (config_.mute_from_epoch != 0 && tuple->marker->epoch >= config_.mute_from_epoch) {
-          session.muted = true;
+          session.muted = true;  // alive and executing, but feedback-silent
         }
         if (session.muted) {
           continue;
@@ -295,219 +315,31 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         ++stats.replies_sent;
       }
     }
-    if (!polled) {
-      // Every live session is down and between dials: yield instead of
-      // spinning the dial-pacing checks at CPU speed.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!polled && active > 0) {
+      // Every live session is down and between dials: sleep to the next
+      // due dial, at most one tick so request_stop() is still seen.
+      std::this_thread::sleep_until(std::min(wake, Clock::now() + tick));
     }
   }
-  for (std::size_t j = 0; j < sessions.size(); ++j) {
-    stats.per_source_executed[j] = sessions[j].executed;
+  // Publish the Stats (see metrics()).
+  const std::string prefix = "posg.instance." + std::to_string(id_);
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    stats.per_source_executed.push_back(sessions[i].executed);
+    metrics_.counter(prefix + ".s" + std::to_string(i) + ".executed").add(sessions[i].executed);
   }
-  publish_metrics(stats);
-  return stats;
-}
-
-InstanceRuntime::Stats InstanceRuntime::run_loop(net::FrameTransport& initial) {
-  Stats stats;
-  core::InstanceTracker tracker(id_, config_.posg);
-  // `link` is rebound on reconnect; `owned` keeps any replacement
-  // transport alive (the caller still owns `initial`).
-  net::FrameTransport* link = &initial;
-  std::unique_ptr<net::FrameTransport> owned;
-  // Frames whose send failed (or that were produced while the link was
-  // down), replayed in order after a successful re-attach. A replayed
-  // stale SyncReply is safe: the restarted scheduler's reattach disarmed
-  // the slot's marker, so the reply lands on the counted-stale path
-  // instead of billing twice.
-  std::vector<std::vector<std::byte>> pending;
-  bool link_down = false;
-  // Highest epoch observed on this link (markers, acks, drain requests):
-  // the SchedulerHello carries it so the scheduler knows how far this
-  // survivor's view reaches past the checkpoint it restored.
-  common::Epoch last_epoch = 0;
-
-  // The single reconnect-or-die policy point: every link error (recv
-  // transport error, EOF, failed send) funnels here. Returns true when a
-  // new link carries the SchedulerHello and all buffered frames.
-  const auto reconnect = [&]() -> bool {
-    if (config_.reconnect_path.empty() || stop_.load()) {
-      return false;  // feature disabled (or stopping): die as before
-    }
-    for (std::size_t round = 0; round < config_.reconnect_attempts; ++round) {
-      if (stop_.load()) {
-        return false;
-      }
-      net::ConnectRetryPolicy policy;
-      // Decorrelate k instances redialing the same restarted scheduler:
-      // distinct seeds give distinct jittered backoff schedules.
-      policy.jitter_seed =
-          0x9E3779B97F4A7C15ULL ^ (static_cast<std::uint64_t>(id_) << 32U) ^ round;
-      try {
-        owned = std::make_unique<net::SocketTransport>(
-            net::connect(config_.reconnect_path, policy));
-        link = owned.get();
-        link->send_frame(net::encode(net::SchedulerHello{id_, last_epoch}));
-        for (const auto& frame : pending) {
-          link->send_frame(frame);
-        }
-      } catch (const std::exception&) {
-        continue;  // nobody listening yet, or it died again mid-handshake
-      }
-      pending.clear();
-      link_down = false;
-      ++stats.reconnects;
-      return true;
-    }
-    return false;  // attempt budget exhausted — the scheduler is gone
-  };
-
-  // Sends one frame, or buffers it for post-reconnect replay when the
-  // link is (or just went) down.
-  const auto send_or_stash = [&](std::vector<std::byte> frame) {
-    if (!link_down) {
-      try {
-        link->send_frame(frame);
-        return;
-      } catch (const std::system_error&) {
-        link_down = true;
-      }
-    }
-    pending.push_back(std::move(frame));
-  };
-
-  link->send_frame(net::encode(net::Hello{id_}));
-
-  const auto crash = [&] {
-    // A crash is the *absence* of protocol: sever the link with no
-    // EndOfStream handshake, exactly what the scheduler's failure
-    // detector must cope with.
-    stats.crashed = true;
-    link->close();
-  };
-
-  bool muted = false;
-  while (!stop_.load()) {
-    if (link_down && !reconnect()) {
-      break;
-    }
-    net::RecvResult received;
-    try {
-      received = link->recv_frame(config_.recv_deadline);
-    } catch (const std::exception&) {
-      link_down = true;  // transport error — reconnect or die at loop top
-      continue;
-    }
-    if (received.status == net::RecvStatus::kTimeout) {
-      continue;
-    }
-    if (received.status == net::RecvStatus::kEof) {
-      link_down = true;  // scheduler gone without EndOfStream
-      continue;
-    }
-
-    net::Message message;
-    try {
-      message = net::decode(received.payload);
-    } catch (const std::invalid_argument&) {
-      ++stats.decode_errors;  // corrupt frame: drop it, stay alive
-      continue;
-    }
-
-    if (std::holds_alternative<net::EndOfStream>(message)) {
-      break;
-    }
-    if (std::holds_alternative<net::InstanceFailed>(message)) {
-      ++stats.peer_failures_seen;
-      continue;
-    }
-    if (const auto* ack = std::get_if<net::RejoinAck>(&message)) {
-      // Rejoin handshake accept: restart the sketch FSM and rebase C_op to
-      // the scheduler's seeded Ĉ so the next Δ measures only post-rejoin
-      // drift (see InstanceTracker::rearm).
-      tracker.rearm(ack->seeded_cumulated);
-      last_epoch = std::max(last_epoch, ack->epoch);
-      ++stats.rejoin_acks;
-      continue;
-    }
-    if (const auto* ack = std::get_if<net::ReattachAck>(&message)) {
-      // Re-attach accept after a scheduler restart: rebase C_op to the
-      // checkpointed (or rejoin-seeded) cut so the next Δ measures only
-      // post-recovery drift — the pre-crash history was already billed by
-      // the checkpointed Ĉ and must not be billed again.
-      tracker.rearm(ack->seeded_cut);
-      last_epoch = std::max(last_epoch, ack->epoch);
-      ++stats.reattach_acks;
-      continue;
-    }
-    if (std::holds_alternative<net::AdmissionGrant>(message)) {
-      ++stats.admission_grants;
-      continue;
-    }
-    if (const auto* drain = std::get_if<net::DrainRequest>(&message)) {
-      // Lossless drain: the link is FIFO, so every tuple the scheduler
-      // routed here arrived (and was executed) before this frame — the
-      // queue is dry by construction. Report the final Δ against the
-      // scheduler's Ĉ cut plus the executed count for the conservation
-      // check, then retire.
-      const common::TimeMs delta =
-          tracker.cumulated_execution_time() - drain->estimated_cumulated;
-      last_epoch = std::max(last_epoch, drain->epoch);
-      try {
-        link->send_frame(
-            net::encode(net::DrainComplete{id_, drain->epoch, delta, stats.executed}));
-      } catch (const std::system_error&) {
-        // Scheduler gone mid-drain: nothing left to report to either way.
-      }
-      stats.drained = true;
-      break;
-    }
-    const auto* tuple = std::get_if<net::TupleMessage>(&message);
-    if (tuple == nullptr) {
-      continue;  // scheduler-bound message echoed back? ignore defensively
-    }
-
-    if (config_.crash_after_executed != 0 && stats.executed + 1 == config_.crash_after_executed) {
-      crash();
-      return stats;
-    }
-
-    const bool straggling = stats.executed + 1 >= config_.straggle_after_executed;
-    const common::TimeMs cost =
-        config_.cost_model(tuple->item) * (straggling ? config_.cost_scale : 1.0);
-    if (config_.real_sleep_scale > 0.0) {
-      // Elasticity demos need wall-clock reality: make the simulated cost
-      // cost real time so upstream queues genuinely back up.
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          cost * config_.real_sleep_scale));
-    }
-    if (auto shipment = tracker.on_executed(tuple->item, cost)) {
-      if (!muted) {
-        // Counted when produced: a frame stashed by a down link is
-        // replayed by the reconnect handshake, so it still ships.
-        send_or_stash(net::encode(*shipment));
-        ++stats.shipments;
-      }
-    }
-    ++stats.executed;
-    stats.simulated_work += cost;
-    if (tuple->marker) {
-      last_epoch = std::max(last_epoch, tuple->marker->epoch);
-      if (config_.crash_on_marker_epoch != 0 &&
-          tuple->marker->epoch >= config_.crash_on_marker_epoch) {
-        crash();  // die between the marker's execution and its SyncReply
-        return stats;
-      }
-      if (config_.mute_from_epoch != 0 && tuple->marker->epoch >= config_.mute_from_epoch) {
-        muted = true;  // alive and executing, but feedback-silent
-      }
-      if (muted) {
-        continue;
-      }
-      send_or_stash(net::encode(tracker.on_sync_request(*tuple->marker)));
-      ++stats.replies_sent;
-    }
-  }
+  metrics_.counter(prefix + ".executed").add(stats.executed);
+  metrics_.counter(prefix + ".shipments").add(stats.shipments);
+  metrics_.counter(prefix + ".replies_sent").add(stats.replies_sent);
+  metrics_.counter(prefix + ".peer_failures_seen").add(stats.peer_failures_seen);
+  metrics_.counter(prefix + ".decode_errors").add(stats.decode_errors);
+  metrics_.counter(prefix + ".rejoin_acks").add(stats.rejoin_acks);
+  metrics_.counter(prefix + ".admission_grants").add(stats.admission_grants);
+  metrics_.counter(prefix + ".reconnects").add(stats.reconnects);
+  metrics_.counter(prefix + ".reattach_acks").add(stats.reattach_acks);
+  metrics_.counter(prefix + ".crashes").add(stats.crashed ? 1 : 0);
+  metrics_.counter(prefix + ".drained").add(stats.drained ? 1 : 0);
+  metrics_.gauge(prefix + ".simulated_work_ms").set(stats.simulated_work);
+  metrics_.counter(prefix + ".sources_lost").add(stats.sources_lost);
   return stats;
 }
 

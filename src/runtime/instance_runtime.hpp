@@ -19,15 +19,16 @@ namespace posg::runtime {
 using InstanceRuntimeConfig = ::posg::InstanceRuntimeConfig;
 
 /// The operator-instance side of the distributed runtime: one event loop
-/// over a FrameTransport, extracted from examples/distributed_posg.cpp so
-/// tests can drive a full distributed run in-process (threads + socket
-/// pairs) and the example can run it in forked processes — same code path.
+/// over S scheduler sessions (S = 1 for a classic deployment), extracted
+/// from examples/distributed_posg.cpp so tests can drive a full
+/// distributed run in-process (threads + socket pairs) and the example
+/// can run it in forked processes — same code path.
 ///
 /// Locking discipline: run() is single-threaded and owns all its state
 /// (including the Stats it returns); the only cross-thread member is the
 /// `stop_` atomic flag, set by request_stop() from any thread and polled
-/// by run() at its receive deadline. `id_` and `config_` are immutable
-/// after construction. No mutexes, so no lock-ordering concerns.
+/// by run() once per poll tick. `id_` and `config_` are immutable after
+/// construction. No mutexes, so no lock-ordering concerns.
 class InstanceRuntime {
  public:
   struct Stats {
@@ -52,18 +53,17 @@ class InstanceRuntime {
     std::uint64_t reattach_acks = 0;
     /// True when a scripted crash (InstanceRuntimeConfig) ended the run.
     bool crashed = false;
-    /// True when a DrainRequest ended the run: the queue ran dry (FIFO
+    /// True when a DrainRequest ended a session: the queue ran dry (FIFO
     /// link — nothing can follow the request), the final Δ was reported
-    /// via DrainComplete, and the instance retired cleanly.
+    /// via DrainComplete, and the session retired cleanly.
     bool drained = false;
-    /// run_multi only: tuples executed per session, indexed like the
-    /// SourceLink vector (the per-source side of the conservation gate —
-    /// session i's count must equal what source i's scheduler routed
-    /// here). Empty after single-link run().
+    /// Tuples executed per session, indexed like the SourceLink vector
+    /// (the per-source side of the conservation gate — session i's count
+    /// must equal what source i's scheduler routed here).
     std::vector<std::uint64_t> per_source_executed;
-    /// run_multi only: sessions that ended because their scheduler went
-    /// away for good (reconnect budget exhausted, or no reconnect path).
-    /// A dead source ends its session, never the instance.
+    /// Sessions that ended because their scheduler went away for good: a
+    /// dead link with no reconnect path, or an outage that spent its
+    /// redial budget. A dead source ends its session, never the instance.
     std::uint64_t sources_lost = 0;
   };
 
@@ -79,28 +79,36 @@ class InstanceRuntime {
 
   InstanceRuntime(common::InstanceId id, InstanceRuntimeConfig config);
 
-  /// Registers (Hello), then executes tuples until EndOfStream, link EOF
-  /// (scheduler gone), a scripted crash, or request_stop().
-  ///
-  /// Scheduler-crash survival: with a non-empty reconnect_path every link
-  /// error (recv transport error, EOF, failed send) funnels through one
-  /// reconnect-or-die policy point — frames that failed to send are
-  /// buffered, the instance redials with backoff + jitter, re-attaches
-  /// with SchedulerHello, and resumes; only an exhausted attempt budget
-  /// (or EndOfStream) ends the run. With an empty reconnect_path the
-  /// pre-recovery behavior is unchanged: any link error ends the run.
+  /// run_multi() over one session: {source 0, `link`,
+  /// config.reconnect_path}.
   Stats run(net::FrameTransport& link);
 
-  /// Multi-source event loop (DESIGN.md §15): one session per scheduler,
-  /// each with its OWN InstanceTracker — tuples arriving on session s's
-  /// link were routed (and billed) by source s, so sketches, Δ replies
-  /// and drain deltas are computed per source and Σ over sessions equals
-  /// the physical instance's true totals. Sessions are served round-robin
-  /// with a short poll tick; a link error reconnects that session alone
-  /// (one dial attempt per pass so the other sources keep flowing) or,
-  /// with an empty reconnect_path / exhausted budget, ends that session
-  /// alone. Returns when every session ended or request_stop() was seen.
-  /// A one-element vector reproduces run()'s semantics over the new path.
+  /// The event loop (DESIGN.md §15): registers every session (Hello),
+  /// then executes tuples until every session ended, a scripted crash, or
+  /// request_stop(). A session ends on EndOfStream, on a DrainRequest
+  /// (lossless drain: final Δ and executed count reported per source), or
+  /// when its scheduler is gone for good (counted in sources_lost). Each
+  /// session owns its OWN InstanceTracker — tuples arriving on session
+  /// s's link were routed (and billed) by source s, so sketches, Δ
+  /// replies and drain deltas are computed per source and Σ over sessions
+  /// equals the physical instance's true totals. A scripted crash is
+  /// physical: it severs every session at once.
+  ///
+  /// Sessions are served round-robin, each waiting at most one poll tick
+  /// of min(recv_deadline, 10 ms) on its link, so a session with traffic
+  /// never waits on an idle sibling for longer than that.
+  ///
+  /// Scheduler-crash survival (DESIGN.md §14): every link error (recv
+  /// transport error, EOF, failed send) marks that session down; frames
+  /// it fails to send are buffered. With a reconnect path the session
+  /// redials on net::ConnectRetryPolicy's schedule — reconnect_attempts
+  /// rounds of max_attempts dials with jittered backoff doubling from
+  /// initial_backoff to max_backoff, about 3 s per round — timed against
+  /// the clock, never slept, so a down session never blocks its siblings.
+  /// A successful dial re-attaches with SchedulerHello, replays the
+  /// buffered frames and restores the full budget for the next outage.
+  /// With no reconnect path, or once the budget is spent, the session
+  /// ends.
   Stats run_multi(const std::vector<SourceLink>& links);
 
   /// Asynchronously asks run() to return at its next poll tick.
@@ -109,16 +117,14 @@ class InstanceRuntime {
   common::InstanceId id() const noexcept { return id_; }
 
   /// The instance's metrics registry. run() publishes its Stats here on
-  /// return (`posg.instance.<id>.*`), so an observer thread can snapshot
-  /// without touching the Stats object run() owns; repeated run() calls
+  /// return (`posg.instance.<id>.*`, session i's count as
+  /// `.s<i>.executed`), so an observer thread can snapshot without
+  /// touching the Stats object run() owns; repeated run() calls
   /// accumulate into the same counters.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
  private:
-  Stats run_loop(net::FrameTransport& link);
-  void publish_metrics(const Stats& stats);
-
   common::InstanceId id_;
   InstanceRuntimeConfig config_;
   std::atomic<bool> stop_{false};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <type_traits>
 
 #include "core/posg_scheduler.hpp"
 
@@ -34,8 +35,8 @@ struct Event {
   common::InstanceId instance = 0;
   common::TimeMs execution_time = 0.0;
   std::optional<core::SyncRequest> marker;
-  // run_multi only: the source whose view routed (and gets billed for)
-  // this tuple / feedback frame.
+  // The source whose view routed (and gets billed for) this tuple /
+  // feedback frame; always 0 when S = 1.
   common::SourceId source = 0;
 
   // kShipment / kReply payload
@@ -80,40 +81,79 @@ Simulator::Simulator(Config config, CostFunction cost)
   }
 }
 
-Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
-                                 core::Scheduler& scheduler) {
+template <typename SchedulerT>
+Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
+                                    SchedulerT& scheduler) {
+  // The two scheduler shapes, told apart at compile time. A plain
+  // core::Scheduler is the S = 1 case; the single-source features below
+  // (autoscale, load reports, executed notices, trace binding, resilience
+  // stats) drive or read that one scheduler, so only it gets them.
+  constexpr bool kMulti = std::is_same_v<SchedulerT, core::MultiSourceScheduler>;
+  const auto schedule = [&](common::SourceId source, common::Item item, common::SeqNo seq) {
+    if constexpr (kMulti) {
+      return scheduler.schedule(source, item, seq);
+    } else {
+      return scheduler.schedule(item, seq);
+    }
+  };
+  const auto feed = [&](common::SourceId source, core::FeedbackEvent event) {
+    if constexpr (kMulti) {
+      scheduler.on_feedback(source, std::move(event));
+    } else {
+      scheduler.on_feedback(std::move(event));
+    }
+  };
   common::require(scheduler.instances() == config_.instances,
                   "Simulator: scheduler instance count mismatch");
 
   const std::size_t k = config_.instances;
+  std::size_t sources = 1;
+  core::PosgScheduler* posg_scheduler = nullptr;
+  if constexpr (kMulti) {
+    sources = scheduler.sources();
+    common::require(!config_.elastic.enabled,
+                    "Simulator: autoscale is a single-source feature (run())");
+    common::require(config_.load_report_period <= 0.0,
+                    "Simulator: load reports are a single-source feature (run())");
+  } else {
+    posg_scheduler = dynamic_cast<core::PosgScheduler*>(&scheduler);
+  }
   Result result;
   result.completions = metrics::CompletionSeries(stream.size());
   result.instance_work.assign(k, 0.0);
   result.instance_tuples.assign(k, 0);
+  result.source_routed.assign(sources, 0);
+  result.per_source_instance_tuples.assign(sources, std::vector<std::uint64_t>(k, 0));
 
   // Observability wiring (all optional): trace decisions through the
   // scheduler, profile the trackers' sketch updates. The binding is
   // scoped to this run — undone before returning so the caller may
   // destroy the sinks while the scheduler lives on.
-  auto* posg_scheduler = dynamic_cast<core::PosgScheduler*>(&scheduler);
   if (config_.trace != nullptr && posg_scheduler != nullptr) {
     posg_scheduler->bind_trace(config_.trace);
   }
-  const bool autoscale = config_.elastic.enabled;
+  const bool autoscale = !kMulti && config_.elastic.enabled;
   common::require(!autoscale || posg_scheduler != nullptr,
                   "Simulator: autoscale requires a PosgScheduler");
   obs::Histogram* sketch_profile =
       config_.metrics != nullptr ? &config_.metrics->histogram("posg.sim.sketch_update_ns")
                                  : nullptr;
 
+  // One tracker per (instance, source): tuples routed by source s's view
+  // are billed into s's sketches only, mirroring the per-session trackers
+  // of InstanceRuntime. trackers[op * sources + s].
   std::vector<core::InstanceTracker> trackers;
-  trackers.reserve(k);
+  trackers.reserve(k * sources);
   for (common::InstanceId op = 0; op < k; ++op) {
-    trackers.emplace_back(op, config_.posg);
-    trackers.back().bind_profile(sketch_profile);
+    for (common::SourceId s = 0; s < sources; ++s) {
+      trackers.emplace_back(op, config_.posg);
+      trackers.back().bind_profile(sketch_profile);
+    }
   }
 
-  // When each instance becomes free (FIFO, work-conserving servers).
+  // When each instance becomes free (FIFO, work-conserving servers). The
+  // instances are physically shared: one free time per op, fed by all S
+  // sources' routed tuples.
   std::vector<common::TimeMs> instance_free(k, 0.0);
 
   // --- elastic autoscale state (inert unless config_.elastic.enabled) ---
@@ -195,8 +235,13 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
         injection_time[event.seq] = event.time;
         ++outstanding;
         ++arrivals_done;
-        const core::Decision decision = scheduler.schedule(event.item, event.seq);
+        // Round-robin source assignment: tuple seq belongs to source
+        // seq % S, so S = 1 is the classic single-source stream.
+        const common::SourceId source =
+            kMulti ? static_cast<common::SourceId>(event.seq % sources) : common::SourceId{0};
+        const core::Decision decision = schedule(source, event.item, event.seq);
         common::ensure(decision.instance < k, "Simulator: scheduler returned bad instance");
+        ++result.source_routed[source];
         if (decision.sync_request) {
           ++result.messages.sync_markers;
         }
@@ -222,6 +267,7 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
         finish_event.instance = decision.instance;
         finish_event.execution_time = cost;
         finish_event.marker = decision.sync_request;
+        finish_event.source = source;
         push(std::move(finish_event));
 
         // Lazily inject the next arrival.
@@ -243,16 +289,20 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
         result.completions.record(event.seq, event.time - injection_time[event.seq]);
         result.instance_work[event.instance] += event.execution_time;
         ++result.instance_tuples[event.instance];
+        ++result.per_source_instance_tuples[event.source][event.instance];
         result.makespan = std::max(result.makespan, event.time);
 
-        core::InstanceTracker& tracker = trackers[event.instance];
+        // Feedback flows back to the view that routed the tuple.
+        core::InstanceTracker& tracker = trackers[event.instance * sources + event.source];
         auto shipment = tracker.on_executed(event.item, event.execution_time);
         if (shipment) {
           ++result.messages.sketch_shipments;
+          shipment->source = event.source;
           Event delivery;
           delivery.time = event.time + config_.control_latency;
           delivery.kind = EventKind::kShipment;
           delivery.shipment = std::move(shipment);
+          delivery.source = event.source;
           push(std::move(delivery));
         }
         if (event.marker) {
@@ -261,31 +311,34 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
           delivery.time = event.time + config_.control_latency;
           delivery.kind = EventKind::kReply;
           delivery.reply = tracker.on_sync_request(*event.marker);
+          delivery.reply->source = event.source;
+          delivery.source = event.source;
           push(std::move(delivery));
         }
 
-        // Execution notice for backlog-style policies, subject to the same
-        // control latency a real reactive collector would pay.
-        Event notice;
-        notice.time = event.time + config_.control_latency;
-        notice.kind = EventKind::kExecutedNotice;
-        notice.instance = event.instance;
-        notice.execution_time = event.execution_time;
-        push(std::move(notice));
+        if constexpr (!kMulti) {
+          // Execution notice for backlog-style policies, subject to the
+          // same control latency a real reactive collector would pay.
+          Event notice;
+          notice.time = event.time + config_.control_latency;
+          notice.kind = EventKind::kExecutedNotice;
+          notice.instance = event.instance;
+          notice.execution_time = event.execution_time;
+          push(std::move(notice));
+        }
         break;
       }
 
       case EventKind::kShipment:
-        scheduler.on_feedback(core::FeedbackEvent{*event.shipment});
+        feed(event.source, core::FeedbackEvent{*event.shipment});
         break;
 
       case EventKind::kReply:
-        scheduler.on_feedback(core::FeedbackEvent{*event.reply});
+        feed(event.source, core::FeedbackEvent{*event.reply});
         break;
 
       case EventKind::kExecutedNotice:
-        scheduler.on_feedback(
-            core::FeedbackEvent{core::TupleExecuted{event.instance, event.execution_time}});
+        feed(0, core::FeedbackEvent{core::TupleExecuted{event.instance, event.execution_time}});
         break;
 
       case EventKind::kLoadReportSample: {
@@ -317,121 +370,123 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
       }
 
       case EventKind::kLoadReportDeliver:
-        scheduler.on_feedback(core::FeedbackEvent{
-            core::LoadReport{event.instance, event.backlog, event.mean_execution}});
+        feed(0, core::FeedbackEvent{
+                    core::LoadReport{event.instance, event.backlog, event.mean_execution}});
         break;
 
-      case EventKind::kElasticSample: {
-        const common::TimeMs now = event.time;
-        // Fold finished admission ramps (the sim's AdmissionGrant).
-        for (const common::InstanceId op : posg_scheduler->take_ramp_completions()) {
-          if (ramping[op]) {
-            ramping[op] = false;
-            --ramping_count;
+      case EventKind::kElasticSample:
+        // Autoscale drives one plain PosgScheduler: S = 1 only.
+        if constexpr (!kMulti) {
+          const common::TimeMs now = event.time;
+          // Fold finished admission ramps (the sim's AdmissionGrant).
+          for (const common::InstanceId op : posg_scheduler->take_ramp_completions()) {
+            if (ramping[op]) {
+              ramping[op] = false;
+              --ramping_count;
+            }
           }
-        }
 
-        core::ElasticSample sample;
-        sample.serving = posg_scheduler->serving_instances();
-        sample.ramping = ramping_count;
-        const auto draining_ops = posg_scheduler->draining_instances();
-        sample.draining = draining_ops.size();
-        common::TimeMs total = 0.0;
-        common::TimeMs peak = 0.0;
-        std::size_t counted = 0;
-        for (common::InstanceId op = 0; op < k; ++op) {
-          if (posg_scheduler->is_failed(op) || posg_scheduler->is_draining(op)) {
-            continue;
+          core::ElasticSample sample;
+          sample.serving = posg_scheduler->serving_instances();
+          sample.ramping = ramping_count;
+          const auto draining_ops = posg_scheduler->draining_instances();
+          sample.draining = draining_ops.size();
+          common::TimeMs total = 0.0;
+          common::TimeMs peak = 0.0;
+          std::size_t counted = 0;
+          for (common::InstanceId op = 0; op < k; ++op) {
+            if (posg_scheduler->is_failed(op) || posg_scheduler->is_draining(op)) {
+              continue;
+            }
+            const common::TimeMs backlog = std::max(0.0, instance_free[op] - now);
+            total += backlog;
+            peak = std::max(peak, backlog);
+            ++counted;
           }
-          const common::TimeMs backlog = std::max(0.0, instance_free[op] - now);
-          total += backlog;
-          peak = std::max(peak, backlog);
-          ++counted;
-        }
-        sample.backlog_ms = total;
-        const common::TimeMs mean = counted > 0 ? total / static_cast<double>(counted) : 0.0;
-        sample.queue_skew = (counted >= 2 && mean > 0.0) ? peak / mean : 1.0;
-        sample.shed = 0;  // the simulator's queues are unbounded
-        for (const common::InstanceId op : draining_ops) {
-          // Strictly earlier: every kFinish at time < now has already been
-          // folded into the tracker, so the final Δ is complete.
-          if (instance_free[op] < now) {
-            sample.drained.push_back(op);
+          sample.backlog_ms = total;
+          const common::TimeMs mean = counted > 0 ? total / static_cast<double>(counted) : 0.0;
+          sample.queue_skew = (counted >= 2 && mean > 0.0) ? peak / mean : 1.0;
+          sample.shed = 0;  // the simulator's queues are unbounded
+          for (const common::InstanceId op : draining_ops) {
+            // Strictly earlier: every kFinish at time < now has already been
+            // folded into the tracker, so the final Δ is complete.
+            if (instance_free[op] < now) {
+              sample.drained.push_back(op);
+            }
           }
-        }
 
-        core::ScaleAction action = controller.on_sample(sample);
-        switch (action.kind) {
-          case core::ScaleAction::Kind::kNone:
-            break;
-          case core::ScaleAction::Kind::kScaleUp: {
-            // Wake the lowest parked spare through the rejoin path: Ĉ
-            // seeded from the live minimum, tracker rebased to the seed,
-            // admission ramp throttling its first routed tuples.
-            for (common::InstanceId op = 0; op < k; ++op) {
-              if (!posg_scheduler->is_failed(op)) {
-                continue;
+          core::ScaleAction action = controller.on_sample(sample);
+          switch (action.kind) {
+            case core::ScaleAction::Kind::kNone:
+              break;
+            case core::ScaleAction::Kind::kScaleUp: {
+              // Wake the lowest parked spare through the rejoin path: Ĉ
+              // seeded from the live minimum, tracker rebased to the seed,
+              // admission ramp throttling its first routed tuples.
+              for (common::InstanceId op = 0; op < k; ++op) {
+                if (!posg_scheduler->is_failed(op)) {
+                  continue;
+                }
+                posg_scheduler->rejoin(op);
+                trackers[op].rearm(posg_scheduler->estimated_loads()[op]);
+                instance_free[op] = std::max(instance_free[op], now);
+                ramping[op] = true;
+                ++ramping_count;
+                account_running(now, +1);
+                action.instance = op;
+                result.scale_events.push_back({now, action});
+                break;
               }
-              posg_scheduler->rejoin(op);
-              trackers[op].rearm(posg_scheduler->estimated_loads()[op]);
-              instance_free[op] = std::max(instance_free[op], now);
-              ramping[op] = true;
-              ++ramping_count;
-              account_running(now, +1);
-              action.instance = op;
+              break;
+            }
+            case core::ScaleAction::Kind::kDrain: {
+              // Drain the serving instance with the least outstanding work —
+              // its queue dries soonest, so capacity leaves gracefully.
+              std::optional<common::InstanceId> victim;
+              common::TimeMs least = 0.0;
+              for (common::InstanceId op = 0; op < k; ++op) {
+                if (posg_scheduler->is_failed(op) || posg_scheduler->is_draining(op)) {
+                  continue;
+                }
+                const common::TimeMs backlog = std::max(0.0, instance_free[op] - now);
+                if (!victim.has_value() || backlog < least) {
+                  victim = op;
+                  least = backlog;
+                }
+              }
+              if (victim.has_value()) {
+                drain_cut[*victim] = posg_scheduler->begin_drain(*victim);
+                action.instance = *victim;
+                result.scale_events.push_back({now, action});
+              }
+              break;
+            }
+            case core::ScaleAction::Kind::kRetire: {
+              // The drain's conservation close: the final Δ is the true
+              // work executed against the frozen cut — billed exactly once,
+              // never redistributed.
+              const common::InstanceId op = action.instance;
+              const common::TimeMs delta =
+                  trackers[op].cumulated_execution_time() - drain_cut[op];
+              posg_scheduler->retire(op, delta);
+              account_running(now, -1);
               result.scale_events.push_back({now, action});
               break;
             }
-            break;
           }
-          case core::ScaleAction::Kind::kDrain: {
-            // Drain the serving instance with the least outstanding work —
-            // its queue dries soonest, so capacity leaves gracefully.
-            std::optional<common::InstanceId> victim;
-            common::TimeMs least = 0.0;
-            for (common::InstanceId op = 0; op < k; ++op) {
-              if (posg_scheduler->is_failed(op) || posg_scheduler->is_draining(op)) {
-                continue;
-              }
-              const common::TimeMs backlog = std::max(0.0, instance_free[op] - now);
-              if (!victim.has_value() || backlog < least) {
-                victim = op;
-                least = backlog;
-              }
-            }
-            if (victim.has_value()) {
-              drain_cut[*victim] = posg_scheduler->begin_drain(*victim);
-              action.instance = *victim;
-              result.scale_events.push_back({now, action});
-            }
-            break;
-          }
-          case core::ScaleAction::Kind::kRetire: {
-            // The drain's conservation close: the final Δ is the true
-            // work executed against the frozen cut — billed exactly once,
-            // never redistributed.
-            const common::InstanceId op = action.instance;
-            const common::TimeMs delta =
-                trackers[op].cumulated_execution_time() - drain_cut[op];
-            posg_scheduler->retire(op, delta);
-            account_running(now, -1);
-            result.scale_events.push_back({now, action});
-            break;
-          }
-        }
 
-        // Keep sampling while the run is alive — or while a drain is
-        // still open (its retirement needs a future sample to land).
-        const bool stream_done = arrivals_done == stream.size();
-        const bool drain_open = !posg_scheduler->draining_instances().empty();
-        if (!stream_done || outstanding > 0 || drain_open) {
-          Event next;
-          next.time = now + config_.elastic_sample_period;
-          next.kind = EventKind::kElasticSample;
-          push(std::move(next));
+          // Keep sampling while the run is alive — or while a drain is
+          // still open (its retirement needs a future sample to land).
+          const bool stream_done = arrivals_done == stream.size();
+          const bool drain_open = !posg_scheduler->draining_instances().empty();
+          if (!stream_done || outstanding > 0 || drain_open) {
+            Event next;
+            next.time = now + config_.elastic_sample_period;
+            next.kind = EventKind::kElasticSample;
+            push(std::move(next));
+          }
         }
         break;
-      }
     }
   }
 
@@ -443,15 +498,18 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
 
   // Resilience counters are a POSG-specific feature; other schedulers
   // report all-zeroes (and an empty derate vector).
-  if (const auto* posg = dynamic_cast<const core::PosgScheduler*>(&scheduler)) {
-    result.resilience.rejoins = posg->rejoin_count();
-    result.resilience.suspect_transitions = posg->health().suspect_transitions();
-    result.resilience.degraded_transitions = posg->health().degraded_transitions();
-    result.resilience.promotions = posg->health().promotions();
+  if (posg_scheduler != nullptr) {
+    result.resilience.rejoins = posg_scheduler->rejoin_count();
+    result.resilience.suspect_transitions = posg_scheduler->health().suspect_transitions();
+    result.resilience.degraded_transitions = posg_scheduler->health().degraded_transitions();
+    result.resilience.promotions = posg_scheduler->health().promotions();
     result.resilience.derate.resize(k);
     for (common::InstanceId op = 0; op < k; ++op) {
-      result.resilience.derate[op] = posg->derate(op);
+      result.resilience.derate[op] = posg_scheduler->derate(op);
     }
+  }
+  if constexpr (kMulti) {
+    result.gossip_rounds = scheduler.gossip_rounds();
   }
 
   if (posg_scheduler != nullptr && config_.trace != nullptr) {
@@ -473,6 +531,13 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
       // posg.sim.* copy. The callbacks borrow the scheduler — callers own
       // both it and the registry and snapshot while both are alive.
       posg_scheduler->register_metrics(registry);
+    }
+    if constexpr (kMulti) {
+      registry.counter("posg.sim.gossip_rounds").add(result.gossip_rounds);
+      for (common::SourceId s = 0; s < sources; ++s) {
+        registry.counter("posg.s" + std::to_string(s) + ".sim.routed")
+            .add(result.source_routed[s]);
+      }
     }
     if (autoscale) {
       registry.counter("posg.sim.scale_ups").add(controller.scale_ups());
@@ -497,180 +562,14 @@ Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
   return result;
 }
 
-Simulator::MultiResult Simulator::run_multi(const std::vector<common::Item>& stream,
-                                            core::MultiSourceScheduler& scheduler) {
-  common::require(scheduler.instances() == config_.instances,
-                  "Simulator: scheduler instance count mismatch");
-  common::require(!config_.elastic.enabled,
-                  "Simulator: autoscale is a single-source feature (run())");
-  common::require(config_.load_report_period <= 0.0,
-                  "Simulator: load reports are a single-source feature (run())");
+Simulator::Result Simulator::run(const std::vector<common::Item>& stream,
+                                 core::Scheduler& scheduler) {
+  return replay(stream, scheduler);
+}
 
-  const std::size_t k = config_.instances;
-  const std::size_t sources = scheduler.sources();
-  MultiResult result;
-  result.completions = metrics::CompletionSeries(stream.size());
-  result.instance_work.assign(k, 0.0);
-  result.instance_tuples.assign(k, 0);
-  result.source_routed.assign(sources, 0);
-  result.per_source_instance_tuples.assign(sources, std::vector<std::uint64_t>(k, 0));
-
-  obs::Histogram* sketch_profile =
-      config_.metrics != nullptr ? &config_.metrics->histogram("posg.sim.sketch_update_ns")
-                                 : nullptr;
-
-  // One tracker per (instance, source): tuples routed by source s's view
-  // are billed into s's sketches only, mirroring the per-session trackers
-  // of InstanceRuntime::run_multi. trackers[op * sources + s].
-  std::vector<core::InstanceTracker> trackers;
-  trackers.reserve(k * sources);
-  for (common::InstanceId op = 0; op < k; ++op) {
-    for (common::SourceId s = 0; s < sources; ++s) {
-      trackers.emplace_back(op, config_.posg);
-      trackers.back().bind_profile(sketch_profile);
-    }
-  }
-
-  // The instances are PHYSICALLY shared: one FIFO free-time per op, fed
-  // by all S sources' routed tuples.
-  std::vector<common::TimeMs> instance_free(k, 0.0);
-  std::vector<common::TimeMs> injection_time(stream.size(), 0.0);
-
-  std::priority_queue<Event, std::vector<Event>, EventLater> events;
-  std::uint64_t tie = 0;
-  auto push = [&](Event event) {
-    event.tie_breaker = tie++;
-    events.push(std::move(event));
-  };
-
-  if (!stream.empty()) {
-    Event first;
-    first.time = 0.0;
-    first.kind = EventKind::kArrival;
-    first.seq = 0;
-    first.item = stream[0];
-    push(std::move(first));
-  }
-
-  while (!events.empty()) {
-    const Event event = events.top();
-    events.pop();
-
-    switch (event.kind) {
-      case EventKind::kArrival: {
-        injection_time[event.seq] = event.time;
-        // Round-robin source assignment: deterministic, so an S=1 run
-        // reproduces run()'s decision stream exactly.
-        const auto source = static_cast<common::SourceId>(event.seq % sources);
-        const core::Decision decision = scheduler.schedule(source, event.item, event.seq);
-        common::ensure(decision.instance < k, "Simulator: scheduler returned bad instance");
-        ++result.source_routed[source];
-        if (decision.sync_request) {
-          ++result.messages.sync_markers;
-        }
-
-        const common::TimeMs hop_latency =
-            config_.per_instance_data_latency.empty()
-                ? config_.data_latency
-                : config_.per_instance_data_latency[decision.instance];
-        const common::TimeMs at_instance = event.time + hop_latency;
-        const common::TimeMs cost = cost_(event.item, decision.instance, event.seq);
-        common::ensure(cost >= 0.0, "Simulator: negative cost from cost function");
-        const common::TimeMs start = std::max(at_instance, instance_free[decision.instance]);
-        const common::TimeMs finish = start + cost;
-        instance_free[decision.instance] = finish;
-
-        Event finish_event;
-        finish_event.time = finish;
-        finish_event.kind = EventKind::kFinish;
-        finish_event.seq = event.seq;
-        finish_event.item = event.item;
-        finish_event.instance = decision.instance;
-        finish_event.execution_time = cost;
-        finish_event.marker = decision.sync_request;
-        finish_event.source = source;
-        push(std::move(finish_event));
-
-        const common::SeqNo next = event.seq + 1;
-        if (next < stream.size()) {
-          Event arrival;
-          arrival.time = event.time + config_.inter_arrival /
-                                          config_.arrival_profile.rate_multiplier(event.time);
-          arrival.kind = EventKind::kArrival;
-          arrival.seq = next;
-          arrival.item = stream[next];
-          push(std::move(arrival));
-        }
-        break;
-      }
-
-      case EventKind::kFinish: {
-        result.completions.record(event.seq, event.time - injection_time[event.seq]);
-        result.instance_work[event.instance] += event.execution_time;
-        ++result.instance_tuples[event.instance];
-        ++result.per_source_instance_tuples[event.source][event.instance];
-        result.makespan = std::max(result.makespan, event.time);
-
-        core::InstanceTracker& tracker = trackers[event.instance * sources + event.source];
-        auto shipment = tracker.on_executed(event.item, event.execution_time);
-        if (shipment) {
-          ++result.messages.sketch_shipments;
-          shipment->source = event.source;
-          Event delivery;
-          delivery.time = event.time + config_.control_latency;
-          delivery.kind = EventKind::kShipment;
-          delivery.shipment = std::move(shipment);
-          delivery.source = event.source;
-          push(std::move(delivery));
-        }
-        if (event.marker) {
-          ++result.messages.sync_replies;
-          Event delivery;
-          delivery.time = event.time + config_.control_latency;
-          delivery.kind = EventKind::kReply;
-          delivery.reply = tracker.on_sync_request(*event.marker);
-          delivery.reply->source = event.source;
-          delivery.source = event.source;
-          push(std::move(delivery));
-        }
-        break;
-      }
-
-      case EventKind::kShipment:
-        scheduler.on_feedback(event.source, core::FeedbackEvent{*event.shipment});
-        break;
-
-      case EventKind::kReply:
-        scheduler.on_feedback(event.source, core::FeedbackEvent{*event.reply});
-        break;
-
-      case EventKind::kExecutedNotice:
-      case EventKind::kLoadReportSample:
-      case EventKind::kLoadReportDeliver:
-      case EventKind::kElasticSample:
-        common::ensure(false, "Simulator: single-source event in a multi-source run");
-        break;
-    }
-  }
-
-  result.gossip_rounds = scheduler.gossip_rounds();
-
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& registry = *config_.metrics;
-    registry.counter("posg.sim.tuples").add(stream.size());
-    registry.counter("posg.sim.sketch_shipments").add(result.messages.sketch_shipments);
-    registry.counter("posg.sim.sync_markers").add(result.messages.sync_markers);
-    registry.counter("posg.sim.sync_replies").add(result.messages.sync_replies);
-    registry.counter("posg.sim.gossip_rounds").add(result.gossip_rounds);
-    registry.gauge("posg.sim.makespan_ms").set(result.makespan);
-    registry.gauge("posg.sim.mean_completion_ms").set(result.completions.average());
-    for (common::SourceId s = 0; s < sources; ++s) {
-      registry.counter("posg.s" + std::to_string(s) + ".sim.routed")
-          .add(result.source_routed[s]);
-    }
-  }
-
-  return result;
+Simulator::Result Simulator::run_multi(const std::vector<common::Item>& stream,
+                                       core::MultiSourceScheduler& scheduler) {
+  return replay(stream, scheduler);
 }
 
 }  // namespace posg::sim

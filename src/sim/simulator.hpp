@@ -111,17 +111,9 @@ class Simulator {
     /// draining instance still counts until its retirement lands. For a
     /// static run this is simply k × makespan.
     double instance_ms = 0.0;
-  };
-
-  /// One multi-source run (DESIGN.md §15).
-  struct MultiResult {
-    metrics::CompletionSeries completions;
-    MessageCounts messages;
-    common::TimeMs makespan = 0.0;
-    std::vector<common::TimeMs> instance_work;
-    std::vector<std::uint64_t> instance_tuples;
-    /// Tuples routed by each source's view. Conservation over the shared
-    /// pool: Σ_s source_routed[s] == Σ_op instance_tuples[op] == |stream|.
+    /// Tuples routed by each source's view (one entry when S = 1).
+    /// Conservation over the shared pool:
+    /// Σ_s source_routed[s] == Σ_op instance_tuples[op] == |stream|.
     std::vector<std::uint64_t> source_routed;
     /// per_source_instance_tuples[s][op]: source s's tuples executed at
     /// op — the per-cell side of the conservation check (each view bills
@@ -138,19 +130,25 @@ class Simulator {
   /// timestamp order, control messages delivered after control_latency.
   Result run(const std::vector<common::Item>& stream, core::Scheduler& scheduler);
 
-  /// Multi-source replay: arrivals are assigned to the S sources
-  /// round-robin (tuple `seq` belongs to source `seq % S`), each source's
-  /// view routes its own tuples over the SHARED instance pool, and every
-  /// instance keeps one tracker PER SOURCE — exactly the per-session
-  /// billing the distributed InstanceRuntime::run_multi performs — so
+  /// Multi-source replay over the same event loop: arrivals are assigned
+  /// to the S sources round-robin (tuple `seq` belongs to source
+  /// `seq % S`), each source's view routes its own tuples over the SHARED
+  /// instance pool, and every instance keeps one tracker PER SOURCE —
+  /// exactly the per-session billing InstanceRuntime performs — so
   /// sketches and sync replies flow back to the view that routed the
-  /// work. With S = 1 this is the classic run() data path (same decision
-  /// stream); elastic autoscaling and load reports are single-source
-  /// features and must be disabled.
-  MultiResult run_multi(const std::vector<common::Item>& stream,
-                        core::MultiSourceScheduler& scheduler);
+  /// work. With S = 1 this is run()'s decision stream. Elastic autoscaling
+  /// and load reports are single-source features and must be disabled;
+  /// trace binding, executed notices and resilience stats are run()-only.
+  Result run_multi(const std::vector<common::Item>& stream,
+                   core::MultiSourceScheduler& scheduler);
 
  private:
+  /// The one event loop behind run() and run_multi(), instantiated once
+  /// per scheduler shape (compile-time dispatch, no per-event
+  /// indirection).
+  template <typename SchedulerT>
+  Result replay(const std::vector<common::Item>& stream, SchedulerT& scheduler);
+
   Config config_;
   CostFunction cost_;
 };

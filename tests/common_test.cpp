@@ -4,10 +4,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
+#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "common/types.hpp"
 
@@ -153,6 +156,55 @@ TEST(CliArgs, FallbacksWhenMissing) {
 TEST(CliArgs, RejectsMalformedOption) {
   const char* argv[] = {"prog", "loose-token"};
   EXPECT_THROW(CliArgs(2, argv), std::invalid_argument);
+}
+
+/// The error a bad numeric value must raise: typed as a config error,
+/// naming both the flag and the offending token.
+void expect_config_error(const std::function<void()>& read, const std::string& flag,
+                         const std::string& value) {
+  try {
+    read();
+    ADD_FAILURE() << "--" << flag << " '" << value << "' was accepted";
+  } catch (const posg::Error& error) {
+    EXPECT_EQ(error.code(), posg::ErrorCode::kConfig);
+    const std::string message = error.what();
+    EXPECT_NE(message.find("--" + flag), std::string::npos) << message;
+    EXPECT_NE(message.find("'" + value + "'"), std::string::npos) << message;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "untyped error for --" << flag << ": " << error.what();
+  }
+}
+
+TEST(CliArgs, RejectsTrailingGarbageInNumbers) {
+  const char* argv[] = {"prog", "--m", "12abc", "--rate", "2.5x", "--kill", "-1"};
+  CliArgs args(7, argv);
+  expect_config_error([&] { (void)args.get_int("m", 0); }, "m", "12abc");
+  expect_config_error([&] { (void)args.get_double("rate", 0.0); }, "rate", "2.5x");
+  EXPECT_EQ(args.get_int("kill", 0), -1);  // a sign is part of the number
+}
+
+TEST(CliArgs, RejectsNonNumericValues) {
+  const char* argv[] = {"prog", "--m", "abc", "--rate", "fast", "--seeds", "1.5"};
+  CliArgs args(7, argv);
+  expect_config_error([&] { (void)args.get_int("m", 0); }, "m", "abc");
+  expect_config_error([&] { (void)args.get_double("rate", 0.0); }, "rate", "fast");
+  expect_config_error([&] { (void)args.get_int("seeds", 0); }, "seeds", "1.5");
+}
+
+TEST(CliArgs, RejectsOutOfRangeValues) {
+  const char* argv[] = {"prog", "--m", "99999999999999999999", "--rate", "1e999"};
+  CliArgs args(5, argv);
+  expect_config_error([&] { (void)args.get_int("m", 0); }, "m", "99999999999999999999");
+  expect_config_error([&] { (void)args.get_double("rate", 0.0); }, "rate", "1e999");
+}
+
+TEST(CliArgs, RejectsEmptyNumericValue) {
+  // A numeric flag given bare (next token is another flag) has no value.
+  const char* argv[] = {"prog", "--m", "--rate", "--x", "2.5e-3"};
+  CliArgs args(5, argv);
+  expect_config_error([&] { (void)args.get_int("m", 7); }, "m", "");
+  expect_config_error([&] { (void)args.get_double("rate", 1.0); }, "rate", "");
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2.5e-3);
 }
 
 TEST(CliArgs, BooleanSpellings) {

@@ -7,12 +7,15 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 
+#include "core/instance_pool.hpp"
 #include "net/fault_injection.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -664,6 +667,207 @@ TEST(InstanceRuntime, SurvivesCorruptTupleFrames) {
   EXPECT_EQ(stats.executed, 2u);
   EXPECT_EQ(stats.decode_errors, 1u);
   EXPECT_FALSE(stats.crashed);
+}
+
+/// The multi-session instance loop in-process (DESIGN.md §15): S = 2
+/// SchedulerRuntime views over one core::InstancePool, and k = 2 instance
+/// threads that each serve one socket-pair session per view.
+class MultiSourceRuntime : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kSources = 2;
+  static constexpr std::size_t kInstances = 2;
+
+  void SetUp() override {
+    pool_ = std::make_shared<core::InstancePool>(kInstances);
+    std::vector<std::string> paths(kSources);
+    if (redial_) {
+      for (common::SourceId s = 0; s < kSources; ++s) {
+        paths[s] = reconnect_path(s);
+      }
+    }
+    for (common::SourceId s = 0; s < kSources; ++s) {
+      auto config = test_runtime_config(kInstances);
+      config.source_id = s;
+      views_.push_back(std::make_unique<SchedulerRuntime>(config, pool_));
+    }
+    InstanceRuntimeConfig instance_config;
+    instance_config.posg = test_runtime_config(kInstances).posg;
+    instance_config.recv_deadline = std::chrono::milliseconds(20);
+    for (common::InstanceId op = 0; op < kInstances; ++op) {
+      std::vector<net::Socket> ends;
+      for (auto& view : views_) {
+        auto [sched_end, inst_end] = net::socket_pair();
+        view->attach(op, std::make_unique<net::SocketTransport>(std::move(sched_end)));
+        ends.push_back(std::move(inst_end));
+      }
+      auto instance = std::make_unique<TestInstance>();
+      instance->thread = std::thread([op, instance_config, paths, &stats = instance->stats,
+                                      ends = std::move(ends)]() mutable {
+        std::vector<net::SocketTransport> links;
+        links.reserve(ends.size());
+        std::vector<InstanceRuntime::SourceLink> sessions;
+        for (common::SourceId s = 0; s < ends.size(); ++s) {
+          links.emplace_back(std::move(ends[s]));
+          sessions.push_back({s, &links.back(), paths[s]});
+        }
+        stats = InstanceRuntime(op, instance_config).run_multi(sessions);
+      });
+      instances_.push_back(std::move(instance));
+    }
+    for (auto& view : views_) {
+      view->start();
+    }
+  }
+
+  void TearDown() override { finish(); }
+
+  /// Routes tuple seq through view seq % S for seq in [begin, end),
+  /// skipping severed views, paced like route_stream.
+  void route(common::SeqNo begin, common::SeqNo end) {
+    for (common::SeqNo seq = begin; seq < end; ++seq) {
+      SchedulerRuntime& view = *views_[seq % kSources];
+      if (severed_[seq % kSources]) {
+        continue;
+      }
+      view.route((seq * 37) % 64, seq);
+      if ((seq & 31) == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+      if (view.state() == core::PosgScheduler::State::kWaitAll) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+
+  /// Finishes every view at once (a session ends on its own EndOfStream,
+  /// but an instance closes its links only when all its sessions ended),
+  /// then joins the instance threads. Idempotent.
+  void finish() {
+    std::vector<std::thread> finishers;
+    for (auto& view : views_) {
+      finishers.emplace_back([&view] { view->finish(); });
+    }
+    for (auto& finisher : finishers) {
+      finisher.join();
+    }
+    for (auto& instance : instances_) {
+      instance->join();
+    }
+  }
+
+  static std::string reconnect_path(common::SourceId s) {
+    return (std::filesystem::temp_directory_path() /
+            ("posg_multisource_runtime_test_s" + std::to_string(s) + ".sock"))
+        .string();
+  }
+
+  std::uint64_t routed_total(common::SourceId s) const {
+    const auto routed = views_[s]->routed_counts();
+    return std::accumulate(routed.begin(), routed.end(), std::uint64_t{0});
+  }
+
+  std::uint64_t executed_total(common::SourceId s) const {
+    std::uint64_t total = 0;
+    for (const auto& instance : instances_) {
+      total += instance->stats.per_source_executed.at(s);
+    }
+    return total;
+  }
+
+  std::shared_ptr<core::InstancePool> pool_;
+  std::vector<std::unique_ptr<SchedulerRuntime>> views_;
+  std::vector<std::unique_ptr<TestInstance>> instances_;
+  std::array<bool, kSources> severed_{};
+  bool redial_ = false;  // sessions get reconnect_path(s) instead of none
+};
+
+/// The same rig, but every session may redial its source's socket path.
+class MultiSourceRuntimeRedial : public MultiSourceRuntime {
+ protected:
+  MultiSourceRuntimeRedial() { redial_ = true; }
+};
+
+TEST_F(MultiSourceRuntime, EachSourceExecutesExactlyWhatItRouted) {
+  const common::SeqNo m = 6000;
+  route(0, m);
+  finish();
+
+  for (common::SourceId s = 0; s < kSources; ++s) {
+    EXPECT_EQ(routed_total(s), m / kSources) << "source " << s;
+    EXPECT_EQ(executed_total(s), routed_total(s)) << "source " << s;
+    EXPECT_TRUE(views_[s]->quarantine_log().empty());
+  }
+  for (const auto& instance : instances_) {
+    ASSERT_EQ(instance->stats.per_source_executed.size(), kSources);
+    EXPECT_EQ(instance->stats.executed,
+              instance->stats.per_source_executed[0] + instance->stats.per_source_executed[1]);
+    EXPECT_EQ(instance->stats.sources_lost, 0u);
+    EXPECT_FALSE(instance->stats.crashed);
+  }
+}
+
+TEST_F(MultiSourceRuntime, SeveredSourceEndsOnlyItsOwnSessions) {
+  const common::SeqNo m = 6000;
+  route(0, m / 3);
+  views_[1]->sever();  // source 1 dies with no EndOfStream, no reconnect path
+  severed_[1] = true;
+  route(m / 3, m);
+  finish();
+
+  // The survivor drained its whole share and quarantined nobody: a dead
+  // source is not a dead instance.
+  EXPECT_EQ(routed_total(0), m / kSources);
+  EXPECT_EQ(executed_total(0), routed_total(0));
+  EXPECT_TRUE(views_[0]->quarantine_log().empty());
+  EXPECT_TRUE(views_[1]->quarantine_log().empty());
+  const auto severed_routed = views_[1]->routed_counts();
+  for (common::InstanceId op = 0; op < kInstances; ++op) {
+    const auto& stats = instances_[op]->stats;
+    EXPECT_EQ(stats.sources_lost, 1u) << "instance " << op;
+    EXPECT_LE(stats.per_source_executed.at(1), severed_routed[op]) << "instance " << op;
+    EXPECT_FALSE(stats.crashed);
+    EXPECT_EQ(pool_->lifecycle(op), core::InstancePool::Lifecycle::kServing);
+  }
+}
+
+/// A severed source restarts as a fresh view over the same pool: its
+/// sessions, redialing on their own schedule while the live source keeps
+/// flowing, re-attach with SchedulerHello and finish the stream.
+TEST_F(MultiSourceRuntimeRedial, RestartedSourceIsReattachedWhileTheOtherFlows) {
+  const common::SeqNo m = 6000;
+  route(0, m / 3);
+  views_[1]->sever();
+  severed_[1] = true;
+  const std::uint64_t severed_routed = routed_total(1);
+  route(m / 3, 2 * m / 3);  // source 1's sessions are down and redialing
+
+  net::Listener listener(reconnect_path(1));
+  auto config = test_runtime_config(kInstances);
+  config.source_id = 1;
+  auto restarted = std::make_unique<SchedulerRuntime>(config, pool_);
+  restarted->accept_registrations(listener);  // every session dials back in
+  restarted->start();
+  views_[1] = std::move(restarted);
+  severed_[1] = false;
+  route(2 * m / 3, m);
+  finish();
+
+  EXPECT_EQ(routed_total(0), m / kSources);
+  EXPECT_EQ(executed_total(0), routed_total(0));
+  // Session 1 executed all of the new view's tuples and at most all of
+  // the severed one's.
+  EXPECT_GE(executed_total(1), routed_total(1));
+  EXPECT_LE(executed_total(1), routed_total(1) + severed_routed);
+  for (const auto& view : views_) {
+    EXPECT_TRUE(view->quarantine_log().empty());
+  }
+  for (common::InstanceId op = 0; op < kInstances; ++op) {
+    const auto& stats = instances_[op]->stats;
+    EXPECT_EQ(stats.reconnects, 1u) << "instance " << op;
+    EXPECT_EQ(stats.reattach_acks, 1u) << "instance " << op;
+    EXPECT_EQ(stats.sources_lost, 0u) << "instance " << op;
+    EXPECT_EQ(pool_->lifecycle(op), core::InstancePool::Lifecycle::kServing);
+  }
 }
 
 }  // namespace
