@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/prng.hpp"
+#include "core/checkpoint.hpp"
 #include "core/elastic.hpp"
 #include "core/instance_tracker.hpp"
 #include "core/multi_source.hpp"
@@ -359,6 +360,58 @@ void BM_SpscTransfer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBurst));
 }
 BENCHMARK(BM_SpscTransfer);
+
+/// A checkpoint as the runtime captures it once warm: default PosgConfig
+/// (one ~35 KB sketch per instance), every instance shipped, at least one
+/// epoch completed.
+core::CheckpointState warm_checkpoint(std::size_t k) {
+  const core::PosgConfig config;
+  core::PosgScheduler scheduler(k, config);
+  std::vector<core::InstanceTracker> trackers;
+  trackers.reserve(k);
+  for (common::InstanceId op = 0; op < k; ++op) {
+    trackers.emplace_back(op, config);
+  }
+  common::Xoshiro256StarStar rng(11);
+  core::CheckpointState checkpoint = scheduler.checkpoint_state();
+  for (common::SeqNo seq = 0; seq < (common::SeqNo{1} << 24U); ++seq) {
+    const common::Item item = seq % 4096;
+    const auto decision = scheduler.schedule(item, seq);
+    auto& tracker = trackers[decision.instance];
+    if (auto shipment =
+            tracker.on_executed(item, 1.0 + static_cast<double>(rng.next_below(64)))) {
+      scheduler.on_feedback(std::move(*shipment));
+    }
+    if (decision.sync_request) {
+      scheduler.on_feedback(tracker.on_sync_request(*decision.sync_request));
+    }
+    if (seq % 4096 == 4095 && scheduler.epochs_completed() > 0) {
+      checkpoint = scheduler.checkpoint_state();
+      if (std::all_of(checkpoint.sketches.begin(), checkpoint.sketches.end(),
+                      [](const auto& sketch) { return sketch.has_value(); })) {
+        break;
+      }
+    }
+  }
+  return checkpoint;
+}
+
+/// Checkpoint encode per image: payload serialization plus the CRC-32 over
+/// it — the checkpoint writer's CPU per completed epoch (DESIGN.md §14),
+/// at k = 3 (~105 KB) and k = 50 (~1.75 MB).
+void BM_CheckpointEncode(benchmark::State& state) {
+  const auto checkpoint = warm_checkpoint(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto image = core::encode(checkpoint);
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+  state.counters["image_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_CheckpointEncode)->Arg(3)->Arg(50);
 
 /// Micro-batched router throughput: BM_RouterThroughput's protocol loop,
 /// but decisions come from schedule_batch over range(1)-tuple batches —

@@ -106,9 +106,12 @@ class TupleChannel {
   std::uint64_t pushed() const { return spsc_ ? spsc_->pushed() : mpmc_->pushed(); }
   std::uint64_t popped() const { return spsc_ ? spsc_->popped() : mpmc_->popped(); }
   std::uint64_t rejected() const { return spsc_ ? spsc_->rejected() : mpmc_->rejected(); }
-  /// Producer back-pressure spins (0 on MPMC edges, which block on a
+  /// Failed producer room checks (0 on MPMC edges, which block on a
   /// condvar instead) — aggregated into posg.engine.ring_full_spins.
   std::uint64_t full_spins() const { return spsc_ ? spsc_->full_spins() : 0; }
+  /// Consumer parks on an empty ring (0 on MPMC edges) — aggregated into
+  /// posg.engine.ring_parks.
+  std::uint64_t consumer_parks() const { return spsc_ ? spsc_->consumer_parks() : 0; }
 
   void debug_validate() const {
     if (spsc_) {

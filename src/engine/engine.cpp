@@ -493,16 +493,20 @@ void Engine::run() {
     }
   }
 
-  // Back-pressure signal of the SPSC edges: total producer wait
-  // iterations against full rings, aggregated post-join (the channels are
-  // quiescent now, so the relaxed counters are exact).
+  // SPSC edge signals, aggregated post-join (the channels are quiescent
+  // now, so the relaxed counters are exact): failed producer room checks
+  // against full rings (back-pressure) and consumer parks on empty rings
+  // (idle bolts that gave their CPU back).
   std::uint64_t ring_full_spins = 0;
+  std::uint64_t ring_parks = 0;
   for (const auto& bolt : bolts_) {
     for (const auto& queue : bolt->queues) {
       ring_full_spins += queue->full_spins();
+      ring_parks += queue->consumer_parks();
     }
   }
   metrics_.counter("posg.engine.ring_full_spins").add(ring_full_spins);
+  metrics_.counter("posg.engine.ring_parks").add(ring_parks);
 }
 
 void Engine::pin_thread_to_core(std::thread& thread, unsigned core) {

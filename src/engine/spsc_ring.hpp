@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -91,20 +90,23 @@ class SCOPED_CAPABILITY SpscBind {
 /// edges).
 ///
 /// Layout: a power-of-two slot array indexed by monotonically increasing
-/// head/tail counters. The producer owns `tail_` (written with release
-/// after the slot write), the consumer owns `head_`; each side keeps a
-/// cached copy of the other's index so the steady state touches the
-/// shared counters only when its cached view runs out. Both counters live
-/// on their own cache line (alignas(kSpscCacheLine)) so the producer and
-/// consumer never false-share.
+/// head/tail counters. The producer owns `tail_` (published after the
+/// slot write), the consumer owns `head_`; each side keeps a cached copy
+/// of the other's index so the steady state touches the shared counters
+/// only when its cached view runs out. Both counters, and each side's park
+/// state, live on their own cache line (alignas(kSpscCacheLine)) so the
+/// producer and consumer never false-share.
 ///
-/// Blocking semantics mirror BoundedQueue: push waits for room (counted
-/// in full_spins — the posg.engine.ring_full_spins metric), pop_all waits
-/// for elements, close() makes producers fail fast while the consumer
-/// drains the remainder and then sees 0. Waiting is a spin/yield/sleep
-/// backoff rather than a condvar — the ring is for busy data-plane edges,
-/// and the sleep tier keeps a starved side from burning a core on
-/// single-CPU hosts.
+/// Blocking semantics mirror BoundedQueue: push waits for room (failed
+/// room checks are counted in full_spins — the posg.engine.ring_full_spins
+/// metric), pop_all waits for elements, close() makes producers fail fast
+/// while the consumer drains the remainder and then sees 0. A waiting side
+/// spins kSpinsBeforePark times (the common hand-off latency) and then
+/// parks on its own wake word (std::atomic::wait, a futex on Linux), so an
+/// idle end burns no CPU. Every index publish and close() wakes a parked
+/// peer; park() and publish() form a Dekker handshake that cannot lose a
+/// wake-up (DESIGN.md §13). Parks are counted per side; the engine exports
+/// the consumer count as posg.engine.ring_parks.
 template <typename T>
 class SpscRing {
  public:
@@ -128,12 +130,12 @@ class SpscRing {
   /// when the ring was closed and the element was not enqueued.
   bool push(T value) REQUIRES(producer_role_) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (!wait_for_room(tail, 1)) {
+    if (!wait_for_room(tail)) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     slots_[tail & mask_] = std::move(value);
-    tail_.store(tail + 1, std::memory_order_release);
+    publish(tail_, tail + 1, consumer_park_);
     pushed_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -146,7 +148,7 @@ class SpscRing {
     std::size_t accepted = 0;
     std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     while (accepted < values.size()) {
-      if (!wait_for_room(tail, 1)) {
+      if (!wait_for_room(tail)) {
         rejected_.fetch_add(values.size() - accepted, std::memory_order_relaxed);
         break;
       }
@@ -156,7 +158,7 @@ class SpscRing {
         slots_[(tail + i) & mask_] = std::move(values[accepted + i]);
       }
       tail += chunk;
-      tail_.store(tail, std::memory_order_release);
+      publish(tail_, tail, consumer_park_);
       pushed_.fetch_add(chunk, std::memory_order_relaxed);
       accepted += chunk;
     }
@@ -182,7 +184,7 @@ class SpscRing {
     for (std::size_t i = 0; i < accepted; ++i) {
       slots_[(tail + i) & mask_] = std::move(values[i]);
     }
-    tail_.store(tail + accepted, std::memory_order_release);
+    publish(tail_, tail + accepted, consumer_park_);
     pushed_.fetch_add(accepted, std::memory_order_relaxed);
     values.erase(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(accepted));
     return accepted;
@@ -194,37 +196,27 @@ class SpscRing {
   /// delivered; 0 signals end-of-stream.
   std::size_t pop_all(std::vector<T>& out) REQUIRES(consumer_role_) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    std::size_t spins = 0;
-    for (;;) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (cached_tail_ != head) {
-        break;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        // Re-check after observing closed: a final push may have landed
-        // between the tail load and the closed load.
-        cached_tail_ = tail_.load(std::memory_order_acquire);
-        if (cached_tail_ == head) {
-          return 0;
-        }
-        break;
-      }
-      backoff(spins);
+    if (!wait_for_items(head)) {
+      return 0;
     }
     const std::size_t n = static_cast<std::size_t>(cached_tail_ - head);
     out.reserve(out.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
       out.push_back(std::move(slots_[(head + i) & mask_]));
     }
-    head_.store(head + n, std::memory_order_release);
+    publish(head_, head + n, producer_park_);
     popped_.fetch_add(n, std::memory_order_relaxed);
     return n;
   }
 
-  /// Stops accepting new elements; pending ones remain poppable.
-  /// Idempotent; callable from any thread (it is the engine's shutdown
-  /// coordinator, not the producer, that closes edges).
-  void close() noexcept { closed_.store(true, std::memory_order_release); }
+  /// Stops accepting new elements; pending ones remain poppable. Wakes
+  /// both ends. Idempotent; callable from any thread (it is the engine's
+  /// shutdown coordinator, not the producer, that closes edges).
+  void close() noexcept {
+    closed_.store(true, std::memory_order_seq_cst);
+    wake(consumer_park_);
+    wake(producer_park_);
+  }
 
   bool closed() const noexcept { return closed_.load(std::memory_order_acquire); }
   std::size_t capacity() const noexcept { return capacity_; }
@@ -240,9 +232,19 @@ class SpscRing {
   std::uint64_t pushed() const noexcept { return pushed_.load(std::memory_order_acquire); }
   std::uint64_t popped() const noexcept { return popped_.load(std::memory_order_acquire); }
   std::uint64_t rejected() const noexcept { return rejected_.load(std::memory_order_acquire); }
-  /// Producer wait iterations against a full ring — the back-pressure
+  /// Failed producer room checks against a full ring — the back-pressure
   /// signal exported as posg.engine.ring_full_spins.
   std::uint64_t full_spins() const noexcept { return full_spins_.load(std::memory_order_acquire); }
+  /// Waits entered by each side. A side counts a park (release) only after
+  /// its re-check failed, so an advanced count means that side is blocked
+  /// until the peer publishes or the ring closes, and everything it did
+  /// before is visible to the reader.
+  std::uint64_t producer_parks() const noexcept {
+    return producer_park_.parks.load(std::memory_order_acquire);
+  }
+  std::uint64_t consumer_parks() const noexcept {
+    return consumer_park_.parks.load(std::memory_order_acquire);
+  }
 
   /// Conservation invariants (aborts via POSG_CHECK). Counter reads are
   /// acquire-ordered but not mutually atomic, so call it when the ring is
@@ -257,37 +259,99 @@ class SpscRing {
   }
 
  private:
-  /// Producer-side wait for `needed` free slots. Returns false when the
-  /// ring closed before room appeared.
-  bool wait_for_room(std::uint64_t tail, std::size_t needed) REQUIRES(producer_role_) {
-    std::size_t spins = 0;
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) {
-        return false;
-      }
-      if (static_cast<std::size_t>(tail - cached_head_) + needed <= capacity_) {
-        return true;
-      }
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (static_cast<std::size_t>(tail - cached_head_) + needed <= capacity_) {
-        return true;
-      }
-      full_spins_.fetch_add(1, std::memory_order_relaxed);
-      backoff(spins);
+  /// Busy re-checks before a waiting side parks: enough to catch a
+  /// back-to-back hand-off without a futex round trip.
+  static constexpr std::uint32_t kSpinsBeforePark = 64;
+
+  /// One side's park state. `wake` is the word the side waits on; a waker
+  /// bumps it. `parked` is raised only around the wait, so a publish costs
+  /// one load of it when the peer is running.
+  struct alignas(kSpscCacheLine) Parking {
+    std::atomic<std::uint32_t> wake{0};
+    std::atomic<bool> parked{false};
+    std::atomic<std::uint64_t> parks{0};
+  };
+
+  /// Waiter half of the handshake. Read the wake ticket, announce
+  /// `parked` (seq_cst), re-check `ready` with seq_cst loads, and only
+  /// then wait on the ticket read before the announcement. publish() is
+  /// the mirror image: seq_cst store of the index, then seq_cst load of
+  /// `parked`. All four accesses are seq_cst, so in their single total
+  /// order either the re-check follows the publish (and sees the new
+  /// index) or the publish's load follows the announcement (and wakes).
+  /// A wake that lands after the ticket read changes the word, so the
+  /// wait returns at once; a stale `parked` costs a spurious wake only.
+  /// The wake word itself is read and bumped seq_cst, which also orders
+  /// the standard library's own waiter-count check inside wait/notify.
+  template <typename Ready>
+  static void park(Parking& self, Ready ready) noexcept {
+    const std::uint32_t ticket = self.wake.load();
+    self.parked.store(true, std::memory_order_seq_cst);
+    if (!ready()) {
+      self.parks.fetch_add(1, std::memory_order_release);
+      self.wake.wait(ticket);
+    }
+    self.parked.store(false, std::memory_order_relaxed);
+  }
+
+  /// Waker half: publish `value` to `index` and wake `peer` if it parked.
+  static void publish(std::atomic<std::uint64_t>& index, std::uint64_t value,
+                      Parking& peer) noexcept {
+    index.store(value, std::memory_order_seq_cst);
+    wake(peer);
+  }
+
+  static void wake(Parking& peer) noexcept {
+    if (peer.parked.load(std::memory_order_seq_cst)) {
+      peer.wake.fetch_add(1);
+      peer.wake.notify_one();
     }
   }
 
-  /// Three-tier wait: brief busy spin (the common hand-off latency),
-  /// yield (another runnable thread probably IS the other side), then a
-  /// short sleep so a blocked side never monopolizes a core.
-  static void backoff(std::size_t& spins) noexcept {
-    ++spins;
-    if (spins < 64) {
-      // busy
-    } else if (spins < 1024) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  /// Producer-side wait for one free slot. Returns false when the ring
+  /// closed before room appeared.
+  bool wait_for_room(std::uint64_t tail) REQUIRES(producer_role_) {
+    for (std::uint32_t spins = 0;; ++spins) {
+      if (closed_.load(std::memory_order_acquire)) {
+        return false;
+      }
+      if (static_cast<std::size_t>(tail - cached_head_) < capacity_) {
+        return true;
+      }
+      cached_head_ = head_.load(std::memory_order_acquire);
+      if (static_cast<std::size_t>(tail - cached_head_) < capacity_) {
+        return true;
+      }
+      full_spins_.fetch_add(1, std::memory_order_relaxed);
+      if (spins >= kSpinsBeforePark) {
+        park(producer_park_, [this, tail] {
+          return closed_.load(std::memory_order_seq_cst) ||
+                 static_cast<std::size_t>(tail - head_.load(std::memory_order_seq_cst)) < capacity_;
+        });
+      }
+    }
+  }
+
+  /// Consumer-side wait for at least one element; leaves the visible tail
+  /// in cached_tail_. Returns false when the ring is closed and drained.
+  bool wait_for_items(std::uint64_t head) REQUIRES(consumer_role_) {
+    for (std::uint32_t spins = 0;; ++spins) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+      if (cached_tail_ != head) {
+        return true;
+      }
+      if (closed_.load(std::memory_order_acquire)) {
+        // Re-check after observing closed: a final push may have landed
+        // between the tail load and the closed load.
+        cached_tail_ = tail_.load(std::memory_order_acquire);
+        return cached_tail_ != head;
+      }
+      if (spins >= kSpinsBeforePark) {
+        park(consumer_park_, [this, head] {
+          return tail_.load(std::memory_order_seq_cst) != head ||
+                 closed_.load(std::memory_order_seq_cst);
+        });
+      }
     }
   }
 
@@ -310,6 +374,9 @@ class SpscRing {
   alignas(kSpscCacheLine) std::atomic<std::uint64_t> head_{0};
   std::uint64_t cached_tail_ GUARDED_BY(consumer_role_) = 0;
   std::atomic<std::uint64_t> popped_{0};
+
+  Parking producer_park_;
+  Parking consumer_park_;
 
   alignas(kSpscCacheLine) std::atomic<bool> closed_{false};
 };

@@ -2,10 +2,13 @@
 // DESIGN.md §14): the codec round-trips byte-identically through
 // PosgScheduler::restore, every torn/corrupt/foreign image is rejected with
 // std::invalid_argument (the runtime's cold-start signal), the atomic file
-// helpers survive truncation on disk, and a restored scheduler's reattach
-// path isolates pre-crash replies from Ĉ (the double-billing argument).
+// helpers survive truncation on disk, a restored scheduler's reattach
+// path isolates pre-crash replies from Ĉ (the double-billing argument), and
+// the image CRC matches a bit-at-a-time reference.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -67,6 +70,45 @@ std::vector<std::byte> warm_image(std::size_t k) {
   common::SeqNo seq = 0;
   drive_epochs(scheduler, trackers, 2, seq);
   return core::encode(scheduler.checkpoint_state());
+}
+
+/// Bit-at-a-time reflected CRC-32 (0xEDB88320), independent of the
+/// table-driven production code.
+std::uint32_t reference_crc32(std::span<const std::byte> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (const std::byte b : bytes) {
+    crc ^= std::to_integer<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1U) ^ ((crc & 1U) != 0 ? 0xEDB88320U : 0U);
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(CheckpointCrc, KnownAnswer) {
+  // The CRC-32 check value: the same number zlib.crc32(b"123456789") gives.
+  const char* text = "123456789";
+  const std::span<const std::byte> bytes(reinterpret_cast<const std::byte*>(text), 9);
+  EXPECT_EQ(core::crc32(bytes), 0xCBF43926U);
+  EXPECT_EQ(core::crc32({}), 0U);
+}
+
+TEST(CheckpointCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..17 cover an empty input, a tail alone, one and two 8-byte
+  // blocks with every tail; starts 0..7 cover every misalignment.
+  std::vector<std::byte> buffer(64);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<std::byte>((i * 151U + 7U) & 0xFFU);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 17; ++length) {
+      const std::span<const std::byte> bytes(buffer.data() + start, length);
+      EXPECT_EQ(core::crc32(bytes), reference_crc32(bytes))
+          << "start " << start << " length " << length;
+    }
+  }
+  const auto image = warm_image(3);
+  EXPECT_EQ(core::crc32(image), reference_crc32(image));
 }
 
 TEST(Checkpoint, RoundTripThroughRestoreIsByteIdentical) {

@@ -8,6 +8,8 @@
 #include <set>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -102,8 +104,17 @@ TEST(Require, ThrowsInvalidArgument) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() / "posg_csv_test.csv").string();
+  // One file per case and process: ctest runs each case as its own
+  // process, concurrently under -j, so a shared name would collide.
+  void SetUp() override {
+    const std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = (std::filesystem::temp_directory_path() /
+             ("posg_csv_test_" + name + "_" + std::to_string(::getpid()) + ".csv"))
+                .string();
+  }
   void TearDown() override { std::filesystem::remove(path_); }
+
+  std::string path_;
 
   std::string slurp() {
     std::ifstream in(path_);

@@ -303,6 +303,24 @@ TEST(Engine, ReportsBusyTimeAndQueuePeaks) {
   EXPECT_GT(stats.queue_peak[0] + stats.queue_peak[1], 2u);
 }
 
+TEST(Engine, ExportsSpscEdgeSignals) {
+  // One spout instance feeds the sink, so its edge is an SpscRing and
+  // both ring counters are exported after the run.
+  TopologyBuilder builder;
+  builder.add_spout("src", counting_spout(100));
+  builder.add_bolt("sink",
+                   [](const ComponentContext&) {
+                     return std::make_unique<LambdaBolt>(
+                         [](const Tuple&, OutputCollector&, const ComponentContext&) {});
+                   },
+                   2, {{"src", std::make_shared<ShuffleGrouping>()}});
+  Engine engine(builder.build());
+  engine.run();
+  const auto counters = engine.metrics().snapshot().counters;
+  EXPECT_EQ(counters.count("posg.engine.ring_full_spins"), 1u);
+  EXPECT_EQ(counters.count("posg.engine.ring_parks"), 1u);
+}
+
 TEST(Engine, RejectsSecondRun) {
   TopologyBuilder builder;
   builder.add_spout("src", counting_spout(1));

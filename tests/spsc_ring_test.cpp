@@ -1,11 +1,13 @@
 // Tests for the lock-free SPSC ring (engine/spsc_ring.hpp): FIFO and
 // close semantics mirroring BoundedQueue, index wrap-around, blocking
-// backpressure, role-claim enforcement, and a two-thread stress whose
-// conservation counters the TSan CI job runs race-free.
+// backpressure, role-claim enforcement, a two-thread stress whose
+// conservation counters the TSan CI job runs race-free, and a park/wake
+// stress in which a lost wake-up hangs the test. Blocking tests wait for
+// the blocked side's park count to advance, never for wall-clock time.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,19 @@ namespace {
 
 using posg::engine::SpscBind;
 using posg::engine::SpscRing;
+
+/// Yields until `parks()` exceeds `seen` — i.e. the side re-checked its
+/// condition, found it unmet and entered its wait — and returns the new
+/// count.
+template <typename Parks>
+std::uint64_t await_park(Parks parks, std::uint64_t seen) {
+  std::uint64_t now = parks();
+  while (now == seen) {
+    std::this_thread::yield();
+    now = parks();
+  }
+  return now;
+}
 
 TEST(SpscRing, FifoOrder) {
   SpscRing<int> ring(8);
@@ -114,8 +129,9 @@ TEST(SpscRing, PushBlocksWhenFullUntilConsumerFreesRoom) {
     EXPECT_TRUE(ring.push(2));
     pushed = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  await_park([&] { return ring.producer_parks(); }, 0);
   EXPECT_FALSE(pushed.load());  // backpressure: producer waits
+  EXPECT_EQ(ring.pushed(), 1u);
   {
     SpscBind consume(ring.consumer_role());
     std::vector<int> out;
@@ -141,8 +157,9 @@ TEST(SpscRing, PopAllBlocksUntilPush) {
     EXPECT_EQ(out, std::vector<int>{7});
     got = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  await_park([&] { return ring.consumer_parks(); }, 0);
   EXPECT_FALSE(got.load());
+  EXPECT_EQ(ring.popped(), 0u);
   {
     SpscBind produce(ring.producer_role());
     ring.push(7);
@@ -158,7 +175,8 @@ TEST(SpscRing, CloseWakesBlockedConsumer) {
     std::vector<int> out;
     EXPECT_EQ(ring.pop_all(out), 0u);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  await_park([&] { return ring.consumer_parks(); }, 0);
+  EXPECT_EQ(ring.popped(), 0u);
   ring.close();
   consumer.join();
 }
@@ -170,9 +188,12 @@ TEST(SpscRing, CloseWakesBlockedProducer) {
     EXPECT_TRUE(ring.push(1));
     EXPECT_FALSE(ring.push(2));
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  await_park([&] { return ring.producer_parks(); }, 0);
+  EXPECT_EQ(ring.pushed(), 1u);
+  EXPECT_EQ(ring.rejected(), 0u);
   ring.close();
   producer.join();
+  EXPECT_EQ(ring.rejected(), 1u);
   ring.debug_validate();
 }
 
@@ -241,6 +262,118 @@ TEST(SpscRing, TwoThreadStressConservation) {
   EXPECT_EQ(ring.pushed(), static_cast<std::uint64_t>(kTotal));
   EXPECT_EQ(ring.popped(), static_cast<std::uint64_t>(kTotal));
   EXPECT_EQ(ring.rejected(), 0u);
+}
+
+TEST(SpscRing, EveryHandOffThroughParkAndWakeIsDelivered) {
+  // Each phase forces one side into its wait before the peer acts, so
+  // every hand-off crosses the park/wake handshake. A missed wake-up
+  // leaves a side waiting forever: the test then hangs until the ctest
+  // timeout instead of passing.
+  constexpr int kHandOffs = 5000;
+
+  // Phase 1: the producer pushes only after the consumer parked on the
+  // empty ring, so every element must wake it.
+  {
+    SpscRing<int> ring(8);
+    std::vector<int> received;
+    std::thread consumer([&] {
+      SpscBind consume(ring.consumer_role());
+      std::vector<int> out;
+      while (ring.pop_all(out) > 0) {
+      }
+      received = std::move(out);
+    });
+    {
+      SpscBind produce(ring.producer_role());
+      std::uint64_t seen = 0;
+      for (int i = 0; i < kHandOffs; ++i) {
+        seen = await_park([&] { return ring.consumer_parks(); }, seen);
+        EXPECT_TRUE(ring.push(i));
+      }
+    }
+    ring.close();
+    consumer.join();
+    ASSERT_EQ(received.size(), static_cast<std::size_t>(kHandOffs));
+    for (int i = 0; i < kHandOffs; ++i) {
+      ASSERT_EQ(received[static_cast<std::size_t>(i)], i);
+    }
+    EXPECT_GE(ring.consumer_parks(), static_cast<std::uint64_t>(kHandOffs));
+    ring.debug_validate();
+  }
+
+  // Phase 2: a capacity-1 ring, and the consumer pops only after the
+  // producer parked on it, so every push after the first waits for the
+  // consumer's wake.
+  {
+    SpscRing<int> ring(1);
+    std::thread producer([&] {
+      SpscBind produce(ring.producer_role());
+      for (int i = 0; i < kHandOffs; ++i) {
+        ASSERT_TRUE(ring.push(i));
+      }
+      ring.close();
+    });
+    std::vector<int> received;
+    {
+      SpscBind consume(ring.consumer_role());
+      std::uint64_t seen = 0;
+      for (;;) {
+        std::uint64_t parks = ring.producer_parks();
+        while (parks == seen && !ring.closed()) {
+          std::this_thread::yield();
+          parks = ring.producer_parks();
+        }
+        seen = parks;
+        if (ring.pop_all(received) == 0) {
+          break;
+        }
+      }
+    }
+    producer.join();
+    ASSERT_EQ(received.size(), static_cast<std::size_t>(kHandOffs));
+    for (int i = 0; i < kHandOffs; ++i) {
+      ASSERT_EQ(received[static_cast<std::size_t>(i)], i);
+    }
+    EXPECT_GE(ring.producer_parks(), static_cast<std::uint64_t>(kHandOffs - 1));
+    ring.debug_validate();
+  }
+
+  // Phase 3: close() races a park on both ends. Each round closes after a
+  // different number of yields, so the close lands before, during and
+  // after the waits; both blocked calls must still return.
+  for (int round = 0; round < 200; ++round) {
+    SpscRing<int> ring(1);
+    std::thread consumer([&] {
+      SpscBind consume(ring.consumer_role());
+      std::vector<int> out;
+      EXPECT_EQ(ring.pop_all(out), 0u);
+    });
+    SpscRing<int> full(1);
+    std::thread producer([&] {
+      SpscBind produce(full.producer_role());
+      EXPECT_TRUE(full.push(round));
+      EXPECT_FALSE(full.push(round + 1));
+    });
+    while (full.pushed() == 0) {  // the first push never blocks
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < round % 50; ++i) {
+      std::this_thread::yield();
+    }
+    ring.close();
+    full.close();
+    consumer.join();
+    producer.join();
+    ring.debug_validate();
+    full.debug_validate();
+    EXPECT_EQ(full.pushed(), 1u);
+    EXPECT_EQ(full.rejected(), 1u);
+    SpscBind consume(full.consumer_role());
+    std::vector<int> out;
+    EXPECT_EQ(full.pop_all(out), 1u);
+    EXPECT_EQ(out, std::vector<int>{round});
+    EXPECT_EQ(full.pop_all(out), 0u);
+  }
 }
 
 TEST(SpscRing, MoveOnlyPayloadsTransferWithoutCopy) {

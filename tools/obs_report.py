@@ -195,14 +195,17 @@ def report_data_plane(counters, histograms):
 
     posg.engine.batch_fill is tuples per route_batch call — how full the
     micro-batches actually run (mean near 1 means the batch knob buys
-    nothing for this workload). posg.engine.ring_full_spins counts producer
-    wait iterations against full SPSC rings — the back-pressure signal of
-    the lock-free edges (MPMC edges park on a condvar instead and report 0).
-    Like report_resilience, this is a lens over the generic tables below,
-    not a second bookkeeping path.
+    nothing for this workload). Both channel kinds park a waiting side:
+    SPSC rings spin briefly and then wait on a futex word, MPMC edges wait
+    on a condvar. posg.engine.ring_full_spins counts failed producer room
+    checks against full SPSC rings — the back-pressure signal of the
+    lock-free edges. posg.engine.ring_parks counts consumer parks on empty
+    SPSC rings — bolts that went idle and gave their CPU back. MPMC edges
+    report 0 for both. Like report_resilience, this is a lens over the
+    generic tables below, not a second bookkeeping path.
     """
     rows = []
-    for name in ("posg.engine.ring_full_spins",):
+    for name in ("posg.engine.ring_full_spins", "posg.engine.ring_parks"):
         if name in counters:
             rows.append((name, fmt_value(counters[name])))
     for name in ("posg.engine.batch_fill", "posg.engine.flush_batch_ns"):
@@ -213,7 +216,7 @@ def report_data_plane(counters, histograms):
         mean = hist.get("sum", 0) / count if count else 0.0
         p99 = quantile(dense_buckets(hist), count, 0.99)
         rows.append((name, f"n={fmt_value(count)} mean={fmt_value(mean)} p99={fmt_value(p99)}"))
-    print_table("data plane (batching / SPSC back-pressure)", rows, ("name", "value"))
+    print_table("data plane (batching / SPSC back-pressure and parks)", rows, ("name", "value"))
 
 
 def report_metrics(snapshot):
