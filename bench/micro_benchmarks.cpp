@@ -413,62 +413,14 @@ void BM_CheckpointEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointEncode)->Arg(3)->Arg(50);
 
-/// Micro-batched router throughput: BM_RouterThroughput's protocol loop,
-/// but decisions come from schedule_batch over range(1)-tuple batches —
-/// one argmin and one digest amortized across the batch (DESIGN.md §13).
-/// The per-tuple gap to BM_RouterThroughput/10 is the batching win; the
-/// protocol (shipments, markers, replies) still runs per tuple.
-void BM_RouterThroughputBatched(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  core::PosgConfig config;
-  config.window = 64;
-  config.mu = 10.0;  // ship every second window
-  core::PosgScheduler scheduler(k, config);
-  std::vector<core::InstanceTracker> trackers;
-  trackers.reserve(k);
-  for (common::InstanceId op = 0; op < k; ++op) {
-    trackers.emplace_back(op, config);
-  }
-  common::Xoshiro256StarStar rng(11);
-  common::SeqNo seq = 0;
-  std::vector<common::Item> items(batch);
-  std::vector<common::SeqNo> seqs(batch);
-  std::vector<core::Decision> decisions(batch);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      items[i] = seq % 4096;
-      seqs[i] = seq;
-      ++seq;
-    }
-    scheduler.schedule_batch(items.data(), seqs.data(), batch, decisions.data());
-    for (std::size_t i = 0; i < batch; ++i) {
-      const core::Decision& decision = decisions[i];
-      benchmark::DoNotOptimize(decision.instance);
-      auto& tracker = trackers[decision.instance];
-      if (auto shipment =
-              tracker.on_executed(items[i], 1.0 + static_cast<double>(rng.next_below(64)))) {
-        scheduler.on_feedback(std::move(*shipment));
-      }
-      if (decision.sync_request) {
-        scheduler.on_feedback(
-            core::SyncReply{decision.instance, decision.sync_request->epoch, 0.0});
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_RouterThroughputBatched)->Args({10, 8});
-
 /// Same per-tuple decision loop as BM_RouterThroughput/10, but routed
 /// through the multi-source tier: range(0) = S sources round-robining one
-/// interleaved stream over S PosgScheduler views of a shared pool,
-/// range(1) = reconcile mode (0 = per_source_greedy, 1 = gossip_merge at
-/// the default cadence). Trackers are per (instance, source) — each view
-/// is billed exactly its own routed share (DESIGN.md §15). The S=1 row is
-/// the pass-through tax over BM_RouterThroughput/10 (one mutex + one pool
-/// cursor check per tuple); the S=4 gossip row adds the snapshot/install
-/// passes amortized over gossip_every_decisions.
+/// interleaved stream over S PosgScheduler views of a shared pool.
+/// Trackers are per (instance, source) — each view is billed exactly its
+/// own routed share (DESIGN.md §15). The S=1 row is the pass-through tax
+/// over BM_RouterThroughput/10 (one mutex + one pool cursor check per
+/// tuple); at S > 1 every decision first reads the S − 1 siblings' Ĉ and
+/// installs their sum.
 void BM_RouterThroughputMultiSource(benchmark::State& state) {
   const auto sources = static_cast<std::size_t>(state.range(0));
   const std::size_t k = 10;
@@ -477,8 +429,6 @@ void BM_RouterThroughputMultiSource(benchmark::State& state) {
   config.mu = 10.0;  // ship every second window
   core::MultiSourceConfig multi;
   multi.sources = sources;
-  multi.reconcile = state.range(1) == 0 ? core::ReconcileMode::kPerSourceGreedy
-                                        : core::ReconcileMode::kGossipMerge;
   core::MultiSourceScheduler scheduler(k, config, multi);
   std::vector<core::InstanceTracker> trackers;  // [op * sources + source]
   trackers.reserve(k * sources);
@@ -510,8 +460,8 @@ void BM_RouterThroughputMultiSource(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   // Makespan lens (computed outside the timed loop): pool-wide Ĉ per
   // instance is Σ over views, makespan its max, ideal its mean — so
-  // `imbalance` = 1.0 is a perfectly balanced pool and the gap between
-  // the /4/0 and /4/1 rows is what gossip reconciliation buys at S = 4.
+  // `imbalance` = 1.0 is a perfectly balanced pool. It is cumulative and
+  // cannot see schedule quality (L); bench/extension_multisource does.
   std::vector<double> pool_load(k, 0.0);
   for (std::size_t s = 0; s < sources; ++s) {
     const auto loads = scheduler.view(static_cast<common::SourceId>(s)).estimated_loads();
@@ -525,7 +475,7 @@ void BM_RouterThroughputMultiSource(benchmark::State& state) {
     state.counters["imbalance"] = makespan / (total / static_cast<double>(k));
   }
 }
-BENCHMARK(BM_RouterThroughputMultiSource)->Args({1, 0})->Args({4, 0})->Args({4, 1});
+BENCHMARK(BM_RouterThroughputMultiSource)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_TrackerOnExecuted(benchmark::State& state) {
   core::PosgConfig config;  // calibrated defaults

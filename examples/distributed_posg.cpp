@@ -88,12 +88,9 @@
 //                      InstanceRuntime::run_multi with one session (and
 //                      one tracker) per source, so Ĉ is billed per source
 //                      and Σ over sources is the pool's true load.
-//   --reconcile MODE   per_source_greedy (default): each view routes on
-//                      its own Ĉ alone. gossip_merge: every
-//                      --gossip-every routed tuples the driver snapshots
-//                      all views' Ĉ and installs Σ of the siblings into
-//                      each view's external-load term.
-//   --gossip-every N   gossip cadence in routed tuples (default 256).
+//                      Before each route() the driver installs Σ of the
+//                      sibling views' Ĉ into the routing view's
+//                      external-load term (core::sibling_loads).
 //   --kill-source ID   source churn: sever source ID's scheduler (no
 //                      EndOfStream — its links just die) after ~40% of
 //                      its share. The gates assert the churn quarantined
@@ -551,10 +548,10 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
 }
 
 /// The multi-source driver (--sources S): S scheduler views over one
-/// shared pool, an interleaved stream, optional gossip reconciliation and
-/// optional source churn. Exit 0 only when every gate holds.
-int run_multisource(std::size_t k, std::size_t m, std::size_t sources,
-                    core::ReconcileMode reconcile, std::uint64_t gossip_every, int kill_source,
+/// shared pool, an interleaved stream in which each view reads its
+/// siblings' Ĉ before it routes, and optional source churn. Exit 0 only
+/// when every gate holds.
+int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_source,
                     bool restart_source, const std::string& stats_dir,
                     const std::string& metrics_out) {
   const std::string base = "/tmp/posg_ms_" + std::to_string(getpid());
@@ -565,9 +562,7 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources,
     listeners[s].emplace(socket_paths.back());
   }
   const bool churn = kill_source >= 0 && static_cast<std::size_t>(kill_source) < sources;
-  std::printf("multi-source: k=%zu m=%zu sources=%zu reconcile=%s%s%s\n", k, m, sources,
-              reconcile == core::ReconcileMode::kGossipMerge ? "gossip_merge"
-                                                             : "per_source_greedy",
+  std::printf("multi-source: k=%zu m=%zu sources=%zu%s%s\n", k, m, sources,
               churn ? " (killing one source)" : "",
               churn && restart_source ? " (restarting it)" : "");
 
@@ -640,36 +635,18 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources,
   std::uint64_t skipped_while_dead = 0;
   std::vector<std::uint64_t> routed_live(sources, 0);  // current incarnation only
 
-  // Two-pass gossip over the views (kGossipMerge): snapshot every view's
-  // Ĉ, then install Σ of the *siblings* into each — a view's own Ĉ is
-  // already its greedy base term and must not be double-weighted.
-  const auto gossip_round = [&] {
-    std::vector<std::vector<common::TimeMs>> snapshots(sources);
-    for (common::SourceId s = 0; s < sources; ++s) {
-      if (views[s] != nullptr) {
-        snapshots[s] = views[s]->estimated_loads();
-      }
-    }
-    for (common::SourceId s = 0; s < sources; ++s) {
-      if (views[s] == nullptr) {
-        continue;
-      }
-      std::vector<common::TimeMs> external(k, 0.0);
-      for (common::SourceId peer = 0; peer < sources; ++peer) {
-        if (peer == s || snapshots[peer].empty()) {
-          continue;
-        }
-        for (std::size_t op = 0; op < k; ++op) {
-          external[op] += snapshots[peer][op];
-        }
-      }
-      views[s]->set_external_loads(std::move(external));
+  // The one multi-source rule: before a view routes, it installs Σ of
+  // its live siblings' Ĉ as its external load. A severed source has no
+  // view and adds nothing.
+  std::vector<common::TimeMs> sibling_load(k);
+  const auto read_sibling = [&views](common::SourceId peer, const auto& add) {
+    if (views[peer] != nullptr) {
+      add(views[peer]->estimated_loads());
     }
   };
 
   workload::ZipfItems zipf(4096, 1.0);
   const auto stream = workload::StreamGenerator::generate(zipf, m, 42);
-  std::uint64_t gossip_rounds = 0;
   int rc = 0;
   const auto kill_sid = churn ? static_cast<common::SourceId>(kill_source) : 0;
   try {
@@ -709,13 +686,10 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources,
           }
         }
       }
+      core::sibling_loads(sources, s, read_sibling, sibling_load);
+      views[s]->set_external_loads(sibling_load);
       views[s]->route(stream[seq], seq);
       ++routed_live[s];
-      if (reconcile == core::ReconcileMode::kGossipMerge && gossip_every > 0 &&
-          (seq + 1) % gossip_every == 0) {
-        gossip_round();
-        ++gossip_rounds;
-      }
     }
     for (common::SourceId s = 0; s < sources; ++s) {
       if (views[s] != nullptr) {
@@ -793,8 +767,7 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources,
               static_cast<unsigned long long>(routed_total),
               static_cast<unsigned long long>(executed_total),
               static_cast<unsigned long long>(skipped_while_dead), m);
-  std::printf("MULTISOURCE gossip_rounds=%llu sources_lost=%llu pool_serving=%zu/%zu\n",
-              static_cast<unsigned long long>(gossip_rounds),
+  std::printf("MULTISOURCE sources_lost=%llu pool_serving=%zu/%zu\n",
               static_cast<unsigned long long>(sources_lost_total), pool_serving, k);
   std::printf("MULTISOURCE conservation=%s no_quarantine=%s pool_intact=%s\n",
               conservation ? "ok" : "violated", no_quarantine ? "ok" : "violated",
@@ -866,17 +839,7 @@ int run(const common::CliArgs& args) {
            " is not empty: its files would be summed into this run's totals");
   }
   if (sources > 1) {
-    const std::string reconcile_name = args.get_string("reconcile", "per_source_greedy");
-    core::ReconcileMode reconcile = core::ReconcileMode::kPerSourceGreedy;
-    if (reconcile_name == "gossip_merge") {
-      reconcile = core::ReconcileMode::kGossipMerge;
-    } else if (reconcile_name != "per_source_greedy") {
-      std::fprintf(stderr, "unknown --reconcile %s (per_source_greedy | gossip_merge)\n",
-                   reconcile_name.c_str());
-      return 1;
-    }
-    const auto gossip_every = static_cast<std::uint64_t>(args.get_int("gossip-every", 256));
-    return run_multisource(k, m, sources, reconcile, gossip_every, static_cast<int>(kill_source),
+    return run_multisource(k, m, sources, static_cast<int>(kill_source),
                            args.get_bool("restart-source", false), stats_dir, metrics_out);
   }
   // Scheduler kill-restart campaign mode: a non-empty --ckpt switches to

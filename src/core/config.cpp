@@ -85,15 +85,8 @@ void validate_posg(const core::PosgConfig& config, const std::string& prefix,
   if (config.window < 1) {
     push(out, dot(prefix, "window"), ConfigErrorCode::kMustBePositive, "must be >= 1");
   }
-  if (config.batch < 1) {
-    push(out, dot(prefix, "batch"), ConfigErrorCode::kMustBePositive, "must be >= 1");
-  }
   if (!(std::isfinite(config.mu) && config.mu > 0.0)) {
     push(out, dot(prefix, "mu"), ConfigErrorCode::kMustBePositive, "must be finite and > 0");
-  }
-  if (config.checkpoint_every_epochs < 1) {
-    push(out, dot(prefix, "checkpoint_every_epochs"), ConfigErrorCode::kMustBePositive,
-         "must be >= 1 (disable checkpointing via the runtime's checkpoint_path instead)");
   }
   validate_health(config.health, dot(prefix, "health"), out);
   validate_rejoin_ramp(config.rejoin_ramp, dot(prefix, "rejoin_ramp"), out);
@@ -186,16 +179,6 @@ void validate_multi_source(const core::MultiSourceConfig& config, const std::str
                            std::vector<ConfigError>& out) {
   if (config.sources < 1) {
     push(out, dot(prefix, "sources"), ConfigErrorCode::kMustBePositive, "must be >= 1");
-  }
-  if (config.reconcile != core::ReconcileMode::kPerSourceGreedy &&
-      config.reconcile != core::ReconcileMode::kGossipMerge) {
-    push(out, dot(prefix, "reconcile"), ConfigErrorCode::kOutOfRange,
-         "must be per_source_greedy (0) or gossip_merge (1)");
-  }
-  if (config.reconcile == core::ReconcileMode::kGossipMerge &&
-      config.gossip_every_decisions < 1) {
-    push(out, dot(prefix, "gossip_every_decisions"), ConfigErrorCode::kMustBePositive,
-         "must be >= 1 under gossip_merge");
   }
 }
 

@@ -94,13 +94,6 @@ struct PosgConfig {
   /// differential estimation bias on workloads whose universe dwarfs the
   /// per-epoch sample.
   bool shared_billing = true;
-  /// Micro-batch size for the engine's routing path (extension; DESIGN.md
-  /// §13). The grouping layer hands the scheduler up to this many
-  /// consecutive tuples per schedule_batch() call: in the greedy states
-  /// one argmin + one digest serve the whole batch. 1 (default) is the
-  /// paper's per-tuple scheduling, byte-identical to schedule(); larger
-  /// values trade intra-batch placement granularity for throughput.
-  std::size_t batch = 1;
   /// Ablation switch: when false, the scheduler skips the marker/Δ
   /// synchronization protocol and jumps straight from ROUND_ROBIN to RUN
   /// once all sketches arrived (estimation drift is never corrected).
@@ -113,44 +106,17 @@ struct PosgConfig {
   HealthConfig health;
   /// Admission ramp applied by rejoin() (see above).
   RejoinRampConfig rejoin_ramp;
-  /// Crash-recovery checkpoint cadence (core/checkpoint.hpp; DESIGN.md
-  /// §14): the scheduler runtime captures its control state every this
-  /// many *completed* epochs (WAIT_ALL → RUN edges) and writes it off the
-  /// hot path. Whether checkpointing happens at all is the runtime's
-  /// `checkpoint_path` knob; this only paces it. Must be >= 1.
-  std::size_t checkpoint_every_epochs = 1;
 
   sketch::SketchDims dims() const { return sketch::SketchDims::from_accuracy(epsilon, delta); }
 };
 
-/// How the S per-source scheduler views of the multi-source tier
-/// reconcile their independent Ĉ estimates over the shared instance pool
-/// (DESIGN.md §15; consumed by core::MultiSourceScheduler).
-enum class ReconcileMode : std::uint8_t {
-  /// Each view greedily argmins over its *own* billed cost only — the
-  /// POSG invariant per source, zero cross-source coupling. With skewed
-  /// per-source rates the sources can pile onto the same globally-cheap
-  /// instance, because nobody sees the others' load.
-  kPerSourceGreedy = 0,
-  /// Views periodically exchange Ĉ snapshots: every
-  /// `gossip_every_decisions` routed tuples a view triggers a gossip
-  /// round that installs Σ of the *peers'* Ĉ into every view as an
-  /// additive greedy bias (PosgScheduler::set_external_loads). Each
-  /// view's own billing stays untouched — gossip only tilts the argmin,
-  /// so Δ-synchronization correctness is per-source regardless of mode.
-  kGossipMerge = 1,
-};
-
 /// Tunables of the multi-source tier. Lives beside PosgConfig (not inside
-/// it) because a single-source deployment never reads any of this.
+/// it) because a single-source deployment never reads any of this. There
+/// is one S > 1 policy and it has no knob: before each decision a view
+/// reads its siblings' Ĉ (core::sibling_loads; DESIGN.md §15).
 struct MultiSourceConfig {
   /// Number of independent sources S routing over the shared pool.
   std::size_t sources = 1;
-  ReconcileMode reconcile = ReconcileMode::kPerSourceGreedy;
-  /// Gossip cadence, in routed tuples per view. Read only under
-  /// kGossipMerge; must then be >= 1. Smaller = tighter coupling, more
-  /// rebuild_greedy churn.
-  std::uint64_t gossip_every_decisions = 64;
 };
 
 }  // namespace posg::core
@@ -192,19 +158,9 @@ struct EngineConfig {
   /// fixed-k semantics and no monitor thread is spawned.
   core::ElasticConfig elastic;
   /// Period of the elastic monitor's queue samples, wall-clock
-  /// milliseconds. Read only when elastic.enabled.
+  /// milliseconds. Read only when elastic.enabled. All k instances serve
+  /// at start; the controller drains and revives from there.
   double elastic_sample_period_ms = 20.0;
-  /// Serving instances at start when elastic.enabled (the rest of the
-  /// POSG bolt's parallelism is parked and revived by ScaleUp). 0 = all.
-  std::size_t elastic_initial_instances = 0;
-
-  /// Shard-per-core execution (DESIGN.md §13): pin each executor thread to
-  /// a core, round-robin over the machine's cores in spawn order. Linux
-  /// only; elsewhere (and when the affinity call fails) threads simply run
-  /// unpinned — pinning is a cache-locality hint, never a correctness
-  /// requirement. Off by default: oversubscribed CI runners and laptops
-  /// schedule better without it.
-  bool pin_threads = false;
 };
 
 /// Configuration of the scheduler-side distributed runtime
@@ -228,9 +184,6 @@ struct SchedulerRuntimeConfig {
   /// Wait budget for each Hello during registration.
   std::chrono::milliseconds hello_deadline{2000};
 
-  /// Broadcast net::InstanceFailed to survivors on quarantine.
-  bool announce_failures = true;
-
   /// Registration attempts allowed before giving up (0 = 2k + 8).
   std::size_t max_registration_attempts = 0;
 
@@ -247,9 +200,9 @@ struct SchedulerRuntimeConfig {
   /// Crash-recovery checkpoint file (core/checkpoint.hpp; DESIGN.md §14).
   /// Empty (the default) disables checkpointing entirely — no writer
   /// thread is spawned and the epoch path stays untouched. When set, the
-  /// runtime captures the scheduler's control state every
-  /// posg.checkpoint_every_epochs completed epochs and a background
-  /// writer replaces this file atomically.
+  /// runtime captures the scheduler's control state at every completed
+  /// epoch (WAIT_ALL → RUN edge) and a background writer replaces this
+  /// file atomically.
   std::string checkpoint_path;
 
   /// Attempt to restore from `checkpoint_path` at construction. A
@@ -380,8 +333,8 @@ struct Config {
   EngineConfig engine;
   SchedulerRuntimeConfig runtime;
   InstanceRuntimeConfig instance;
-  /// Multi-source tier (DESIGN.md §15). The defaults (S = 1,
-  /// per-source-greedy) describe every pre-existing deployment.
+  /// Multi-source tier (DESIGN.md §15). The default (S = 1) describes
+  /// every single-source deployment.
   core::MultiSourceConfig multi_source;
 
   /// Checks every field of the whole tree; returns all failures (empty =

@@ -8,7 +8,6 @@ namespace posg::core {
 void GreedyIndex::rebuild(const std::vector<double>& scores, const std::vector<bool>& alive) {
   common::require(scores.size() == alive.size(),
                   "GreedyIndex: score and alive vectors must cover the same instances");
-  score_ = scores;
   heap_.clear();
   pos_.assign(scores.size(), kNoPosition);
   for (std::size_t op = 0; op < scores.size(); ++op) {
@@ -22,6 +21,12 @@ void GreedyIndex::rebuild(const std::vector<double>& scores, const std::vector<b
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     pos_[heap_[i]] = i;
   }
+  rescore(scores);
+}
+
+void GreedyIndex::rescore(const std::vector<double>& scores) {
+  POSG_DCHECK(scores.size() == pos_.size(), "GreedyIndex: rescore must cover every instance");
+  score_ = scores;
   if (!linear_) {
     // Floyd heapify: O(k). The strict (score, id) order makes the
     // resulting root independent of the pre-heapify element order.

@@ -46,9 +46,14 @@ class GreedyIndex {
   /// alive. O(k).
   void rebuild(const std::vector<double>& scores, const std::vector<bool>& alive);
 
+  /// Replaces every instance's score and keeps the live set of the last
+  /// rebuild(): a global score change that moves no membership, such as a
+  /// new multi-source external load. O(k); a copy below the threshold.
+  void rescore(const std::vector<double>& scores);
+
   /// Raises instance `op`'s score to `score` (billing: Ĉ[op] += ŵ_t).
   /// `op` must be alive and `score` must not be below its current score —
-  /// any global or decreasing change goes through rebuild().
+  /// any global or decreasing change goes through rebuild() or rescore().
   void increase(std::size_t op, double score) noexcept;
 
   /// The live instance with the lexicographically smallest (score, id).

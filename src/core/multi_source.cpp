@@ -8,18 +8,15 @@ namespace posg::core {
 
 MultiSourceScheduler::MultiSourceScheduler(std::size_t instances, const PosgConfig& config,
                                           const MultiSourceConfig& multi)
-    : multi_(multi), pool_(std::make_shared<InstancePool>(instances)) {
+    : pool_(std::make_shared<InstancePool>(instances)) {
   common::require(multi.sources >= 1, "MultiSourceScheduler: need at least one source");
-  common::require(multi.reconcile != ReconcileMode::kGossipMerge ||
-                      multi.gossip_every_decisions >= 1,
-                  "MultiSourceScheduler: gossip cadence must be >= 1");
   views_.reserve(multi.sources);
-  snapshots_.resize(multi.sources);
   for (common::SourceId s = 0; s < multi.sources; ++s) {
     auto view = std::make_unique<SourceView>("core::MultiSourceScheduler::view");
     MutexLock lock(view->mutex);
     view->scheduler = std::make_unique<PosgScheduler>(pool_, config, s);
     lock.unlock();
+    view->sibling_load.resize(instances);
     views_.push_back(std::move(view));
   }
 }
@@ -28,24 +25,23 @@ Decision MultiSourceScheduler::schedule(common::SourceId source, common::Item it
                                         common::SeqNo seq) {
   common::require(source < views_.size(), "MultiSourceScheduler: unknown source");
   SourceView& view = *views_[source];
-  bool trigger = false;
-  Decision decision;
-  {
-    MutexLock lock(view.mutex);
-    decision = view.scheduler->schedule(item, seq);
-    if (multi_.reconcile == ReconcileMode::kGossipMerge &&
-        ++view.since_gossip >= multi_.gossip_every_decisions) {
-      view.since_gossip = 0;
-      trigger = true;
-    }
+  const bool siblings = views_.size() > 1;
+  if (siblings) {
+    // Read the siblings before taking this view's lock: one view lock at
+    // a time, never nested.
+    sibling_loads(
+        views_.size(), source,
+        [this](common::SourceId s, const auto& add) {
+          MutexLock lock(views_[s]->mutex);
+          add(views_[s]->scheduler->estimated_loads());
+        },
+        view.sibling_load);
   }
-  // Gossip outside the routing lock: the round re-takes each view's lock
-  // one at a time, so the triggering source must not still hold its own.
-  if (trigger && !gossip_in_flight_.exchange(true, std::memory_order_acq_rel)) {
-    gossip_round();
-    gossip_in_flight_.store(false, std::memory_order_release);
+  MutexLock lock(view.mutex);
+  if (siblings) {
+    view.scheduler->set_external_loads(view.sibling_load);
   }
-  return decision;
+  return view.scheduler->schedule(item, seq);
 }
 
 void MultiSourceScheduler::on_feedback(common::SourceId source, FeedbackEvent&& event) {
@@ -93,40 +89,6 @@ std::uint64_t MultiSourceScheduler::total_decisions() const {
     total += decisions(s);
   }
   return total;
-}
-
-void MultiSourceScheduler::gossip_round() {
-  const std::size_t sources = views_.size();
-  if (sources < 2) {
-    gossip_rounds_.fetch_add(1, std::memory_order_relaxed);
-    return;  // nothing to exchange; counted so tests can see the cadence fire
-  }
-  const std::size_t k = pool_->size();
-  // Pass 1: snapshot every view's Ĉ, one lock at a time. The snapshots
-  // are mutually slightly stale — gossip is an approximate tilt, not a
-  // consistent cut, so that is fine by construction.
-  for (common::SourceId s = 0; s < sources; ++s) {
-    MutexLock lock(views_[s]->mutex);
-    snapshots_[s] = views_[s]->scheduler->estimated_loads();
-  }
-  // Pass 2: install Σ of the *peers'* snapshots into each view. Σ over
-  // s' != s, never the view's own Ĉ — its own billing already sits in the
-  // greedy score once; adding it again would double-weight it.
-  std::vector<common::TimeMs> external(k);
-  for (common::SourceId s = 0; s < sources; ++s) {
-    for (std::size_t op = 0; op < k; ++op) {
-      common::TimeMs sum = 0.0;
-      for (common::SourceId peer = 0; peer < sources; ++peer) {
-        if (peer != s && snapshots_[peer].size() == k) {
-          sum += snapshots_[peer][op];
-        }
-      }
-      external[op] = sum;
-    }
-    MutexLock lock(views_[s]->mutex);
-    views_[s]->scheduler->set_external_loads(external);
-  }
-  gossip_rounds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace posg::core

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -15,21 +15,46 @@
 
 namespace posg::core {
 
+/// The one S > 1 policy (DESIGN.md §15). Right before source `self`
+/// routes, its view installs Σ_{s ≠ self} Ĉ_s as its external load, so its
+/// greedy argmin sees what the siblings have put on each instance. Sums
+/// run in source order from 0.0, one instance slot per entry of `sum`.
+/// `read_loads(s, add)` calls `add(loads)` once with source s's current Ĉ
+/// while it holds whatever guards that view, or not at all for a source
+/// that is down; it is never called for `self`, whose own Ĉ is already
+/// the base term of its greedy score.
+template <typename ReadLoads>
+void sibling_loads(std::size_t sources, common::SourceId self, ReadLoads&& read_loads,
+                   std::vector<common::TimeMs>& sum) {
+  std::fill(sum.begin(), sum.end(), 0.0);
+  const auto add = [&sum](const std::vector<common::TimeMs>& loads) {
+    for (std::size_t op = 0; op < sum.size(); ++op) {
+      sum[op] += loads[op];
+    }
+  };
+  for (common::SourceId s = 0; s < sources; ++s) {
+    if (s != self) {
+      read_loads(s, add);
+    }
+  }
+}
+
 /// In-process coordinator for S sources sharing one instance pool: owns
 /// the pool plus S PosgScheduler views and routes each source's tuples
 /// through its own view (DESIGN.md §15).
 ///
-/// Concurrency contract: each view is guarded by its own mutex, so S
-/// executor threads may route concurrently (one per source) — the only
-/// cross-source serialization is the pool's internal mutex on membership
-/// transitions and the short snapshot/install passes of a gossip round.
-/// Locks are only ever held one at a time (view rank kSchedulerState <
-/// pool rank kInstancePool, and gossip takes view locks sequentially,
-/// never nested), so the lock ladder of DESIGN.md §12 is respected.
+/// With S > 1, schedule() first reads every sibling view's Ĉ and installs
+/// the sum (sibling_loads) as the routing view's external load, then
+/// decides. Concurrency contract: each view is guarded by its own mutex,
+/// so S executor threads may route concurrently (one per source). Locks
+/// are only ever held one at a time: the sibling reads take each
+/// sibling's lock in turn, then the routing view's own lock is taken to
+/// install and decide. View rank kSchedulerState < pool rank
+/// kInstancePool, so the lock ladder of DESIGN.md §12 is respected.
 ///
-/// With S == 1 and kPerSourceGreedy this is a pass-through wrapper around
-/// a stock PosgScheduler: no external loads are ever installed and the
-/// golden scheduling streams stay byte-identical.
+/// With S == 1 this is a pass-through wrapper around a stock
+/// PosgScheduler: no external loads are ever installed and the golden
+/// scheduling streams stay byte-identical.
 class MultiSourceScheduler {
  public:
   MultiSourceScheduler(std::size_t instances, const PosgConfig& config,
@@ -37,7 +62,6 @@ class MultiSourceScheduler {
 
   std::size_t sources() const noexcept { return views_.size(); }
   std::size_t instances() const noexcept { return pool_->size(); }
-  const MultiSourceConfig& multi_config() const noexcept { return multi_; }
   const std::shared_ptr<InstancePool>& pool() const noexcept { return pool_; }
 
   /// Routes one tuple of `source` through that source's view. Thread-safe
@@ -66,30 +90,19 @@ class MultiSourceScheduler {
   /// pool executed — the conservation gate).
   std::uint64_t decisions(common::SourceId source) const;
   std::uint64_t total_decisions() const;
-  std::uint64_t gossip_rounds() const noexcept {
-    return gossip_rounds_.load(std::memory_order_relaxed);
-  }
 
  private:
-  /// One snapshot pass + one install pass, each taking one view lock at a
-  /// time. Triggered by whichever view's decision counter crossed the
-  /// cadence; concurrent triggers collapse into one round via the flag.
-  void gossip_round();
-
   struct SourceView {
     explicit SourceView(const char* name) : mutex(name, lock_rank::kSchedulerState) {}
     mutable Mutex mutex;
     std::unique_ptr<PosgScheduler> scheduler GUARDED_BY(mutex);
-    std::uint64_t since_gossip GUARDED_BY(mutex) = 0;
+    /// Σ of the siblings' Ĉ, rebuilt before each decision. Only this
+    /// source's schedule() touches it, and callers serialize those.
+    std::vector<common::TimeMs> sibling_load;
   };
 
-  MultiSourceConfig multi_;
   std::shared_ptr<InstancePool> pool_;
   std::vector<std::unique_ptr<SourceView>> views_;
-  std::atomic<bool> gossip_in_flight_{false};
-  std::atomic<std::uint64_t> gossip_rounds_{0};
-  /// Gossip scratch, only touched by the thread that won gossip_in_flight_.
-  std::vector<std::vector<common::TimeMs>> snapshots_;
 };
 
 }  // namespace posg::core

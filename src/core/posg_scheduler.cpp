@@ -251,17 +251,24 @@ void PosgScheduler::set_latency_hints(std::vector<common::TimeMs> hints) {
   rebuild_greedy();
 }
 
-void PosgScheduler::set_external_loads(std::vector<common::TimeMs> loads) {
+void PosgScheduler::set_external_loads(const std::vector<common::TimeMs>& loads) {
   common::require(loads.empty() || loads.size() == k_,
                   "PosgScheduler: external loads must cover every instance");
   for (const common::TimeMs load : loads) {
     common::require(std::isfinite(load) && load >= 0.0,
                     "PosgScheduler: external loads must be finite and non-negative");
   }
-  external_load_ = std::move(loads);
-  // Every score may have moved (the bias is per-instance); re-derive the
-  // argmin wholesale, like a latency-hint install.
-  rebuild_greedy();
+  external_load_ = loads;
+  // Every score may have moved but the serving set has not: re-score the
+  // argmin in place. With no live instance the index stays stale, as after
+  // the last quarantine: schedule() throws NoLiveInstanceError and the
+  // next rejoin() rebuilds it.
+  if (live_count_ > 0) {
+    for (std::size_t op = 0; op < k_; ++op) {
+      greedy_scores_scratch_[op] = greedy_score(op);
+    }
+    greedy_.rescore(greedy_scores_scratch_);
+  }
 }
 
 void PosgScheduler::bill(common::InstanceId target, common::Item item) {
@@ -391,65 +398,6 @@ Decision PosgScheduler::schedule(common::Item item, common::SeqNo seq) {
         .tick = 0});
   }
   return decision;
-}
-
-void PosgScheduler::schedule_batch(const common::Item* items, const common::SeqNo* seqs,
-                                   std::size_t n, Decision* out) {
-  if (n == 0) {
-    return;
-  }
-  if (n == 1) {
-    // Delegation, not reimplementation: batch size 1 runs the exact
-    // per-tuple code path, so golden scheduling streams cannot drift.
-    out[0] = schedule(items[0], seqs[0]);
-    return;
-  }
-  // Adopt peer membership transitions before choosing a path: they can
-  // move state_ (a lost last sketch falls back to ROUND_ROBIN) and start
-  // ramps, and both decide whether the batch may share one greedy pick.
-  sync_pool_if_stale();
-  const bool greedy_state = state_ == State::kWaitAll || state_ == State::kRun;
-  if (!greedy_state || ramps_active_ > 0) {
-    // ROUND_ROBIN / SEND_ALL rotate per tuple (markers piggy-back on
-    // individual tuples), and a pacing ramp must see every admission —
-    // the batch falls back to the per-tuple protocol unchanged.
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = schedule(items[i], seqs[i]);
-    }
-    return;
-  }
-  POSG_PROFILE_SCOPE(prof_schedule_);
-  if (live_count_ == 0) {
-    throw NoLiveInstanceError(
-        "PosgScheduler: no live instance to schedule onto (all quarantined; awaiting rejoin)");
-  }
-  // One argmin + one digest amortized over the batch: the head tuple's
-  // estimate stands in for the whole batch, billed in a single fused Ĉ
-  // update with a single argmin nudge. State transitions only happen on
-  // feedback and membership events — never inside schedule() in the
-  // greedy states — so the batch cannot straddle a protocol edge.
-  POSG_PROFILE_SCOPE(prof_bill_);
-  const common::InstanceId target = greedy_pick();
-  const common::TimeMs head_estimate =
-      scheduling_estimate(target, items[0], hashes_.digest(items[0]));
-  c_est_[target] += head_estimate * derate_[target] * static_cast<double>(n);
-  greedy_.increase(target, greedy_score(target));
-  decisions_ += n;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = Decision{target, std::nullopt};
-  }
-  if (trace_writer_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      trace_writer_->record(obs::TraceEvent{
-          .type = obs::TraceEventType::kScheduleDecision,
-          .detail = static_cast<std::uint8_t>(state_),
-          .component = 0,
-          .instance = static_cast<std::uint32_t>(target),
-          .a = seqs[i],
-          .value = c_est_[target],
-          .tick = 0});
-    }
-  }
 }
 
 void PosgScheduler::enter_send_all() noexcept {

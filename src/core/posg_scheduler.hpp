@@ -90,25 +90,6 @@ class PosgScheduler final : public Scheduler {
 
   Decision schedule(common::Item item, common::SeqNo seq) override;
 
-  /// Micro-batched SUBMIT (DESIGN.md §13): schedules `n` consecutive
-  /// tuples in one call, writing one Decision per tuple into `out`.
-  ///
-  /// In the greedy states (WAIT_ALL / RUN) with no admission ramp active,
-  /// the whole batch shares ONE cached-argmin pick and ONE BucketDigest:
-  /// the batch head's estimate is billed n-fold in a single Ĉ update and
-  /// the incremental argmin is nudged once — amortizing the per-tuple
-  /// schedule cost over the batch at the price of intra-batch granularity
-  /// (all n tuples land on the same instance, billed at the head tuple's
-  /// estimate). ROUND_ROBIN and SEND_ALL fall back to per-tuple
-  /// schedule() — marker piggy-backing is inherently per-tuple — as does
-  /// any batch while a rejoin ramp is pacing admissions.
-  ///
-  /// n == 1 delegates to schedule() unconditionally, so a batch size of 1
-  /// reproduces the per-tuple scheduling stream byte-identically
-  /// (tests/golden_schedule_test.cpp locks this).
-  void schedule_batch(const common::Item* items, const common::SeqNo* seqs, std::size_t n,
-                      Decision* out);
-
   /// Consumes the two messages POSG is fed: stable (F, W) shipments,
   /// whose sketch is moved into the billing slot rather than copied, and
   /// Δ replies. Execution feedback and load reports are ignored.
@@ -290,16 +271,16 @@ class PosgScheduler final : public Scheduler {
   /// (0 = fully reconciled; the view catches up on its next decision).
   std::uint64_t pool_lag() const noexcept { return pool_raw_->version() - pool_cursor_; }
 
-  /// gossip_merge reconciliation (DESIGN.md §15): per-instance bias added
-  /// to the greedy objective, carrying the *other* sources' billed load
-  /// Σ_{s' ≠ s} Ĉ_{s'}[op] so this view's argmin approximates the
-  /// cluster-wide least-loaded choice. An empty vector disables the term
-  /// — the per_source_greedy mode and the paper's S = 1 behaviour, whose
-  /// scheduling stream is byte-identical (x + 0.0 preserves every
-  /// non-negative score bit-for-bit). Entries must be finite and
-  /// non-negative; the greedy argmin is rebuilt on install.
-  void set_external_loads(std::vector<common::TimeMs> loads);
-  const std::vector<common::TimeMs>& external_loads() const noexcept { return external_load_; }
+  /// Multi-source policy (DESIGN.md §15): per-instance bias added to the
+  /// greedy objective, carrying the *other* sources' billed load
+  /// Σ_{s' ≠ s} Ĉ_{s'}[op] (core::sibling_loads) so this view's argmin
+  /// approximates the cluster-wide least-loaded choice. An empty vector
+  /// disables the term — the paper's S = 1 behaviour, whose scheduling
+  /// stream is byte-identical (x + 0.0 preserves every non-negative score
+  /// bit-for-bit). Entries must be finite and non-negative; the greedy
+  /// argmin is re-scored on install. Copies into storage the view keeps,
+  /// so installing before every decision allocates nothing.
+  void set_external_loads(const std::vector<common::TimeMs>& loads);
 
   /// Ĉ — estimated cumulated execution time per instance.
   const std::vector<common::TimeMs>& estimated_loads() const noexcept { return c_est_; }
@@ -386,7 +367,7 @@ class PosgScheduler final : public Scheduler {
   /// Reference linear scan of the same argmin, kept for debug_validate's
   /// cross-check against the incremental index.
   common::InstanceId greedy_pick_reference() const noexcept;
-  /// Instance op's greedy objective: Ĉ[op] + latency hint + gossiped
+  /// Instance op's greedy objective: Ĉ[op] + latency hint + sibling
   /// external load (each term 0.0 when its feature is off — the additions
   /// are bit-exact no-ops for the non-negative scores involved, which is
   /// what keeps the golden streams byte-identical with both disabled).
@@ -499,7 +480,7 @@ class PosgScheduler final : public Scheduler {
   std::uint64_t pool_events_applied_ = 0;
   /// Scratch for adopt_pool_events so reconciliation does not allocate.
   std::vector<MemberEvent> pool_events_scratch_;
-  /// Gossiped peer load per instance (empty = per_source_greedy mode).
+  /// Siblings' Ĉ per instance (empty = a single source).
   std::vector<common::TimeMs> external_load_;
   /// The configured (seed, dims) hash set — identical to the one inside
   /// every shipped sketch (ingest_shipment enforces the layout), so schedule()

@@ -8,11 +8,6 @@
 #include "engine/posg_grouping.hpp"
 #include "obs/profile.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace posg::engine {
 
 void OutputCollector::emit(Tuple tuple) {
@@ -420,7 +415,7 @@ void Engine::run() {
   ran_ = true;
 
   // Elastic autoscale (optional): locate the POSG bolt before any spout
-  // routes a tuple, park the cold spares, and spawn the monitor.
+  // routes a tuple and spawn the monitor. All k instances serve at start.
   std::thread monitor;
   if (config_.elastic.enabled) {
     std::optional<std::size_t> posg_bolt;
@@ -434,38 +429,19 @@ void Engine::run() {
     }
     common::require(posg_bolt.has_value(),
                     "Engine: elastic autoscale requires a PosgGrouping input");
-    const std::size_t k = bolts_[*posg_bolt]->spec.parallelism;
-    const std::size_t initial = config_.elastic_initial_instances == 0
-                                    ? k
-                                    : std::min(config_.elastic_initial_instances, k);
-    for (common::InstanceId op = initial; op < k; ++op) {
-      grouping->park(op);  // cold spare; a ScaleUp revives it via rejoin
-    }
     const std::size_t bolt_index = *posg_bolt;
     monitor = std::thread([this, bolt_index, grouping] { elastic_monitor(bolt_index, grouping); });
   }
 
   // Start all bolt executors first so queues have consumers, then spouts.
-  // Shard-per-core (EngineConfig::pin_threads): each executor thread gets
-  // the next core round-robin in spawn order, so a topology that fits the
-  // machine runs one shard per core with stable cache residency.
-  const unsigned cores = std::max(1U, std::thread::hardware_concurrency());
-  unsigned next_core = 0;
-  const auto maybe_pin = [&](std::thread& thread) {
-    if (config_.pin_threads) {
-      pin_thread_to_core(thread, next_core++ % cores);
-    }
-  };
   for (std::size_t b = 0; b < bolts_.size(); ++b) {
     for (common::InstanceId i = 0; i < bolts_[b]->spec.parallelism; ++i) {
       bolts_[b]->threads.emplace_back([this, b, i] { bolt_main(b, i); });
-      maybe_pin(bolts_[b]->threads.back());
     }
   }
   for (std::size_t s = 0; s < spouts_.size(); ++s) {
     for (common::InstanceId i = 0; i < spouts_[s]->spec.parallelism; ++i) {
       spouts_[s]->threads.emplace_back([this, s, i] { spout_main(s, i); });
-      maybe_pin(spouts_[s]->threads.back());
     }
   }
 
@@ -507,20 +483,6 @@ void Engine::run() {
   }
   metrics_.counter("posg.engine.ring_full_spins").add(ring_full_spins);
   metrics_.counter("posg.engine.ring_parks").add(ring_parks);
-}
-
-void Engine::pin_thread_to_core(std::thread& thread, unsigned core) {
-#if defined(__linux__)
-  cpu_set_t cpuset;
-  CPU_ZERO(&cpuset);
-  CPU_SET(core, &cpuset);
-  // Best effort: a failure (cgroup CPU mask, exotic runner) leaves the
-  // thread unpinned, which is always correct.
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof(cpuset), &cpuset);
-#else
-  (void)thread;
-  (void)core;
-#endif
 }
 
 void Engine::elastic_monitor(std::size_t bolt_index, PosgGrouping* grouping) {

@@ -197,8 +197,6 @@ class Engine {
   void flush_batch(BoltRuntime& bolt, TupleChannel& channel, std::vector<Tuple>& tuples);
   void spout_main(std::size_t index, common::InstanceId instance);
   void bolt_main(std::size_t index, common::InstanceId instance);
-  /// Best-effort affinity pin of `thread` (EngineConfig::pin_threads).
-  static void pin_thread_to_core(std::thread& thread, unsigned core);
   /// Autoscale loop (EngineConfig::elastic.enabled): samples the POSG
   /// bolt's queue occupancies every elastic_sample_period_ms, feeds the
   /// ElasticController, and executes its actions through the grouping's

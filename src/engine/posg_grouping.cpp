@@ -51,21 +51,9 @@ void PosgGrouping::route_batch(const Tuple* tuples, std::size_t n, std::size_t k
   }
   MutexLock lock(mutex_);
   common::require(k == scheduler_.instances(), "PosgGrouping: instance count mismatch");
-  const std::size_t batch = config_.batch > 0 ? config_.batch : 1;
-  for (std::size_t base = 0; base < n; base += batch) {
-    const std::size_t chunk = std::min(batch, n - base);
-    items_scratch_.clear();
-    seqs_scratch_.clear();
-    for (std::size_t i = 0; i < chunk; ++i) {
-      items_scratch_.push_back(tuples[base + i].item);
-      seqs_scratch_.push_back(tuples[base + i].seq);
-    }
-    decisions_scratch_.resize(chunk);
-    scheduler_.schedule_batch(items_scratch_.data(), seqs_scratch_.data(), chunk,
-                              decisions_scratch_.data());
-    for (std::size_t i = 0; i < chunk; ++i) {
-      out[base + i] = Route{decisions_scratch_[i].instance, decisions_scratch_[i].sync_request};
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    const core::Decision decision = scheduler_.schedule(tuples[i].item, tuples[i].seq);
+    out[i] = Route{decision.instance, decision.sync_request};
   }
 }
 
@@ -184,11 +172,6 @@ bool PosgGrouping::is_failed(common::InstanceId op) const {
 bool PosgGrouping::is_draining(common::InstanceId op) const {
   MutexLock lock(mutex_);
   return scheduler_.is_draining(op);
-}
-
-void PosgGrouping::park(common::InstanceId op) {
-  MutexLock lock(mutex_);
-  scheduler_.mark_failed(op);
 }
 
 common::TimeMs PosgGrouping::scale_up(common::InstanceId op) {

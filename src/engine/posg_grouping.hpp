@@ -42,11 +42,9 @@ class PosgGrouping final : public Grouping {
   PosgGrouping& operator=(const PosgGrouping&) = delete;
 
   Route route(const Tuple& tuple, std::size_t k) override;
-  /// Takes the scheduler mutex ONCE for the whole batch and feeds the
-  /// scheduler config().batch-sized chunks via schedule_batch(). With
-  /// batch = 1 (default) every tuple still goes through the per-tuple
-  /// schedule() path — only the lock is amortized — so scheduling streams
-  /// are byte-identical to repeated route() calls.
+  /// Takes the scheduler mutex ONCE for the whole batch and schedules each
+  /// tuple with the per-tuple schedule() — only the lock is amortized — so
+  /// scheduling streams are byte-identical to repeated route() calls.
   void route_batch(const Tuple* tuples, std::size_t n, std::size_t k, Route* out) override;
   bool wants_feedback() const override { return true; }
   void on_sketches(const core::SketchShipment& shipment) override;
@@ -80,10 +78,8 @@ class PosgGrouping final : public Grouping {
   std::vector<common::InstanceId> draining_instances() const;
   bool is_failed(common::InstanceId op) const;
   bool is_draining(common::InstanceId op) const;
-  /// Parks `op` as a cold spare (quarantine without a failure): excluded
-  /// from routing until scale_up() revives it. Engine start-up only.
-  void park(common::InstanceId op);
-  /// Revives a parked spare through the rejoin path; returns the seeded Ĉ.
+  /// Revives a retired instance through the rejoin path; returns the
+  /// seeded Ĉ.
   common::TimeMs scale_up(common::InstanceId op);
   /// Opens a lossless drain; returns the frozen Ĉ cut.
   common::TimeMs begin_drain(common::InstanceId op);
@@ -122,11 +118,6 @@ class PosgGrouping final : public Grouping {
 
   mutable Mutex mutex_{"engine::PosgGrouping::mutex_", lock_rank::kSchedulerState};
   core::PosgScheduler scheduler_ GUARDED_BY(mutex_);
-  /// route_batch scratch (item/seq columns + decisions), kept across
-  /// calls so the steady-state batch path performs no allocation.
-  std::vector<common::Item> items_scratch_ GUARDED_BY(mutex_);
-  std::vector<common::SeqNo> seqs_scratch_ GUARDED_BY(mutex_);
-  std::vector<core::Decision> decisions_scratch_ GUARDED_BY(mutex_);
 
   // Delayed-delivery machinery (only active when control_delay_ > 0).
   Mutex delay_mutex_{"engine::PosgGrouping::delay_mutex_", lock_rank::kSchedulerState};

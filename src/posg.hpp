@@ -35,6 +35,7 @@
 #include "core/elastic.hpp"
 #include "core/full_knowledge.hpp"
 #include "core/messages.hpp"
+#include "core/multi_source.hpp"
 #include "core/posg_scheduler.hpp"
 #include "core/reactive_jsq.hpp"
 #include "core/round_robin.hpp"

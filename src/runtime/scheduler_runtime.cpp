@@ -396,7 +396,7 @@ bool SchedulerRuntime::handle_failure(common::InstanceId op, const std::string& 
       }
     }
   }
-  if (config_.announce_failures && !draining_.load()) {
+  if (!draining_.load()) {
     const auto frame = net::encode(net::InstanceFailed{op, failed_epoch});
     for (const common::InstanceId other : survivors) {
       try {
@@ -571,7 +571,7 @@ void SchedulerRuntime::maybe_checkpoint_locked() {
     return;
   }
   const std::uint64_t done = scheduler_.epochs_completed();
-  if (done < last_checkpoint_epochs_ + config_.posg.checkpoint_every_epochs) {
+  if (done <= last_checkpoint_epochs_) {
     return;
   }
   last_checkpoint_epochs_ = done;
@@ -885,9 +885,9 @@ std::vector<common::TimeMs> SchedulerRuntime::estimated_loads() const {
   return scheduler_.estimated_loads();
 }
 
-void SchedulerRuntime::set_external_loads(std::vector<common::TimeMs> external) {
+void SchedulerRuntime::set_external_loads(const std::vector<common::TimeMs>& external) {
   MutexLock lock(mutex_);
-  scheduler_.set_external_loads(std::move(external));
+  scheduler_.set_external_loads(external);
 }
 
 core::PosgScheduler::State SchedulerRuntime::state() const {

@@ -154,15 +154,15 @@ class SchedulerRuntime {
   /// SchedulerRuntime recovering from this one's checkpoint. Idempotent.
   void sever();
 
-  /// Locked snapshot of this view's Ĉ vector (gossip_merge
-  /// reconciliation reads the sibling views through this).
+  /// Locked snapshot of this view's Ĉ vector (a multi-source driver reads
+  /// the sibling views through this before each route()).
   std::vector<common::TimeMs> estimated_loads() const;
 
-  /// Installs Σ of the sibling views' Ĉ as this view's external-load
-  /// term (core::PosgScheduler::set_external_loads) so its greedy argmin
-  /// sees pool-wide pressure, not just its own billing. gossip_merge
-  /// reconciliation only; safe from any thread after start().
-  void set_external_loads(std::vector<common::TimeMs> external);
+  /// Installs Σ of the sibling views' Ĉ (core::sibling_loads) as this
+  /// view's external-load term (core::PosgScheduler::set_external_loads)
+  /// so its greedy argmin sees pool-wide pressure, not just its own
+  /// billing. Safe from any thread after start().
+  void set_external_loads(const std::vector<common::TimeMs>& external);
 
   // --- observability (all safe to call concurrently with the readers) ---
   core::PosgScheduler::State state() const;
@@ -258,8 +258,8 @@ class SchedulerRuntime {
   /// `done` is non-empty.
   void announce_admission_grants(const std::vector<common::InstanceId>& done,
                                  common::Epoch epoch);
-  /// Captures a CheckpointState when an epoch boundary advanced past the
-  /// checkpoint cadence and hands it to the writer thread (rank-increasing
+  /// Captures a CheckpointState when an epoch completed since the last
+  /// capture and hands it to the writer thread (rank-increasing
   /// kSchedulerState → kCheckpointWriter acquisition). Off the hot path:
   /// called on the feedback/reattach paths where epochs complete, never by
   /// route(). No-op when checkpoint_path is empty.
@@ -374,8 +374,8 @@ class SchedulerRuntime {
   std::optional<core::CheckpointState> ckpt_pending_ GUARDED_BY(ckpt_mutex_);
   bool ckpt_stop_ GUARDED_BY(ckpt_mutex_) = false;
   std::thread ckpt_writer_;
-  /// epochs_completed() at the last capture, so the cadence knob
-  /// (posg.checkpoint_every_epochs) counts boundaries, not messages.
+  /// epochs_completed() at the last capture, so one capture is taken per
+  /// completed epoch, not per message.
   std::uint64_t last_checkpoint_epochs_ GUARDED_BY(mutex_) = 0;
   std::atomic<std::uint64_t> checkpoint_writes_{0};
   std::atomic<std::uint64_t> checkpoint_failures_{0};

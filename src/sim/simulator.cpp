@@ -508,9 +508,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
       result.resilience.derate[op] = posg_scheduler->derate(op);
     }
   }
-  if constexpr (kMulti) {
-    result.gossip_rounds = scheduler.gossip_rounds();
-  }
 
   if (posg_scheduler != nullptr && config_.trace != nullptr) {
     posg_scheduler->bind_trace(nullptr);  // flushes the staged tail first
@@ -533,7 +530,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
       posg_scheduler->register_metrics(registry);
     }
     if constexpr (kMulti) {
-      registry.counter("posg.sim.gossip_rounds").add(result.gossip_rounds);
       for (common::SourceId s = 0; s < sources; ++s) {
         registry.counter("posg.s" + std::to_string(s) + ".sim.routed")
             .add(result.source_routed[s]);

@@ -119,8 +119,6 @@ class Simulator {
     /// op — the per-cell side of the conservation check (each view bills
     /// exactly what it routed; row sums match source_routed).
     std::vector<std::vector<std::uint64_t>> per_source_instance_tuples;
-    /// Gossip rounds the MultiSourceScheduler ran (kGossipMerge only).
-    std::uint64_t gossip_rounds = 0;
   };
 
   Simulator(Config config, CostFunction cost);

@@ -209,11 +209,17 @@ void drive_greedy_index(std::size_t k, std::uint64_t seed) {
       scores[op] += 0.25 * static_cast<double>(1 + rng.next_below(8));
       index.increase(op, scores[op]);
     } else if (action < 95) {
-      // Epoch correction: globally perturb (including decreases).
+      // Epoch correction or a new multi-source external load: globally
+      // perturb (including decreases). rescore keeps the live set that
+      // rebuild re-derives, so both must land on the same argmin.
       for (std::size_t op = 0; op < k; ++op) {
         scores[op] = static_cast<double>(rng.next_below(64)) * 0.5;
       }
-      index.rebuild(scores, alive);
+      if (step % 2 == 0) {
+        index.rebuild(scores, alive);
+      } else {
+        index.rescore(scores);
+      }
     } else {
       // Quarantine/revive churn, keeping at least one live instance.
       const std::size_t op = rng.next_below(k);

@@ -1,11 +1,10 @@
 /// Multi-source scheduler tier (DESIGN.md §15): S scheduler views over one
 /// shared core::InstancePool.
 ///
-/// Locks the four load-bearing guarantees of the tier:
-///   1. S = 1 byte-identity — a MultiSourceScheduler with one source and
-///      per_source_greedy reconciliation reproduces the golden scheduling
-///      streams bit for bit (the same constants golden_schedule_test pins
-///      for the bare PosgScheduler).
+/// Locks the load-bearing guarantees of the tier:
+///   1. S = 1 byte-identity — a MultiSourceScheduler with one source
+///      reproduces the golden scheduling streams bit for bit (the same
+///      constants golden_schedule_test pins for the bare PosgScheduler).
 ///   2. Conservation — with S sources round-robining one stream over the
 ///      shared pool, every routed tuple is executed exactly once and
 ///      billed to exactly one view: Σ_s routed_s == Σ_op executed_op ==
@@ -18,15 +17,16 @@
 ///      owning source and refuse a mismatch (the double-billing guard),
 ///      and every source-stamped wire frame round-trips and rejects
 ///      truncation.
-///   5. A view adopts the pool log before acting on it — a micro-batch
-///      picks its path only after adopting peer events, a shared-pool
+///   5. A view adopts the pool log before acting on it — a shared-pool
 ///      restore reconciles liveness before drains, and membership ops
 ///      issued while other sources route leave every view matching the
 ///      pool.
+///   6. A view reads its siblings' Ĉ before it decides — the one S > 1
+///      policy, so a view never piles onto an instance a sibling has
+///      already loaded just because its own billing there is zero.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -69,7 +69,7 @@ std::vector<common::InstanceId> run_golden_stream_via_views(std::size_t k, bool 
   config.epsilon = 0.05;  // 54 columns — the paper's coarse sketch
   config.delta = 0.1;     // 4 rows
 
-  core::MultiSourceConfig multi;  // S = 1, per_source_greedy
+  core::MultiSourceConfig multi;  // S = 1
   core::MultiSourceScheduler scheduler(k, config, multi);
   const auto dims = config.dims();
   common::Xoshiro256StarStar rng(42);
@@ -187,56 +187,99 @@ TEST(MultiSourceSim, SingleSourceRunMultiMatchesClassicRun) {
 /// exactly one view and executed by exactly one instance, and the
 /// per-(source, instance) cells tie both margins together.
 TEST(MultiSourceSim, FourSourceConservation) {
-  for (const auto reconcile :
-       {core::ReconcileMode::kPerSourceGreedy, core::ReconcileMode::kGossipMerge}) {
-    sim::Simulator::Config config;
-    config.instances = 6;
-    config.inter_arrival = 0.5;
-    core::MultiSourceConfig multi;
-    multi.sources = 4;
-    multi.reconcile = reconcile;
-    multi.gossip_every_decisions = 128;
-    core::MultiSourceScheduler scheduler(config.instances, config.posg, multi);
+  sim::Simulator::Config config;
+  config.instances = 6;
+  config.inter_arrival = 0.5;
+  core::MultiSourceConfig multi;
+  multi.sources = 4;
+  core::MultiSourceScheduler scheduler(config.instances, config.posg, multi);
 
-    std::vector<common::Item> stream(8000);
-    common::Xoshiro256StarStar rng(11);
-    for (auto& item : stream) {
-      item = rng.next_below(1024);
-    }
-    const auto cost = [](common::Item item, common::InstanceId, common::SeqNo) {
-      return 1.0 + static_cast<double>(item % 5);
-    };
-    const auto result = sim::Simulator(config, cost).run_multi(stream, scheduler);
+  std::vector<common::Item> stream(8000);
+  common::Xoshiro256StarStar rng(11);
+  for (auto& item : stream) {
+    item = rng.next_below(1024);
+  }
+  const auto cost = [](common::Item item, common::InstanceId, common::SeqNo) {
+    return 1.0 + static_cast<double>(item % 5);
+  };
+  const auto result = sim::Simulator(config, cost).run_multi(stream, scheduler);
 
-    std::uint64_t routed_total = 0;
-    ASSERT_EQ(result.source_routed.size(), 4u);
-    for (std::size_t s = 0; s < 4; ++s) {
-      // Round-robin assignment: each source owns every 4th tuple.
-      EXPECT_EQ(result.source_routed[s], stream.size() / 4);
-      routed_total += result.source_routed[s];
-      std::uint64_t row = 0;
-      for (common::InstanceId op = 0; op < config.instances; ++op) {
-        row += result.per_source_instance_tuples[s][op];
-      }
-      EXPECT_EQ(row, result.source_routed[s]) << "source " << s << " billed != routed";
-    }
-    std::uint64_t executed_total = 0;
+  std::uint64_t routed_total = 0;
+  ASSERT_EQ(result.source_routed.size(), 4u);
+  for (std::size_t s = 0; s < 4; ++s) {
+    // Round-robin assignment: each source owns every 4th tuple.
+    EXPECT_EQ(result.source_routed[s], stream.size() / 4);
+    routed_total += result.source_routed[s];
+    std::uint64_t row = 0;
     for (common::InstanceId op = 0; op < config.instances; ++op) {
-      std::uint64_t column = 0;
-      for (std::size_t s = 0; s < 4; ++s) {
-        column += result.per_source_instance_tuples[s][op];
-      }
-      EXPECT_EQ(column, result.instance_tuples[op]) << "instance " << op;
-      executed_total += result.instance_tuples[op];
+      row += result.per_source_instance_tuples[s][op];
     }
-    EXPECT_EQ(routed_total, stream.size());
-    EXPECT_EQ(executed_total, stream.size());
-    EXPECT_EQ(result.completions.size(), stream.size());
-    if (reconcile == core::ReconcileMode::kGossipMerge) {
-      EXPECT_GT(scheduler.gossip_rounds(), 0u);
-    } else {
-      EXPECT_EQ(scheduler.gossip_rounds(), 0u);
+    EXPECT_EQ(row, result.source_routed[s]) << "source " << s << " billed != routed";
+  }
+  std::uint64_t executed_total = 0;
+  for (common::InstanceId op = 0; op < config.instances; ++op) {
+    std::uint64_t column = 0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      column += result.per_source_instance_tuples[s][op];
     }
+    EXPECT_EQ(column, result.instance_tuples[op]) << "instance " << op;
+    executed_total += result.instance_tuples[op];
+  }
+  EXPECT_EQ(routed_total, stream.size());
+  EXPECT_EQ(executed_total, stream.size());
+  EXPECT_EQ(result.completions.size(), stream.size());
+}
+
+/// The one S > 1 policy: before a view decides, it adds its siblings' Ĉ
+/// to its greedy score. Both views are in RUN with zero Ĉ. Source 1 bills
+/// its first tuple to instance 0 (the tie breaks toward the lowest id);
+/// source 0's own Ĉ is still zero everywhere, so only the sibling's load
+/// can send its first tuple to the other instance.
+TEST(MultiSourcePolicy, ViewReadsSiblingLoadBeforeItDecides) {
+  core::PosgConfig config;
+  config.sync_enabled = false;
+  core::MultiSourceConfig multi;
+  multi.sources = 2;
+  core::MultiSourceScheduler scheduler(2, config, multi);
+  const common::Item item = 7;
+  for (common::SourceId s = 0; s < 2; ++s) {
+    for (common::InstanceId op = 0; op < 2; ++op) {
+      sketch::DualSketch sketch(config.dims(), config.sketch_seed);
+      sketch.update(item, 1.0);
+      core::SketchShipment shipment{op, sketch};
+      shipment.source = s;
+      scheduler.on_feedback(s, core::FeedbackEvent{std::move(shipment)});
+    }
+    ASSERT_EQ(scheduler.view(s).state(), core::PosgScheduler::State::kRun);
+  }
+
+  const common::InstanceId first = scheduler.schedule(/*source=*/1, item, /*seq=*/0).instance;
+  EXPECT_EQ(first, 0u);
+  const common::InstanceId second = scheduler.schedule(/*source=*/0, item, /*seq=*/1).instance;
+  EXPECT_NE(second, first) << "view 0 did not see the load view 1 put on instance " << first;
+}
+
+/// The sibling read runs before every S > 1 decision, including while the
+/// pool has no live instance: each call must still fail with the typed
+/// NoLiveInstanceError that callers wait out, and a rejoin resumes
+/// routing.
+TEST(MultiSourcePolicy, NoLiveInstanceStaysTypedWhileViewsReadSiblings) {
+  core::PosgConfig config;
+  core::MultiSourceConfig multi;
+  multi.sources = 2;
+  core::MultiSourceScheduler scheduler(2, config, multi);
+  common::SeqNo seq = 0;
+  scheduler.mark_failed(/*source=*/0, 0);
+  scheduler.mark_failed(/*source=*/0, 1);
+  for (int round = 0; round < 2; ++round) {
+    for (common::SourceId s = 0; s < 2; ++s) {
+      EXPECT_THROW(scheduler.schedule(s, 5, seq++), core::NoLiveInstanceError)
+          << "source " << s << ", call " << round;
+    }
+  }
+  scheduler.rejoin(/*source=*/1, 1);
+  for (common::SourceId s = 0; s < 2; ++s) {
+    EXPECT_EQ(scheduler.schedule(s, 5, seq++).instance, 1u);
   }
 }
 
@@ -371,88 +414,6 @@ TEST(MultiSourceCheckpoint, SharedPoolRestoreAdoptsPoolNotImage) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_NE(restarted.schedule(i % 64, seq++).instance, 3u);
   }
-}
-
-/// A view over `pool` driven straight into RUN: synchronization is off and
-/// every instance ships one sketch through it.
-std::unique_ptr<core::PosgScheduler> make_running_view(std::shared_ptr<core::InstancePool> pool,
-                                                       common::SourceId source) {
-  core::PosgConfig config;
-  config.sync_enabled = false;
-  auto view = std::make_unique<core::PosgScheduler>(std::move(pool), config, source,
-                                                    /*private_pool=*/false);
-  for (common::InstanceId op = 0; op < view->instances(); ++op) {
-    sketch::DualSketch sketch(config.dims(), config.sketch_seed);
-    sketch.update(op, 1.0 + static_cast<double>(op));
-    view->on_feedback(core::SketchShipment{op, sketch});
-  }
-  return view;
-}
-
-/// A batch must adopt the pool log before picking its path. Here a peer's
-/// churn removed every sketch this view billed from, so the view is back
-/// in ROUND_ROBIN: the batch rotates per tuple over the one live instance
-/// instead of estimating from the greedy path's missing sketches.
-TEST(MultiSourceBatch, AdoptsPeerEventsBeforeChoosingTheGreedyPath) {
-  auto pool = std::make_shared<core::InstancePool>(2);
-  auto view = make_running_view(pool, /*source=*/0);
-  ASSERT_EQ(view->state(), core::PosgScheduler::State::kRun);
-  core::PosgScheduler peer(pool, core::PosgConfig{}, /*source=*/1, /*private_pool=*/false);
-  peer.mark_failed(1);
-  peer.rejoin(1);
-  peer.mark_failed(0);
-
-  std::vector<common::Item> items(8, 5);
-  std::vector<common::SeqNo> seqs(8);
-  std::vector<core::Decision> out(8);
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    seqs[i] = i;
-  }
-  ASSERT_NO_THROW(view->schedule_batch(items.data(), seqs.data(), items.size(), out.data()));
-  EXPECT_EQ(view->state(), core::PosgScheduler::State::kRoundRobin);
-  for (const auto& decision : out) {
-    EXPECT_EQ(decision.instance, 1u);
-  }
-}
-
-/// Same ordering, second effect: a peer's rejoin starts a ramp in this
-/// view, and a pacing ramp must see every admission. The batch therefore
-/// routes exactly like eight per-tuple calls on an identical view, and
-/// each tuple the rejoiner wins is charged to its ramp.
-TEST(MultiSourceBatch, AdoptedRejoinRampPacesTheBatch) {
-  const auto run = [](bool batched) {
-    auto pool = std::make_shared<core::InstancePool>(3);
-    auto view = make_running_view(pool, /*source=*/0);
-    core::PosgScheduler peer(pool, core::PosgConfig{}, /*source=*/1, /*private_pool=*/false);
-    peer.mark_failed(0);
-    peer.rejoin(0);
-    std::vector<common::Item> items(8, 5);
-    std::vector<common::SeqNo> seqs(8);
-    std::vector<core::Decision> out(8);
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      seqs[i] = i;
-    }
-    if (batched) {
-      view->schedule_batch(items.data(), seqs.data(), items.size(), out.data());
-    } else {
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        out[i] = view->schedule(items[i], seqs[i]);
-      }
-    }
-    std::vector<common::InstanceId> targets;
-    for (const auto& decision : out) {
-      targets.push_back(decision.instance);
-    }
-    return std::make_pair(targets, view->ramp_remaining(0));
-  };
-  const auto [batch_targets, batch_ramp] = run(true);
-  const auto [tuple_targets, tuple_ramp] = run(false);
-  EXPECT_EQ(batch_targets, tuple_targets);
-  const auto to_rejoiner = static_cast<std::uint64_t>(
-      std::count(batch_targets.begin(), batch_targets.end(), 0u));
-  EXPECT_LT(to_rejoiner, batch_targets.size()) << "the ramp did not pace the rejoiner";
-  EXPECT_EQ(batch_ramp, core::RejoinRampConfig{}.ramp_tuples - to_rejoiner);
-  EXPECT_EQ(batch_ramp, tuple_ramp);
 }
 
 /// A shared-pool restore reconciles liveness before drains. The image has

@@ -22,7 +22,9 @@ The emitted schema (validated by `compare` and by the CI bench job):
   {
     "schema": "posg-hotpath-bench/1",
     "generated_by": "tools/run_hotpath_bench.sh",
-    "context": { ... host/build info from google-benchmark ... },
+    "context": { ... host/build info from google-benchmark, plus
+                 posg_commit: `git describe --always --dirty` of the
+                 tree the numbers came from ... },
     "benchmarks": { "<name>": {"real_time_ns": float, "cpu_time_ns": float,
                                 "items_per_second": float|null}, ... },
     "before": { "<name>": {"real_time_ns": float, ...}, ... }   # optional
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 
 SCHEMA = "posg-hotpath-bench/1"
@@ -104,12 +108,25 @@ def validate_emitted(doc: dict, source: str) -> None:
                     fail(f"{source}: {section}[{name!r}].{key} must be a positive number")
 
 
+def tree_commit() -> str:
+    """The commit this script's checkout is at, `-dirty` when the working
+    tree differs from it; "unknown" outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def cmd_emit(args: argparse.Namespace) -> int:
     raw = load_json(args.raw)
     doc = {
         "schema": SCHEMA,
         "generated_by": "tools/run_hotpath_bench.sh",
-        "context": raw.get("context", {}),
+        "context": {**raw.get("context", {}), "posg_commit": tree_commit()},
         "benchmarks": normalize(raw, args.raw),
     }
     if args.before:

@@ -193,9 +193,8 @@ def report_recovery(counters):
 def report_data_plane(counters, histograms):
     """Shard-per-core data-plane lens (DESIGN.md §13).
 
-    posg.engine.batch_fill is tuples per route_batch call — how full the
-    micro-batches actually run (mean near 1 means the batch knob buys
-    nothing for this workload). Both channel kinds park a waiting side:
+    posg.engine.batch_fill is tuples per route_batch call — how many
+    tuples share one grouping-lock acquisition. Both channel kinds park a waiting side:
     SPSC rings spin briefly and then wait on a futex word, MPMC edges wait
     on a condvar. posg.engine.ring_full_spins counts failed producer room
     checks against full SPSC rings — the back-pressure signal of the

@@ -2,8 +2,8 @@
 # Multi-source soak for the shared-pool scheduler tier (DESIGN.md §15):
 # repeatedly runs the S-source distributed_posg driver — S scheduler
 # views over ONE core::InstancePool, k forked instance processes each
-# holding one session per source — across a seed-rotated campaign matrix
-# (source count, reconciliation mode), then a source-churn phase, and
+# holding one session per source — across seed-rotated campaigns (the
+# source count rotates with the seed), then a source-churn phase, and
 # asserts the three invariants every campaign must keep:
 #
 #   1. conservation — each view's sessions execute exactly what that view
@@ -24,9 +24,9 @@
 #
 # Environment:
 #   MS_SEED=<n>     base seed (default 1). Iteration i runs seed
-#                   MS_SEED+i; the campaign shape (source count,
-#                   reconcile mode, which source dies) is a pure function
-#                   of the seed, so a failure report's seed replays that
+#                   MS_SEED+i; the campaign shape (source count, which
+#                   source dies) is a pure function of the seed, so a
+#                   failure report's seed replays that
 #                   exact campaign:
 #                     MS_SEED=<seed> MS_ITERS=1 tools/run_multisource_soak.sh
 #   MS_ITERS=<n>    steady-state campaigns to run (default 3)
@@ -123,17 +123,11 @@ run_campaign() {
   grep '^MULTISOURCE ' "${log}" | sed 's/^/  /'
 }
 
-# --- steady-state matrix: source count and reconcile mode rotate with the seed
+# --- steady-state campaigns: the source count rotates with the seed
 for ((i = 0; i < iters; ++i)); do
   seed=$((base_seed + i))
   sources=$((2 + seed % 3))
-  if ((seed % 2)); then
-    mode=gossip_merge
-  else
-    mode=per_source_greedy
-  fi
-  run_campaign "steady_seed${seed}" "${seed}" \
-    --sources "${sources}" --m "${m}" --reconcile "${mode}"
+  run_campaign "steady_seed${seed}" "${seed}" --sources "${sources}" --m "${m}"
 done
 
 # --- source-churn phase: a dying SOURCE must not quarantine INSTANCES
@@ -154,7 +148,7 @@ if ((churn)); then
 
   run_campaign "churn_restart" "${base_seed}" \
     --sources "${churn_sources}" --m "${churn_m}" \
-    --kill-source "${kill_id}" --restart-source --reconcile gossip_merge
+    --kill-source "${kill_id}" --restart-source
   if ! grep -q '^MULTISOURCE restarted source=.*restored=yes' \
       "${workdir}/churn_restart.log"; then
     tail -40 "${workdir}/churn_restart.log" >&2

@@ -9,10 +9,8 @@
 # against the checked-in BENCH_hotpath.json baseline, restricted to
 # exactly those benchmarks via bench_compare.py --only. The same budget
 # covers BM_RouterThroughputElasticIdle/10 (the router loop with a
-# disabled ElasticController compiled in, DESIGN.md §11) and
-# BM_RouterThroughputBatched/10/8 (the micro-batched decision loop,
-# DESIGN.md §13), whose idle/steady costs must stay inside the obs
-# tolerance too.
+# disabled ElasticController compiled in, DESIGN.md §11), whose idle cost
+# must stay inside the obs tolerance too.
 #
 # Usage:
 #   tools/run_obs_overhead_gate.sh [build-dir] [min-time-seconds]
@@ -81,7 +79,7 @@ for ((attempt = 1; attempt <= attempts; attempt++)); do
   if python3 "${repo_root}/tools/bench_compare.py" compare \
     "${baseline}" "${raw}" \
     --max-regression "${tolerance}" \
-    --only '^(BM_RouterThroughput/10|BM_RouterThroughputElasticIdle/10|BM_RouterThroughputBatched/10/8|BM_QueueTransfer|BM_SpscTransfer)'; then
+    --only '^(BM_RouterThroughput/10|BM_RouterThroughputElasticIdle/10|BM_QueueTransfer|BM_SpscTransfer)'; then
     exit 0
   fi
 done
