@@ -1,6 +1,8 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -22,6 +24,24 @@ class FrameTransport {
   /// raises SIGPIPE.
   virtual void send_frame(std::span<const std::byte> payload) = 0;
 
+  /// Sends a run of frames framed back to back (u32 little-endian length,
+  /// then the payload, per frame), such as SchedulerRuntime's link writer
+  /// hands over one outbox at a time. Same throw contract as send_frame;
+  /// when it throws, an unknown prefix of the run may have left.
+  ///
+  /// This default sends frame by frame through send_frame, so a decorator
+  /// that implements only send_frame (net::FaultInjector, a test's
+  /// counting transport) still sees, faults and counts every frame.
+  /// SocketTransport overrides it with one Socket::send_frames call.
+  virtual void send_frames(std::span<const std::byte> framed) {
+    while (!framed.empty()) {
+      std::uint32_t length = 0;
+      std::memcpy(&length, framed.data(), sizeof(length));
+      send_frame(framed.subspan(sizeof(length), length));
+      framed = framed.subspan(sizeof(length) + length);
+    }
+  }
+
   /// Deadline-bounded receive (see Socket::recv_frame(deadline)).
   virtual RecvResult recv_frame(std::chrono::milliseconds deadline) = 0;
 
@@ -35,6 +55,7 @@ class SocketTransport final : public FrameTransport {
   explicit SocketTransport(Socket socket) noexcept : socket_(std::move(socket)) {}
 
   void send_frame(std::span<const std::byte> payload) override { socket_.send_frame(payload); }
+  void send_frames(std::span<const std::byte> framed) override { socket_.send_frames(framed); }
   RecvResult recv_frame(std::chrono::milliseconds deadline) override {
     return socket_.recv_frame(deadline);
   }

@@ -200,13 +200,23 @@ def report_data_plane(counters, histograms):
     checks against full SPSC rings — the back-pressure signal of the
     lock-free edges. posg.engine.ring_parks counts consumer parks on empty
     SPSC rings — bolts that went idle and gave their CPU back. MPMC edges
-    report 0 for both. Like report_resilience, this is a lens over the
-    generic tables below, not a second bookkeeping path.
+    report 0 for both. <prefix>.runtime.frames_sent / send_calls (prefix
+    posg or posg.s<id>) is the cross-process send path's batching: frames
+    the link writer handed to the kernel per send_frames call. Like
+    report_resilience, this is a lens over the generic tables below, not a
+    second bookkeeping path.
     """
     rows = []
     for name in ("posg.engine.ring_full_spins", "posg.engine.ring_parks"):
         if name in counters:
             rows.append((name, fmt_value(counters[name])))
+    for name in sorted(n for n in counters if n.endswith(".runtime.frames_sent")):
+        prefix = name[: -len(".runtime.frames_sent")]
+        calls = counters.get(prefix + ".runtime.send_calls", 0)
+        per_send = counters[name] / calls if calls else 0.0
+        rows.append((prefix + ".runtime.frames_per_send",
+                     f"{fmt_value(per_send)} ({fmt_value(counters[name])} frames / "
+                     f"{fmt_value(calls)} sends)"))
     for name in ("posg.engine.batch_fill", "posg.engine.flush_batch_ns"):
         hist = histograms.get(name)
         if not hist:
