@@ -8,14 +8,32 @@
 //
 //   ./distributed_posg [--k 3] [--m 20000] [--kill ID] [--kill-epoch E]
 //                      [--slow ID] [--slow-factor F] [--slow-after N]
-//                      [--fault-seed S] [--rejoin] [--refork-budget B]
+//                      [--fault-seed S] [--rejoin]
 //                      [--stats-dir DIR] [--autoscale] [--initial N]
 //                      [--sleep-scale F] [--arrival-us U]
 //                      [--spike-factor F] [--spike-at-ms T] [--spike-for-ms D]
 //
-// An id flag out of range (--kill/--slow >= k, --kill-source >= S) and a
-// non-empty --stats-dir are refused with exit code 2 before anything forks,
-// as is a numeric flag whose value does not parse whole.
+// The run judges itself, and its exit code is the verdict:
+//   0  every gate held;
+//   1  explicit degradation: a `fatal:` line was printed, the stream could
+//      not be drained, and no gate failed;
+//   2  a refused flag: an id out of range (--kill/--slow >= k,
+//      --kill-source >= S), a non-empty --stats-dir, or a numeric flag
+//      whose value does not parse whole, all before anything forks;
+//   3  a gate failed, named on a `gate failed:` line. 3 wins over 1:
+//      conservation must hold in a degraded run too.
+// The gates of each mode print as `ok|violated` summary lines:
+//   single source  executed <= routed (with --stats-dir); on a drained
+//                  stream, at least one live instance (`recovered`); under
+//                  --autoscale, executed <= routed for each completed drain.
+//   --ckpt         executed within [m, routed + kills] (with --stats-dir),
+//                  all k x kills re-attaches, a clean final incarnation,
+//                  every kill done.
+//   --sources      per-source conservation, no quarantine, an intact pool;
+//                  with --kill-source the sever happened, and with
+//                  --restart-source the new incarnation restored.
+// tools/run_soak.sh runs the seeded fault campaigns over these modes and
+// adds only hangs and the gates that compare runs or read a child's output.
 //
 // `--kill ID` demonstrates the fault-tolerance path: instance ID crashes
 // upon receiving the synchronization marker of epoch E (default 1) —
@@ -23,7 +41,7 @@
 // deadlock a scheduler without failure detection. The run still drains
 // the full stream on the survivors.
 //
-// The remaining flags are the chaos-soak surface (tools/run_chaos_soak.sh):
+// The remaining flags are the chaos campaign's surface (tools/run_soak.sh):
 //   --slow ID          instance ID truly executes --slow-factor times
 //                      slower (from tuple --slow-after on) than its
 //                      sketches predict — the gray fault the straggler
@@ -35,12 +53,11 @@
 //                      filtered out (registration must succeed).
 //   --rejoin           overload-resilient mode: the scheduler re-admits
 //                      quarantined ids over the Hello path, and the parent
-//                      reforks exited instances (at most --refork-budget
-//                      times) so crash faults turn into rejoin exercises.
-//   --stats-dir DIR    each instance writes its executed-tuple count to
-//                      DIR on exit; the parent then prints the machine-
-//                      readable `CHAOS ...` conservation summary the soak
-//                      harness asserts on (executed <= routed: at-most-once
+//                      reforks exited instances (at most 3 times) so
+//                      crash faults turn into rejoin exercises.
+//   --stats-dir DIR    each instance writes its executed-tuple counts to
+//                      DIR on exit; the parent sums them for its
+//                      conservation gate (executed <= routed: at-most-once
 //                      delivery even under drops, crashes, and rejoins).
 //
 // Elasticity flags (DESIGN.md §11; --autoscale implies --rejoin):
@@ -62,7 +79,7 @@
 //   --spike-factor F   flash crowd: multiply the arrival rate by F over
 //                      [--spike-at-ms, +--spike-for-ms) of wall time.
 //
-// Scheduler kill-restart campaign (DESIGN.md §14; tools/run_chaos_soak.sh):
+// Scheduler kill-restart campaign (DESIGN.md §14):
 //   --ckpt PATH        campaign mode: the scheduler runs as a forked child
 //                      checkpointing its control state to PATH at every
 //                      epoch boundary; instances get reconnect_path set so
@@ -80,21 +97,22 @@
 //                      restart: the CRC must reject it and the scheduler
 //                      must degrade to a counted cold start, not crash.
 //
-// Multi-source tier (DESIGN.md §15; tools/run_multisource_soak.sh):
+// Multi-source tier (DESIGN.md §15):
 //   --sources S        S > 1 switches to the multi-source driver: S
 //                      SchedulerRuntimes (one Unix socket each) share ONE
 //                      core::InstancePool; tuple seq belongs to source
-//                      seq % S. Each of the k instance processes runs
-//                      InstanceRuntime::run_multi with one session (and
-//                      one tracker) per source, so Ĉ is billed per source
-//                      and Σ over sources is the pool's true load.
+//                      seq % S. Each of the k instance processes serves
+//                      one session (and one tracker) per source, so Ĉ is
+//                      billed per source and Σ over sources is the pool's
+//                      true load.
 //                      Before each route() the driver installs Σ of the
 //                      sibling views' Ĉ into the routing view's
 //                      external-load term (core::sibling_loads).
 //   --kill-source ID   source churn: sever source ID's scheduler (no
 //                      EndOfStream — its links just die) after ~40% of
 //                      its share. The gates assert the churn quarantined
-//                      no instance and stranded no Ĉ.
+//                      no instance and stranded no Ĉ. The churn
+//                      checkpoints are removed when the run ends.
 //   --restart-source   restart the killed source from its checkpoint one
 //                      stream-tenth later; its sessions re-attach through
 //                      the per-session redial + SchedulerHello path.
@@ -115,12 +133,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -176,41 +199,94 @@ net::FaultPlan chaos_plan(std::uint64_t seed, common::InstanceId id) {
   return plan;
 }
 
-/// The operator-instance process: run the instance event loop, write the
-/// conservation record, then exit. Any transport surprise (a scripted
-/// disconnect firing mid-handshake, say) counts as a crash, not a hang.
-[[noreturn]] void instance_process(common::InstanceId id, const std::string& socket_path,
-                                   const runtime::InstanceRuntimeConfig& config,
-                                   std::optional<std::uint64_t> fault_seed,
-                                   const std::string& stats_dir) {
+/// A run's verdict, carried by its exit code (see the header).
+struct Verdict {
+  bool degraded = false;  // a `fatal:` line was printed
+  std::string failed;     // the gates that failed
+  void fatal(const char* what) {
+    std::printf("\nfatal: %s\n", what);
+    degraded = true;
+  }
+  void gate(const char* name, bool held) {
+    if (!held) {
+      failed += std::string(" ") + name;
+    }
+  }
+  int exit_code() const {
+    if (failed.empty()) {
+      return degraded ? 1 : 0;
+    }
+    std::printf("gate failed:%s\n", failed.c_str());
+    return 3;
+  }
+};
+
+/// The parent's side of its instance processes: the socket each session
+/// dials (one per source), the listeners behind them, and where each
+/// process leaves its stats record.
+struct Sockets {
+  std::vector<std::string> paths;
+  /// Parent-owned. An entry is empty while its source is down; the vector
+  /// is empty when each scheduler incarnation binds its own listener.
+  std::vector<std::optional<net::Listener>> listeners;
+  std::string stats_dir;
+  /// When a session's scheduler dies, redial its socket for up to 8
+  /// rounds. Each round is one ConnectRetryPolicy schedule, about 3 s, so
+  /// a killed scheduler or a severed source has about 25 s to come back,
+  /// far above a churn restart gap (a tenth of the stream). A source that
+  /// never comes back ends its sessions only when they spend this budget,
+  /// so it also bounds the kill-only churn run's wall time.
+  bool redial = false;
+};
+
+/// The operator-instance process: one session per socket, run the
+/// instance event loop, write the stats record, then exit. Any transport
+/// surprise (a scripted disconnect firing mid-handshake, say) counts as a
+/// crash, not a hang.
+[[noreturn]] void instance_process(common::InstanceId id, const Sockets& sockets,
+                                   runtime::InstanceRuntimeConfig config,
+                                   std::optional<std::uint64_t> fault_seed) {
   runtime::InstanceRuntime::Stats stats;
   bool threw = false;
   try {
-    runtime::InstanceRuntime instance(id, config);
-    if (fault_seed) {
-      net::FaultInjector link(net::connect(socket_path), chaos_plan(*fault_seed, id));
-      stats = instance.run(link);
-    } else {
-      net::SocketTransport link(net::connect(socket_path));
-      stats = instance.run(link);
+    if (sockets.redial) {
+      config.reconnect_attempts = 8;
     }
+    runtime::InstanceRuntime instance(id, config);
+    std::vector<std::unique_ptr<net::FrameTransport>> links;
+    std::vector<runtime::InstanceRuntime::SourceLink> sessions;
+    for (common::SourceId s = 0; s < sockets.paths.size(); ++s) {
+      net::Socket socket = net::connect(sockets.paths[s]);
+      if (fault_seed) {
+        links.push_back(
+            std::make_unique<net::FaultInjector>(std::move(socket), chaos_plan(*fault_seed, id)));
+      } else {
+        links.push_back(std::make_unique<net::SocketTransport>(std::move(socket)));
+      }
+      sessions.push_back({s, links.back().get(), sockets.redial ? sockets.paths[s] : ""});
+    }
+    stats = instance.run_multi(sessions);
   } catch (const std::exception& error) {
     std::printf("  [instance %zu, pid %d] transport error: %s\n", id, getpid(), error.what());
     threw = true;
   }
-  if (!stats_dir.empty()) {
+  if (!sockets.stats_dir.empty()) {
     // One record per (instance, pid): reforked incarnations of the same id
     // each leave their own file, and the parent sums them all.
     const std::string path =
-        stats_dir + "/exec_" + std::to_string(id) + "_" + std::to_string(getpid());
+        sockets.stats_dir + "/exec_" + std::to_string(id) + "_" + std::to_string(getpid());
     if (std::FILE* out = std::fopen(path.c_str(), "w")) {
-      // `executed=` stays the first line (sum_stat and older readers scan
-      // by key, but the format is append-only on purpose).
-      std::fprintf(out, "executed=%llu\n", static_cast<unsigned long long>(stats.executed));
-      std::fprintf(out, "reattach_acks=%llu\n",
-                   static_cast<unsigned long long>(stats.reattach_acks));
-      std::fprintf(out, "reconnects=%llu\n", static_cast<unsigned long long>(stats.reconnects));
-      std::fprintf(out, "rejoin_acks=%llu\n", static_cast<unsigned long long>(stats.rejoin_acks));
+      const auto put = [out](const std::string& key, std::uint64_t value) {
+        std::fprintf(out, "%s=%llu\n", key.c_str(), static_cast<unsigned long long>(value));
+      };
+      put("executed", stats.executed);
+      for (std::size_t s = 0; s < stats.per_source_executed.size(); ++s) {
+        put("executed_s" + std::to_string(s), stats.per_source_executed[s]);
+      }
+      put("reattach_acks", stats.reattach_acks);
+      put("reconnects", stats.reconnects);
+      put("rejoin_acks", stats.rejoin_acks);
+      put("sources_lost", stats.sources_lost);
       std::fclose(out);
     }
   }
@@ -219,11 +295,58 @@ net::FaultPlan chaos_plan(std::uint64_t seed, common::InstanceId id) {
                 stats.crashed ? " (scripted)" : "", static_cast<unsigned long long>(stats.executed));
     std::exit(2);
   }
-  std::printf("  [instance %zu, pid %d] executed %llu tuples, simulated work %.0f units%s%s\n", id,
-              getpid(), static_cast<unsigned long long>(stats.executed), stats.simulated_work,
+  std::printf("  [instance %zu, pid %d] executed %llu tuples, simulated work %.0f units%s%s%s\n",
+              id, getpid(), static_cast<unsigned long long>(stats.executed), stats.simulated_work,
               stats.peer_failures_seen > 0 ? " (saw peer failure)" : "",
-              stats.rejoin_acks > 0 ? " (rejoined)" : "");
+              stats.rejoin_acks > 0 ? " (rejoined)" : "",
+              stats.sources_lost > 0 ? " (lost a source)" : "");
   std::exit(0);
+}
+
+/// Forks instance process `id`. The child first closes its copies of the
+/// parent's listeners: a child-held fd keeps the kernel socket and its
+/// accept backlog alive after the parent closes and rebinds the path (the
+/// churn restart does), stranding redials in a backlog nobody accepts.
+/// Returns the child's pid, or -1 when fork failed.
+pid_t fork_instance(Sockets& sockets, common::InstanceId id,
+                    const runtime::InstanceRuntimeConfig& config,
+                    std::optional<std::uint64_t> fault_seed) {
+  std::fflush(stdout);  // children inherit the stdio buffer otherwise
+  const pid_t pid = fork();
+  if (pid == 0) {
+    for (auto& listener : sockets.listeners) {
+      if (listener) {
+        listener->close_inherited();
+      }
+    }
+    instance_process(id, sockets, config, fault_seed);
+  }
+  return pid;
+}
+
+/// Forks instances 0..k-1, configured by `config_for(id)` (the default
+/// config when empty). When a fork fails it prints the `fatal:` line,
+/// kills and reaps the instances already forked (orphans would spin in
+/// connect-retry against a dying parent), and returns fewer than k pids.
+std::vector<pid_t> fork_instances(
+    Sockets& sockets, std::size_t k,
+    const std::function<runtime::InstanceRuntimeConfig(common::InstanceId)>& config_for = {},
+    std::optional<std::uint64_t> fault_seed = std::nullopt) {
+  std::vector<pid_t> pids;
+  for (common::InstanceId op = 0; op < k; ++op) {
+    const pid_t pid = fork_instance(
+        sockets, op, config_for ? config_for(op) : runtime::InstanceRuntimeConfig{}, fault_seed);
+    if (pid < 0) {
+      std::printf("\nfatal: fork: %s\n", std::strerror(errno));
+      for (const pid_t child : pids) {
+        kill(child, SIGTERM);
+        waitpid(child, nullptr, 0);
+      }
+      return {};
+    }
+    pids.push_back(pid);
+  }
+  return pids;
 }
 
 /// Sums one `key=value` line across the records the instance processes
@@ -254,8 +377,22 @@ std::uint64_t sum_stat(const std::string& stats_dir, const std::string& key) {
   return total;
 }
 
-std::uint64_t sum_executed(const std::string& stats_dir) {
-  return sum_stat(stats_dir, "executed");
+/// Writes the metrics snapshot of each scheduler in `views` to `path`, one
+/// posg-metrics/1 document per line (S views give JSONL, which
+/// obs_report.py merges; views are namespaced posg.s<id>.*). A null view,
+/// such as a severed source, contributes nothing; an empty `path` writes
+/// nothing.
+template <typename Views>
+void write_metrics(const std::string& path, const Views& views) {
+  if (path.empty()) {
+    return;
+  }
+  std::ofstream out(path, std::ios::trunc);
+  for (const auto& view : views) {
+    if (out && view != nullptr) {
+      out << view->metrics_snapshot().to_json() << '\n';
+    }
+  }
 }
 
 /// One scheduler incarnation of the kill-restart campaign: binds the
@@ -310,12 +447,7 @@ std::uint64_t sum_executed(const std::string& stats_dir) {
                 static_cast<unsigned long long>(scheduler.checkpoint_failures()),
                 static_cast<unsigned long long>(scheduler.reattach_count()),
                 scheduler.live_instances());
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out, std::ios::trunc);
-      if (out) {
-        out << scheduler.metrics_snapshot().to_json() << '\n';
-      }
-    }
+    write_metrics(metrics_out, std::array{&scheduler});
   } catch (const std::exception& error) {
     std::printf("SCHEDKILL incarnation=%zu error: %s\n", incarnation, error.what());
     rc = 1;
@@ -339,10 +471,9 @@ bool read_full(int fd, void* buffer, std::size_t n) {
 }
 
 /// The kill-restart campaign driver (parent process): forks k
-/// reconnect-enabled instances once, then runs scheduler incarnations,
+/// redialing instances once, then runs scheduler incarnations,
 /// SIGKILLing each at a seeded epoch until `kills` are done, and gates the
-/// campaign on conservation + full re-attachment. Exit 0 only when every
-/// gate holds.
+/// campaign on conservation + full re-attachment.
 int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
                             std::uint64_t kill_seed, bool corrupt_ckpt,
                             const std::string& stats_dir, const std::string& ckpt_path,
@@ -352,21 +483,11 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
   std::printf("sched-kill campaign: k=%zu m=%zu kills=%zu seed=%llu ckpt=%s%s\n", k, m, kills,
               static_cast<unsigned long long>(kill_seed), ckpt_path.c_str(),
               corrupt_ckpt ? " (corrupting before last restart)" : "");
-  // The instances outlive every scheduler incarnation: reconnect_path is
-  // what turns a scheduler crash into a redial instead of an exit.
-  for (common::InstanceId op = 0; op < k; ++op) {
-    runtime::InstanceRuntimeConfig instance_config;
-    instance_config.reconnect_path = socket_path;
-    instance_config.reconnect_attempts = 8;
-    std::fflush(stdout);
-    const pid_t pid = fork();
-    if (pid == 0) {
-      instance_process(op, socket_path, instance_config, std::nullopt, stats_dir);
-    }
-    if (pid < 0) {
-      std::perror("fork");
-      return 1;
-    }
+  // The instances outlive every scheduler incarnation: redialing is what
+  // turns a scheduler crash into a re-attach instead of an exit.
+  Sockets sockets{{socket_path}, {}, stats_dir, /*redial=*/true};
+  if (fork_instances(sockets, k).size() < k) {
+    return 1;
   }
 
   // xorshift64 keyed on the campaign seed: the whole kill schedule replays
@@ -386,7 +507,7 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
   for (std::size_t incarnation = 0;; ++incarnation) {
     int fds[2];
     if (pipe(fds) != 0) {
-      std::perror("pipe");
+      std::printf("\nfatal: pipe: %s\n", std::strerror(errno));
       return 1;
     }
     std::fflush(stdout);
@@ -398,7 +519,7 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
     }
     close(fds[1]);
     if (sched_pid < 0) {
-      std::perror("fork");
+      std::printf("\nfatal: fork: %s\n", std::strerror(errno));
       close(fds[0]);
       return 1;
     }
@@ -470,7 +591,7 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
   // and leave their stat records.
   while (wait(nullptr) > 0) {
   }
-  const std::uint64_t executed_total = sum_executed(stats_dir);
+  const std::uint64_t executed_total = sum_stat(stats_dir, "executed");
   const std::uint64_t reattach_total = sum_stat(stats_dir, "reattach_acks");
   const std::uint64_t reconnect_total = sum_stat(stats_dir, "reconnects");
   // Conservation across the campaign: every tuple executes at least once
@@ -491,114 +612,40 @@ int run_sched_kill_campaign(std::size_t k, std::size_t m, std::size_t kills,
               static_cast<unsigned long long>(reconnect_total),
               static_cast<unsigned long long>(expected_reattaches), reattached ? "ok" : "short");
   std::printf("SCHEDKILL clean_exit=%s\n", clean_exit ? "yes" : "no");
-  return (clean_exit && conservation && reattached && kills_done == kills) ? 0 : 1;
-}
-
-/// The operator-instance process of a multi-source run: one session (own
-/// link, own tracker) per source via InstanceRuntime::run_multi, with the
-/// socket path as per-session reconnect target so a severed source's
-/// restart re-attaches instead of ending the session. Writes per-source
-/// executed counts next to the classic `executed=` total.
-[[noreturn]] void multisource_instance_process(common::InstanceId id,
-                                               const std::vector<std::string>& socket_paths,
-                                               const std::string& stats_dir) {
-  runtime::InstanceRuntime::Stats stats;
-  bool threw = false;
-  try {
-    runtime::InstanceRuntimeConfig config;
-    // Per-session redial budget: each round is one ConnectRetryPolicy
-    // schedule, about 3 s of clock time, so 8 rounds give a severed source
-    // about 25 s to come back — the sched-kill campaign's budget, far above
-    // the churn restart gap (a tenth of the stream). The kill-only
-    // campaign ends only when the dead source's sessions spend it, so it
-    // also bounds that campaign's wall time.
-    config.reconnect_attempts = 8;
-    runtime::InstanceRuntime instance(id, config);
-    std::vector<net::SocketTransport> links;
-    links.reserve(socket_paths.size());
-    for (const std::string& path : socket_paths) {
-      links.emplace_back(net::connect(path));
-    }
-    std::vector<runtime::InstanceRuntime::SourceLink> sessions;
-    sessions.reserve(socket_paths.size());
-    for (common::SourceId s = 0; s < socket_paths.size(); ++s) {
-      sessions.push_back({s, &links[s], socket_paths[s]});
-    }
-    stats = instance.run_multi(sessions);
-  } catch (const std::exception& error) {
-    std::printf("  [instance %zu, pid %d] transport error: %s\n", id, getpid(), error.what());
-    threw = true;
-  }
-  if (!stats_dir.empty()) {
-    const std::string path =
-        stats_dir + "/exec_" + std::to_string(id) + "_" + std::to_string(getpid());
-    if (std::FILE* out = std::fopen(path.c_str(), "w")) {
-      std::fprintf(out, "executed=%llu\n", static_cast<unsigned long long>(stats.executed));
-      for (std::size_t s = 0; s < stats.per_source_executed.size(); ++s) {
-        std::fprintf(out, "executed_s%zu=%llu\n", s,
-                     static_cast<unsigned long long>(stats.per_source_executed[s]));
-      }
-      std::fprintf(out, "sources_lost=%llu\n",
-                   static_cast<unsigned long long>(stats.sources_lost));
-      std::fprintf(out, "reconnects=%llu\n", static_cast<unsigned long long>(stats.reconnects));
-      std::fclose(out);
-    }
-  }
-  std::printf("  [instance %zu, pid %d] executed %llu tuples over %zu sources%s\n", id, getpid(),
-              static_cast<unsigned long long>(stats.executed), socket_paths.size(),
-              stats.sources_lost > 0 ? " (lost a source)" : "");
-  std::exit(threw ? 2 : 0);
+  Verdict verdict;
+  verdict.gate("conservation", conservation);
+  verdict.gate("reattached", reattached);
+  verdict.gate("clean_exit", clean_exit);
+  verdict.gate("kills", kills_done == kills);
+  return verdict.exit_code();
 }
 
 /// The multi-source driver (--sources S): S scheduler views over one
 /// shared pool, an interleaved stream in which each view reads its
-/// siblings' Ĉ before it routes, and optional source churn. Exit 0 only
-/// when every gate holds.
+/// siblings' Ĉ before it routes, and optional source churn.
 int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_source,
                     bool restart_source, const std::string& stats_dir,
                     const std::string& metrics_out) {
   const std::string base = "/tmp/posg_ms_" + std::to_string(getpid());
-  std::vector<std::string> socket_paths;
-  std::vector<std::optional<net::Listener>> listeners(sources);
+  Sockets sockets{{}, std::vector<std::optional<net::Listener>>(sources), stats_dir,
+                  /*redial=*/true};
   for (common::SourceId s = 0; s < sources; ++s) {
-    socket_paths.push_back(base + "_s" + std::to_string(s) + ".sock");
-    listeners[s].emplace(socket_paths.back());
+    sockets.paths.push_back(base + "_s" + std::to_string(s) + ".sock");
+    sockets.listeners[s].emplace(sockets.paths.back());
   }
   const bool churn = kill_source >= 0 && static_cast<std::size_t>(kill_source) < sources;
   std::printf("multi-source: k=%zu m=%zu sources=%zu%s%s\n", k, m, sources,
               churn ? " (killing one source)" : "",
               churn && restart_source ? " (restarting it)" : "");
-
-  std::vector<pid_t> children;
-  for (common::InstanceId op = 0; op < k; ++op) {
-    std::fflush(stdout);
-    const pid_t pid = fork();
-    if (pid == 0) {
-      // Drop the inherited listening fds: a child-held copy keeps the
-      // kernel socket alive after the parent closes and rebinds it (the
-      // churn path does exactly that), stranding redials in a dead
-      // backlog.
-      for (auto& listener : listeners) {
-        if (listener) {
-          listener->close_inherited();
-        }
-      }
-      multisource_instance_process(op, socket_paths, stats_dir);
-    }
-    if (pid < 0) {
-      std::perror("fork");
-      for (const pid_t child : children) {
-        kill(child, SIGTERM);
-      }
-      while (wait(nullptr) > 0) {
-      }
-      return 1;
-    }
-    children.push_back(pid);
+  if (fork_instances(sockets, k).size() < k) {
+    return 1;
   }
 
   // One pool, S views. Checkpointing is only needed for the churn story
   // (the restarted source recovers from its own file).
+  const auto ckpt_path = [&base](common::SourceId s) {
+    return base + "_s" + std::to_string(s) + ".ckpt";
+  };
   auto pool = std::make_shared<core::InstancePool>(k);
   std::vector<std::unique_ptr<runtime::SchedulerRuntime>> views(sources);
   const auto view_config = [&](common::SourceId s, bool recover) {
@@ -606,14 +653,14 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
     config.instances = k;
     config.source_id = s;
     if (churn) {
-      config.checkpoint_path = base + "_s" + std::to_string(s) + ".ckpt";
+      config.checkpoint_path = ckpt_path(s);
       config.recover = recover;
     }
     return config;
   };
   for (common::SourceId s = 0; s < sources; ++s) {
     views[s] = std::make_unique<runtime::SchedulerRuntime>(view_config(s, false), pool);
-    views[s]->accept_registrations(*listeners[s]);
+    views[s]->accept_registrations(*sockets.listeners[s]);
     views[s]->start();
   }
 
@@ -635,6 +682,7 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
   std::uint64_t killed_at_seq = 0;
   bool killed = false;
   bool restarted = false;
+  bool restored = false;
   std::uint64_t skipped_while_dead = 0;
   std::vector<std::uint64_t> routed_live(sources, 0);  // current incarnation only
 
@@ -650,7 +698,7 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
 
   workload::ZipfItems zipf(4096, 1.0);
   const auto stream = workload::StreamGenerator::generate(zipf, m, 42);
-  int rc = 0;
+  Verdict verdict;
   const auto kill_sid = churn ? static_cast<common::SourceId>(kill_source) : 0;
   try {
     for (common::SeqNo seq = 0; seq < stream.size(); ++seq) {
@@ -662,7 +710,7 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
           fold_view_counters(s);
           views[s]->sever();
           views[s].reset();
-          listeners[s].reset();  // stale socket: redials fail until rebind
+          sockets.listeners[s].reset();  // stale socket: redials fail until rebind
           killed = true;
           killed_at_seq = seq;
           std::printf("MULTISOURCE severed source=%zu at seq=%llu (its tuple %llu)\n",
@@ -674,12 +722,13 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
             // Fresh incarnation over the SAME pool, recovering from the
             // severed one's checkpoint; the instances' per-session
             // redial re-attaches with SchedulerHello.
-            listeners[s].emplace(socket_paths[s]);
+            sockets.listeners[s].emplace(sockets.paths[s]);
             views[s] = std::make_unique<runtime::SchedulerRuntime>(view_config(s, true), pool);
+            restored = views[s]->recovered();
             std::printf("MULTISOURCE restarted source=%zu restored=%s epoch=%llu\n",
-                        static_cast<std::size_t>(s), views[s]->recovered() ? "yes" : "no",
+                        static_cast<std::size_t>(s), restored ? "yes" : "no",
                         static_cast<unsigned long long>(views[s]->recovered_epoch()));
-            views[s]->accept_registrations(*listeners[s]);
+            views[s]->accept_registrations(*sockets.listeners[s]);
             views[s]->start();
             routed_live[s] = 0;
             restarted = true;
@@ -700,7 +749,7 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
       }
     }
   } catch (const std::exception& error) {
-    std::printf("\nfatal: %s\n", error.what());
+    verdict.fatal(error.what());
     for (common::SourceId s = 0; s < sources; ++s) {
       if (views[s] != nullptr) {
         try {
@@ -709,7 +758,6 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
         }
       }
     }
-    rc = 1;
   }
   for (common::SourceId s = 0; s < sources; ++s) {
     if (views[s] != nullptr) {
@@ -775,23 +823,29 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
   std::printf("MULTISOURCE conservation=%s no_quarantine=%s pool_intact=%s\n",
               conservation ? "ok" : "violated", no_quarantine ? "ok" : "violated",
               pool_intact ? "ok" : "violated");
+  verdict.gate("conservation", conservation);
+  verdict.gate("no_quarantine", no_quarantine);
+  verdict.gate("pool_intact", pool_intact);
+  if (churn) {
+    verdict.gate("severed", killed);
+  }
+  if (churn && restart_source) {
+    verdict.gate("restored", restored);
+  }
 
+  write_metrics(metrics_out, views);
   if (!metrics_out.empty()) {
-    // One snapshot document per line, source order (sources are
-    // namespaced posg.s<id>.* so the union is collision-free);
-    // obs_report.py merges JSONL. A severed-and-gone view contributes
-    // nothing.
-    std::ofstream out(metrics_out, std::ios::trunc);
-    if (out) {
-      for (common::SourceId s = 0; s < sources; ++s) {
-        if (views[s] != nullptr) {
-          out << views[s]->metrics_snapshot().to_json() << '\n';
-        }
-      }
-      std::printf("metrics snapshots written to %s\n", metrics_out.c_str());
+    std::printf("metrics snapshots written to %s\n", metrics_out.c_str());
+  }
+  // The churn checkpoints serve this run only. Closing the views first
+  // joins their checkpoint writers, so no write can land after the unlink.
+  views.clear();
+  if (churn) {
+    for (common::SourceId s = 0; s < sources; ++s) {
+      std::remove(ckpt_path(s).c_str());
     }
   }
-  return (rc == 0 && conservation && no_quarantine && pool_intact) ? 0 : 1;
+  return verdict.exit_code();
 }
 
 /// Refuses a flag value the run would otherwise silently misuse; main
@@ -810,7 +864,6 @@ int run(const common::CliArgs& args) {
   const auto slow_after = static_cast<std::uint64_t>(args.get_int("slow-after", 0));
   const bool autoscale = args.get_bool("autoscale", false);
   const bool rejoin = args.get_bool("rejoin", false) || autoscale;
-  auto refork_budget = static_cast<std::int64_t>(args.get_int("refork-budget", 3));
   const std::string stats_dir = args.get_string("stats-dir", "");
   const std::string metrics_out = args.get_string("metrics-out", "");
   const auto metrics_every = static_cast<std::uint64_t>(args.get_int("metrics-every", 0));
@@ -874,34 +927,29 @@ int run(const common::CliArgs& args) {
   config.allow_rejoin = rejoin;
   config.obs.tracing = trace_on;
   const std::string socket_path = "/tmp/posg_distributed_" + std::to_string(getpid()) + ".sock";
-  std::optional<net::Listener> listener;
+  Sockets sockets{{socket_path}, std::vector<std::optional<net::Listener>>(1), stats_dir};
+  std::optional<net::Listener>& listener = sockets.listeners[0];
   listener.emplace(socket_path);
 
-  const auto spawn_instance = [&](common::InstanceId op, bool original) -> pid_t {
-    runtime::InstanceRuntimeConfig instance_config;
-    instance_config.posg = config.posg;
-    instance_config.real_sleep_scale = sleep_scale;
+  const auto instance_config = [&](common::InstanceId op, bool original) {
+    runtime::InstanceRuntimeConfig out;
+    out.posg = config.posg;
+    out.real_sleep_scale = sleep_scale;
     if (original) {
       if (kill_id >= 0 && static_cast<common::InstanceId>(kill_id) == op) {
-        instance_config.crash_on_marker_epoch = kill_epoch;
+        out.crash_on_marker_epoch = kill_epoch;
       }
       if (slow_id >= 0 && static_cast<common::InstanceId>(slow_id) == op) {
-        instance_config.cost_scale = slow_factor;
-        instance_config.straggle_after_executed = slow_after;
+        out.cost_scale = slow_factor;
+        out.straggle_after_executed = slow_after;
       }
     }
-    // Reforked incarnations run healthy and fault-free: the campaign tests
-    // that a *recovered* instance ramps back in, not that it dies twice.
-    std::fflush(stdout);  // children inherit the stdio buffer otherwise
-    const pid_t pid = fork();
-    if (pid == 0) {
-      if (listener) {
-        listener->close_inherited();  // a child-held fd keeps the socket alive
-      }
-      instance_process(op, socket_path, instance_config,
-                       original ? fault_seed : std::nullopt, stats_dir);  // never returns
-    }
-    return pid;
+    return out;
+  };
+  // Reforked incarnations run healthy and fault-free: the campaign tests
+  // that a *recovered* instance ramps back in, not that it dies twice.
+  const auto refork = [&](common::InstanceId op) {
+    return fork_instance(sockets, op, instance_config(op, /*original=*/false), std::nullopt);
   };
 
   std::printf("forking %zu operator-instance processes (socket %s)\n", k, socket_path.c_str());
@@ -918,24 +966,15 @@ int run(const common::CliArgs& args) {
     std::printf("gray-fault campaign: seed %llu (replayable)\n",
                 static_cast<unsigned long long>(*fault_seed));
   }
+  const std::vector<pid_t> pids = fork_instances(
+      sockets, k, [&](common::InstanceId op) { return instance_config(op, /*original=*/true); },
+      fault_seed);
+  if (pids.size() < k) {
+    return 1;
+  }
   std::map<pid_t, common::InstanceId> children;  // live child pids -> instance id
   for (common::InstanceId op = 0; op < k; ++op) {
-    const pid_t pid = spawn_instance(op, /*original=*/true);
-    if (pid < 0) {
-      // Partial startup: reap what was already forked instead of leaking
-      // orphans that would spin in connect-retry against a dying parent.
-      std::perror("fork");
-      for (const auto& [child, id] : children) {
-        (void)id;
-        kill(child, SIGTERM);
-      }
-      for (const auto& [child, id] : children) {
-        (void)id;
-        waitpid(child, nullptr, 0);
-      }
-      return 1;
-    }
-    children.emplace(pid, op);
+    children.emplace(pids[op], op);
   }
 
   runtime::SchedulerRuntime scheduler(config);
@@ -947,10 +986,11 @@ int run(const common::CliArgs& args) {
 
   // Reap-and-refork: called from the routing thread between sends, so all
   // forking happens on one thread. Any child exit while the stream is still
-  // flowing becomes a fresh healthy incarnation (budget permitting) that
+  // flowing becomes a fresh healthy incarnation (at most 3 per run) that
   // re-registers through the rejoin acceptor. A slot whose exit was a
   // *planned* drain (elastic scale-down) is not reforked — its next
   // incarnation, if any, is the controller's ScaleUp decision.
+  std::uint64_t refork_budget = 3;
   std::uint64_t reforks = 0;
   std::set<common::InstanceId> drain_requested;  // pending + completed drains
   const auto reap = [&](bool refork_allowed) {
@@ -968,7 +1008,7 @@ int run(const common::CliArgs& args) {
       }
       if (refork_allowed && rejoin && refork_budget > 0) {
         --refork_budget;
-        const pid_t replacement = spawn_instance(op, /*original=*/false);
+        const pid_t replacement = refork(op);
         if (replacement > 0) {
           ++reforks;
           children.emplace(replacement, op);
@@ -978,15 +1018,7 @@ int run(const common::CliArgs& args) {
     }
   };
 
-  const auto dump_metrics = [&] {
-    if (metrics_out.empty()) {
-      return;
-    }
-    std::ofstream out(metrics_out, std::ios::trunc);
-    if (out) {
-      out << scheduler.metrics_snapshot().to_json() << '\n';
-    }
-  };
+  const auto dump_metrics = [&] { write_metrics(metrics_out, std::array{&scheduler}); };
 
   // --- elastic-k state (--autoscale; DESIGN.md §11) ---
   // The controller sees backlog through a per-instance virtual queue:
@@ -1091,7 +1123,7 @@ int run(const common::CliArgs& args) {
         if (alive.count(op) != 0) {
           continue;
         }
-        const pid_t pid = spawn_instance(op, /*original=*/false);
+        const pid_t pid = refork(op);
         if (pid > 0) {
           children.emplace(pid, op);
           drain_requested.erase(op);  // a later crash of this slot reforks again
@@ -1132,7 +1164,7 @@ int run(const common::CliArgs& args) {
 
   workload::ZipfItems zipf(4096, 1.0);
   const auto stream = workload::StreamGenerator::generate(zipf, m, 42);
-  int rc = 0;
+  Verdict verdict;
   try {
     for (common::SeqNo seq = 0; seq < stream.size(); ++seq) {
       if (arrival_us != 0) {
@@ -1157,12 +1189,11 @@ int run(const common::CliArgs& args) {
     // Fatal degradation (e.g. the last live instance died with rejoin
     // off). Still print the final report below: the quarantine log
     // explains what happened.
-    std::printf("\nfatal: %s\n", error.what());
+    verdict.fatal(error.what());
     try {
       scheduler.finish();
     } catch (const std::exception&) {
     }
-    rc = 1;
   }
   // The rejoin acceptor is gone (finish() stopped it); close the listener
   // so a straggling refork sees a dead socket instead of parking in the
@@ -1199,9 +1230,9 @@ int run(const common::CliArgs& args) {
   }
   std::printf("\n");
 
-  // Machine-readable summary for tools/run_chaos_soak.sh. `conservation`
-  // is the at-most-once invariant: no tuple executes that was never routed,
-  // across drops, crashes, reroutes, and rejoins.
+  // Machine-readable summary. `conservation` is the at-most-once
+  // invariant: no tuple executes that was never routed, across drops,
+  // crashes, reroutes, and rejoins.
   const metrics::ResilienceStats resilience = scheduler.resilience();
   std::printf("CHAOS seed=%lld rejoins=%llu reforks=%llu quarantines=%zu reroutes=%llu "
               "stale_replies=%llu\n",
@@ -1212,17 +1243,20 @@ int run(const common::CliArgs& args) {
               static_cast<unsigned long long>(scheduler.stale_replies()));
   std::printf("CHAOS resilience: %s\n", resilience.summary().c_str());
   if (!stats_dir.empty()) {
-    const std::uint64_t executed_total = sum_executed(stats_dir);
+    const std::uint64_t executed_total = sum_stat(stats_dir, "executed");
+    const bool conserved = executed_total <= routed_total;
     std::printf("CHAOS routed=%llu executed=%llu conservation=%s\n",
                 static_cast<unsigned long long>(routed_total),
-                static_cast<unsigned long long>(executed_total),
-                executed_total <= routed_total ? "ok" : "violated");
+                static_cast<unsigned long long>(executed_total), conserved ? "ok" : "violated");
+    verdict.gate("conservation", conserved);
   }
-  std::printf("CHAOS recovered=%s\n", (rc == 0 && scheduler.live_instances() >= 1) ? "yes" : "no");
+  // A degraded run has no live instance to show; a drained one must.
+  const bool recovered = !verdict.degraded && scheduler.live_instances() >= 1;
+  std::printf("CHAOS recovered=%s\n", recovered ? "yes" : "no");
+  verdict.gate("recovered", recovered || verdict.degraded);
 
   if (autoscale) {
-    // Machine-readable elastic summary (tools/run_autoscale_soak.sh).
-    // Per-drain conservation is executed <= routed: `executed` is the
+    // Machine-readable elastic summary. Per-drain conservation is executed <= routed: `executed` is the
     // retiring incarnation's own count while `routed` accumulates across
     // every incarnation of the slot, so equality only holds for slots that
     // never reforked.
@@ -1249,6 +1283,7 @@ int run(const common::CliArgs& args) {
                 static_cast<unsigned long long>(controller.drains()), drain_events.size(),
                 static_cast<unsigned long long>(controller.skew_vetoes()),
                 scheduler.serving_instances(), drains_ok ? "ok" : "violated");
+    verdict.gate("drain_conservation", drains_ok);
   }
 
   dump_metrics();
@@ -1266,7 +1301,7 @@ int run(const common::CliArgs& args) {
                   static_cast<unsigned long long>(scheduler.trace().dropped()), trace_out.c_str());
     }
   }
-  return rc;
+  return verdict.exit_code();
 }
 
 }  // namespace

@@ -513,9 +513,12 @@ void PosgScheduler::maybe_complete_epoch() noexcept {
   // carries Δop = C_real − Ĉ_marker, so (Ĉ_marker + Δ)/Ĉ_marker is the
   // ratio of measured to estimated work — ≈ s for an instance running s×
   // slower than its sketches predict. Feed it to the health monitor before
-  // applying the correction, then refresh de-rate factors.
+  // applying the correction, then refresh de-rate factors. The first
+  // epoch feeds nothing: ROUND_ROBIN bills no tuple, so Ĉ_marker covers
+  // only the SEND_ALL tuples while Δ covers every tuple since start, and
+  // the ratio would read in the hundreds on a healthy instance.
   for (std::size_t op = 0; op < k_; ++op) {
-    if (!failed_[op] && marker_estimate_[op] > 1e-9) {
+    if (epochs_completed_ > 0 && !failed_[op] && marker_estimate_[op] > 1e-9) {
       const double ratio =
           std::max(0.0, (marker_estimate_[op] + reply_delta_[op]) / marker_estimate_[op]);
       health_.on_epoch_drift(op, ratio);

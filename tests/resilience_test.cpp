@@ -428,6 +428,63 @@ TEST(FullArc, StragglerIsDeratedQuarantinedRejoinedAndRecovers) {
 }
 
 // ---------------------------------------------------------------------------
+// Drift after bootstrap: ROUND_ROBIN bills nothing, so the first marker's
+// Ĉ covers only the SEND_ALL tuples while a true Δ covers every tuple
+// since start. That ratio is no drift and must not raise suspicion.
+// ---------------------------------------------------------------------------
+
+TEST(FullArc, TrueDeltasAfterRoundRobinKeepHealthyInstancesLive) {
+  const auto config = test_config();
+  const std::size_t k = 3;
+  constexpr common::TimeMs kCost = 2.0;  // make_shipment's per-tuple cost, so sketches are exact
+  PosgScheduler scheduler(k, config);
+  std::vector<common::TimeMs> true_cost(k, 0.0);
+  common::SeqNo seq = 0;
+  const auto route = [&] {
+    const Decision d = scheduler.schedule(1, seq++);
+    true_cost[d.instance] += kCost;
+    return d;
+  };
+
+  for (int i = 0; i < 300; ++i) {
+    route();  // ROUND_ROBIN: routed and executed, never billed
+  }
+  constexpr int kEpochs = 4;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    for (common::InstanceId op = 0; op < k; ++op) {
+      scheduler.on_feedback(make_shipment(op, config));
+    }
+    ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
+    // The runtime's tracker answers a marker with Δ = C − Ĉ, C being the
+    // true cost executed up to and including the marker's tuple.
+    std::vector<core::SyncReply> replies;
+    for (std::size_t guard = 0; scheduler.state() == PosgScheduler::State::kSendAll; ++guard) {
+      ASSERT_LT(guard, 4 * k);
+      const Decision d = route();
+      if (d.sync_request) {
+        replies.push_back(core::SyncReply{d.instance, d.sync_request->epoch,
+                                          true_cost[d.instance] -
+                                              d.sync_request->estimated_cumulated});
+      }
+    }
+    for (const core::SyncReply& reply : replies) {
+      scheduler.on_feedback(reply);
+    }
+    ASSERT_EQ(scheduler.state(), PosgScheduler::State::kRun);
+    for (common::InstanceId op = 0; op < k; ++op) {
+      EXPECT_EQ(scheduler.health().state(op), InstanceHealth::kLive)
+          << "instance " << op << " after epoch " << epoch + 1;
+    }
+    for (int i = 0; i < 300; ++i) {
+      route();
+    }
+  }
+  EXPECT_EQ(scheduler.epochs_completed(), static_cast<std::uint64_t>(kEpochs));
+  EXPECT_EQ(scheduler.health().suspect_transitions(), 0u);
+  scheduler.debug_validate();
+}
+
+// ---------------------------------------------------------------------------
 // Rejoin racing an in-flight epoch: a Δ from before the quarantine must
 // land on the stale path, not on the freshly seeded Ĉ.
 // ---------------------------------------------------------------------------

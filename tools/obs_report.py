@@ -6,9 +6,10 @@ Usage:
     tools/obs_report.py metrics.json [--trace trace.jsonl]
 
 The snapshot comes from `--metrics-out` on examples/distributed_posg or
-examples/quickstart, from obs::Snapshot::to_json(), or from the chaos-soak
-artifact (CHAOS_METRICS_OUT). Histogram quantiles are bucket upper bounds
-(log2 buckets), matching obs::HistogramSnapshot::quantile in C++.
+examples/quickstart, from obs::Snapshot::to_json(), or from a soak
+artifact (SOAK_METRICS_OUT on tools/run_soak.sh). Histogram quantiles are
+bucket upper bounds (log2 buckets), matching
+obs::HistogramSnapshot::quantile in C++.
 
 Multi-source runs (--sources S on examples/distributed_posg, DESIGN.md
 §15) write one snapshot per line — one per scheduler view, JSONL. This
