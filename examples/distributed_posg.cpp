@@ -18,8 +18,11 @@
 //   1  explicit degradation: a `fatal:` line was printed, the stream could
 //      not be drained, and no gate failed;
 //   2  a refused flag: an id out of range (--kill/--slow >= k,
-//      --kill-source >= S), a non-empty --stats-dir, or a numeric flag
-//      whose value does not parse whole, all before anything forks;
+//      --kill-source >= S), a count below its floor (--k or --sources
+//      below 1; --m, --sched-kill, --initial, --kill-epoch, --slow-after,
+//      --metrics-every or --arrival-us below 0), a non-empty --stats-dir,
+//      or a numeric flag whose value does not parse whole, all before
+//      anything forks;
 //   3  a gate failed, named on a `gate failed:` line. 3 wins over 1:
 //      conservation must hold in a degraded run too.
 // The gates of each mode print as `ok|violated` summary lines:
@@ -855,27 +858,43 @@ int run_multisource(std::size_t k, std::size_t m, std::size_t sources, int kill_
 }
 
 int run(const common::CliArgs& args) {
-  const auto k = static_cast<std::size_t>(args.get_int("k", 3));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 20'000));
+  // A count below its floor is refused before anything forks or binds: a
+  // negative one would wrap to ~2^64 (a fork loop, a reserve that throws,
+  // a pacing sleep that never ends), and k = 0 leaves nothing to route to.
+  const auto count_at_least = [&args](const char* flag, std::int64_t fallback,
+                                       std::int64_t floor) {
+    const std::int64_t value = args.get_int(flag, fallback);
+    if (value < floor) {
+      refuse(std::string("--") + flag + " " + std::to_string(value) + " is below " +
+             std::to_string(floor));
+    }
+    return static_cast<std::size_t>(value);
+  };
+  const bool autoscale = args.get_bool("autoscale", false);
+  const std::size_t k = count_at_least("k", 3, 1);
+  const std::size_t m = count_at_least("m", 20'000, 0);
   const auto kill_id = args.get_int("kill", -1);
-  const auto kill_epoch = static_cast<common::Epoch>(args.get_int("kill-epoch", 1));
+  const auto kill_epoch = static_cast<common::Epoch>(count_at_least("kill-epoch", 1, 0));
   const auto slow_id = args.get_int("slow", -1);
   const double slow_factor = args.get_double("slow-factor", 4.0);
-  const auto slow_after = static_cast<std::uint64_t>(args.get_int("slow-after", 0));
-  const bool autoscale = args.get_bool("autoscale", false);
+  const auto slow_after = static_cast<std::uint64_t>(count_at_least("slow-after", 0, 0));
   const bool rejoin = args.get_bool("rejoin", false) || autoscale;
   const std::string stats_dir = args.get_string("stats-dir", "");
   const std::string metrics_out = args.get_string("metrics-out", "");
-  const auto metrics_every = static_cast<std::uint64_t>(args.get_int("metrics-every", 0));
+  const auto metrics_every = static_cast<std::uint64_t>(count_at_least("metrics-every", 0, 0));
   const std::string trace_out = args.get_string("trace-out", "");
   const bool trace_on = args.get_bool("trace", false) || !trace_out.empty();
   std::optional<std::uint64_t> fault_seed;
   if (args.has("fault-seed")) {
     fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 0));
   }
+  const std::size_t sched_kills = count_at_least("sched-kill", 0, 0);
+  const std::size_t initial_raw = count_at_least("initial", 0, 0);
+  const auto arrival_us =
+      static_cast<std::uint64_t>(count_at_least("arrival-us", autoscale ? 200 : 0, 0));
   // Multi-source tier: --sources S > 1 switches to the shared-pool
   // driver (DESIGN.md §15). Orthogonal to the single-source modes below.
-  const auto sources = static_cast<std::size_t>(args.get_int("sources", 1));
+  const std::size_t sources = count_at_least("sources", 1, 1);
   const auto kill_source = args.get_int("kill-source", -1);
   // Ids the run would never match, and stats files it would sum with an
   // earlier run's, are refused before anything forks.
@@ -903,16 +922,13 @@ int run(const common::CliArgs& args) {
   // checkpointing-on control run for the Ĉ-divergence baseline).
   const std::string ckpt_path = args.get_string("ckpt", "");
   if (!ckpt_path.empty()) {
-    const auto sched_kills = static_cast<std::size_t>(args.get_int("sched-kill", 0));
     const auto kill_seed = static_cast<std::uint64_t>(args.get_int("kill-seed", 42));
     const bool corrupt_ckpt = args.get_bool("corrupt-ckpt", false);
     return run_sched_kill_campaign(k, m, sched_kills, kill_seed, corrupt_ckpt, stats_dir,
                                    ckpt_path, metrics_out);
   }
-  const auto initial_raw = static_cast<std::size_t>(args.get_int("initial", 0));
   const std::size_t initial = initial_raw == 0 ? k : std::min(initial_raw, k);
   const double sleep_scale = args.get_double("sleep-scale", autoscale ? 0.02 : 0.0);
-  const auto arrival_us = static_cast<std::uint64_t>(args.get_int("arrival-us", autoscale ? 200 : 0));
   workload::ArrivalProfile profile;  // wall-clock ms since the stream began
   if (args.has("spike-factor")) {
     profile.kind = workload::ArrivalProfile::Kind::kFlashCrowd;

@@ -27,9 +27,11 @@
 /// Tests drive these paths with GTest death tests (tests/check_test.cpp).
 ///
 /// The heavyweight `debug_validate()` methods (DualSketch, PosgScheduler,
-/// BoundedQueue, net frame validation) are built on POSG_CHECK and gated at
-/// their call sites: tests call them unconditionally, hot paths only under
-/// `#if POSG_DCHECK_IS_ON`.
+/// HealthMonitor, BoundedQueue, net frame validation) are built on
+/// POSG_CHECK and gated at their call sites: tests call them
+/// unconditionally, hot paths only under `#if POSG_DCHECK_IS_ON`. A type
+/// whose invariants also guard untrusted input states them once; its input
+/// path throws with the message debug_validate() aborts with (DESIGN.md §8).
 
 namespace posg::common::detail {
 

@@ -296,8 +296,8 @@ CheckpointState decode(std::span<const std::byte> bytes) {
       throw std::invalid_argument("checkpoint::decode: bad sketch presence flag");
     }
     const auto blob_size = reader.take<std::uint64_t>();
-    // sketch::deserialize runs its own plausibility + validate_untrusted
-    // pass, so a corrupt embedded sketch throws here, not later.
+    // sketch::deserialize checks plausibility and the sketch's invariants,
+    // so a corrupt embedded sketch throws here, not later.
     state.sketches.emplace_back(
         sketch::deserialize(reader.take_bytes(static_cast<std::size_t>(blob_size))));
   }

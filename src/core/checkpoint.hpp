@@ -107,10 +107,11 @@ std::vector<std::byte> encode(const CheckpointState& state);
 
 /// Decodes a checkpoint image. Throws std::invalid_argument on a bad
 /// magic, an unknown version, a size/CRC mismatch, or a structurally
-/// malformed payload (including any embedded sketch that fails
-/// sketch::deserialize's validate_untrusted pass). Structural only —
-/// semantic invariants (quarantine exclusivity, state-machine consistency)
-/// are PosgScheduler::restore's job.
+/// malformed payload (including any embedded sketch that breaks
+/// DualSketch::invariant_violation). Structural only — the scheduler's
+/// invariants (quarantine exclusivity, state-machine consistency) are
+/// PosgScheduler::invariant_violation, which restore() throws from and
+/// debug_validate() aborts on.
 CheckpointState decode(std::span<const std::byte> bytes);
 
 /// Durably replaces the checkpoint at `path`: writes `<path>.tmp`,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "common/check.hpp"
 
@@ -192,33 +191,41 @@ HealthMonitor::Snapshot HealthMonitor::snapshot() const {
   return out;
 }
 
-void HealthMonitor::restore(const Snapshot& snapshot) {
-  // Validate everything before touching any member: a rejected checkpoint
-  // must leave the monitor in its pre-restore state.
-  auto reject = [](const char* what) {
-    throw std::invalid_argument(std::string("HealthMonitor::restore: ") + what);
-  };
+const char* HealthMonitor::invariant_violation(const Snapshot& snapshot) const noexcept {
   if (snapshot.states.size() != k_ || snapshot.drift_ewma.size() != k_ ||
       snapshot.hot_streak.size() != k_ || snapshot.calm_streak.size() != k_ ||
       snapshot.queue_ewma.size() != k_) {
-    reject("per-instance tables do not cover every instance");
+    return "HealthMonitor: per-instance tables out of sync";
   }
   for (std::size_t op = 0; op < k_; ++op) {
     if (static_cast<std::uint8_t>(snapshot.states[op]) >
         static_cast<std::uint8_t>(InstanceHealth::kQuarantined)) {
-      reject("state out of range");
+      return "HealthMonitor: state out of range";
     }
+    // A finite drift EWMA also keeps derate() = clamp(drift, 1, cap)
+    // inside [1, derate_cap].
     if (!(std::isfinite(snapshot.drift_ewma[op]) && snapshot.drift_ewma[op] >= 0.0)) {
-      reject("drift EWMA must be finite and non-negative");
+      return "HealthMonitor: drift EWMA must be finite and non-negative";
     }
     // queue_ewma is an occupancy EWMA or the -1 no-sample sentinel.
     if (!(std::isfinite(snapshot.queue_ewma[op]) &&
           (snapshot.queue_ewma[op] >= 0.0 || snapshot.queue_ewma[op] == -1.0))) {
-      reject("queue EWMA must be non-negative or the -1 sentinel");
+      return "HealthMonitor: queue EWMA must be non-negative or the -1 sentinel";
     }
+    // The streaks are driven by a single drift path that zeroes one
+    // whenever it advances the other.
     if (snapshot.hot_streak[op] != 0 && snapshot.calm_streak[op] != 0) {
-      reject("hot and calm streaks active at once");
+      return "HealthMonitor: hot and calm streaks active at once";
     }
+  }
+  return nullptr;
+}
+
+void HealthMonitor::restore(const Snapshot& snapshot) {
+  // Check before touching any member: a rejected checkpoint must leave the
+  // monitor in its pre-restore state.
+  if (const char* why = invariant_violation(snapshot)) {
+    throw std::invalid_argument(why);
   }
   states_ = snapshot.states;
   drift_ewma_ = snapshot.drift_ewma;
@@ -231,19 +238,8 @@ void HealthMonitor::restore(const Snapshot& snapshot) {
 }
 
 void HealthMonitor::debug_validate() const {
-  POSG_CHECK(states_.size() == k_ && drift_ewma_.size() == k_,
-             "HealthMonitor: per-instance tables out of sync");
-  for (std::size_t op = 0; op < k_; ++op) {
-    POSG_CHECK(std::isfinite(drift_ewma_[op]) && drift_ewma_[op] >= 0.0,
-               "HealthMonitor: drift EWMA must be finite and non-negative");
-    const double factor = derate(static_cast<common::InstanceId>(op));
-    POSG_CHECK(factor >= 1.0 && factor <= config_.derate_cap,
-               "HealthMonitor: de-rate factor outside [1, cap]");
-    // The streaks are driven by a single drift path that zeroes one
-    // whenever it advances the other.
-    POSG_CHECK(hot_streak_[op] == 0 || calm_streak_[op] == 0,
-               "HealthMonitor: hot and calm streaks active at once");
-  }
+  const char* why = invariant_violation(snapshot());
+  POSG_CHECK(why == nullptr, why);
 }
 
 }  // namespace posg::core

@@ -105,9 +105,8 @@ class HealthMonitor {
   /// staging). The ring is not owned; nullptr unbinds.
   void bind_trace(obs::TraceRing* trace) noexcept { trace_ = trace; }
 
-  /// Machine-checked invariants (aborts via POSG_CHECK): states in range,
-  /// de-rate factors finite and within [1, derate_cap], streak counters
-  /// mutually exclusive.
+  /// Aborts via POSG_CHECK when the monitor's own snapshot() breaks an
+  /// invariant (see invariant_violation).
   void debug_validate() const;
 
   /// Checkpointable image of the monitor (core/checkpoint.hpp): the whole
@@ -126,10 +125,14 @@ class HealthMonitor {
   };
   Snapshot snapshot() const;
 
+  /// The monitor's invariants, stated once over an image (sizes, state
+  /// range, EWMA domains, streak exclusivity). Returns the first broken
+  /// one, or nullptr; it allocates nothing.
+  const char* invariant_violation(const Snapshot& snapshot) const noexcept;
+
   /// Restores a snapshot(). Checkpoints are untrusted input, so unlike
-  /// debug_validate this *throws* std::invalid_argument on any invariant
-  /// violation (sizes, state range, EWMA domain, streak exclusivity) and
-  /// leaves the monitor untouched in that case.
+  /// debug_validate this *throws* std::invalid_argument with
+  /// invariant_violation()'s message and leaves the monitor untouched.
   void restore(const Snapshot& snapshot);
 
  private:

@@ -247,6 +247,10 @@ common::InstanceId PosgScheduler::next_round_robin() noexcept {
 void PosgScheduler::set_latency_hints(std::vector<common::TimeMs> hints) {
   common::require(hints.empty() || hints.size() == k_,
                   "PosgScheduler: latency hints must cover every instance");
+  for (const common::TimeMs hint : hints) {
+    common::require(std::isfinite(hint) && hint >= 0.0,
+                    "PosgScheduler: latency hints must be finite and non-negative");
+  }
   latency_hints_ = std::move(hints);
   rebuild_greedy();
 }
@@ -516,12 +520,16 @@ void PosgScheduler::maybe_complete_epoch() noexcept {
   // applying the correction, then refresh de-rate factors. The first
   // epoch feeds nothing: ROUND_ROBIN bills no tuple, so Ĉ_marker covers
   // only the SEND_ALL tuples while Δ covers every tuple since start, and
-  // the ratio would read in the hundreds on a healthy instance.
+  // the ratio would read in the hundreds on a healthy instance. A finite
+  // Δ beyond Ĉ_marker·DBL_MAX still overflows the ratio, which then feeds
+  // nothing.
   for (std::size_t op = 0; op < k_; ++op) {
     if (epochs_completed_ > 0 && !failed_[op] && marker_estimate_[op] > 1e-9) {
       const double ratio =
           std::max(0.0, (marker_estimate_[op] + reply_delta_[op]) / marker_estimate_[op]);
-      health_.on_epoch_drift(op, ratio);
+      if (std::isfinite(ratio)) {
+        health_.on_epoch_drift(op, ratio);
+      }
     }
   }
   for (std::size_t op = 0; op < k_; ++op) {
@@ -563,6 +571,8 @@ void PosgScheduler::maybe_complete_epoch() noexcept {
 
 void PosgScheduler::ingest_reply(const SyncReply& reply) {
   common::require(reply.instance < k_, "PosgScheduler: reply from unknown instance");
+  // Δ comes off the wire: a non-finite one would poison Ĉ at the fold.
+  common::require(std::isfinite(reply.delta), "PosgScheduler: reply delta must be finite");
   if (failed_[reply.instance]) {
     return;  // reply raced with the quarantine — already abandoned
   }
@@ -881,6 +891,7 @@ common::TimeMs PosgScheduler::retire(common::InstanceId op, common::TimeMs final
   common::require(op < k_, "PosgScheduler: retire of unknown instance");
   sync_pool_if_stale();
   common::require(draining_[op], "PosgScheduler: retire of an instance that is not draining");
+  common::require(std::isfinite(final_delta), "PosgScheduler: final delta must be finite");
   // Ĉ[op] is frozen while op drains, so the final bill is fixed before the
   // event is adopted (retire_local folds the same Δ into the same cut).
   const common::TimeMs final_billed = std::max(0.0, c_est_[op] + final_delta);
@@ -1038,149 +1049,16 @@ CheckpointState PosgScheduler::checkpoint_state() const {
 }
 
 void PosgScheduler::restore(const CheckpointState& state) {
-  // Phase 1 — validate everything against this scheduler's configuration
-  // without mutating a single member, so a rejected checkpoint leaves the
-  // cold-start construction untouched. The checks mirror debug_validate()
-  // (which aborts on programming errors) but *throw*: a checkpoint is
-  // untrusted input, and rejecting it is an operational condition the
-  // runtime answers with a cold start.
-  const auto reject = [](const std::string& what) {
-    throw std::invalid_argument("PosgScheduler::restore: " + what);
-  };
-  if (state.k != k_) {
-    reject("instance count mismatch (checkpoint k=" + std::to_string(state.k) +
-           ", configured k=" + std::to_string(k_) + ")");
+  // Check everything against this scheduler's configuration before a
+  // single member moves, so a rejected checkpoint leaves the cold-start
+  // construction untouched. A checkpoint is untrusted input: rejecting it
+  // is an operational condition the runtime answers with a cold start, so
+  // the check that debug_validate() aborts on *throws* here.
+  if (const char* why = invariant_violation(state)) {
+    throw std::invalid_argument(why);
   }
-  if (state.source_id != source_id_) {
-    // A source's checkpoint is its *own* Ĉ view: source s billed the
-    // tuples source s routed. Restoring another source's image would
-    // double-bill its work here and orphan this source's own share.
-    reject("source id mismatch (checkpoint s=" + std::to_string(state.source_id) +
-           ", configured s=" + std::to_string(source_id_) + ")");
-  }
-  if (state.scheduler_state > static_cast<std::uint8_t>(State::kRun)) {
-    reject("state machine value out of range");
-  }
-  const auto restored_state = static_cast<State>(state.scheduler_state);
-  if (state.rr_next >= k_) {
-    reject("round-robin cursor out of range");
-  }
-  if (state.epochs_completed > state.epoch) {
-    reject("completed epochs exceed the epoch counter (non-monotone epoch)");
-  }
-  if (state.c_est.size() != k_ || state.failed.size() != k_ || state.draining.size() != k_ ||
-      state.marker_pending.size() != k_ || state.reply_received.size() != k_ ||
-      state.reply_delta.size() != k_ || state.marker_estimate.size() != k_ ||
-      state.derate.size() != k_ || state.ramp_tokens.size() != k_ ||
-      state.ramp_left.size() != k_ || state.sketches.size() != k_) {
-    reject("per-instance tables do not cover every instance");
-  }
-  if (!state.latency_hints.empty() && state.latency_hints.size() != k_) {
-    reject("latency hints must be empty or cover every instance");
-  }
-  std::size_t live = 0;
-  std::size_t serving = 0;
-  std::size_t markers = 0;
-  bool any_sketch = false;
-  for (std::size_t op = 0; op < k_; ++op) {
-    if (state.failed[op] > 1 || state.draining[op] > 1 || state.marker_pending[op] > 1 ||
-        state.reply_received[op] > 1) {
-      reject("per-instance flag is not 0/1");
-    }
-    if (!(std::isfinite(state.c_est[op]) && state.c_est[op] >= 0.0)) {
-      reject("C_hat must be finite and non-negative");
-    }
-    if (!(std::isfinite(state.derate[op]) && state.derate[op] >= 1.0)) {
-      reject("de-rate factor must be finite and >= 1");
-    }
-    if (!std::isfinite(state.reply_delta[op])) {
-      reject("reply delta must be finite");
-    }
-    if (!(std::isfinite(state.marker_estimate[op]) &&
-          (state.marker_estimate[op] == -1.0 || state.marker_estimate[op] >= 0.0))) {
-      reject("marker estimate must be non-negative or the -1 sentinel");
-    }
-    if (!(std::isfinite(state.ramp_tokens[op]) && state.ramp_tokens[op] >= 0.0)) {
-      reject("ramp tokens must be finite and non-negative");
-    }
-    if (!state.latency_hints.empty() &&
-        !(std::isfinite(state.latency_hints[op]) && state.latency_hints[op] >= 0.0)) {
-      reject("latency hints must be finite and non-negative");
-    }
-    const bool failed = state.failed[op] == 1;
-    const bool draining = state.draining[op] == 1;
-    if (failed) {
-      // Quarantine exclusivity — the same bundle debug_validate pins.
-      if (state.c_est[op] != 0.0 || state.sketches[op].has_value() ||
-          state.marker_pending[op] == 1 || state.derate[op] != 1.0 ||
-          state.ramp_left[op] != 0 || draining || state.marker_estimate[op] != -1.0) {
-        reject("quarantined instance still participates (C_hat/sketch/marker/ramp/drain)");
-      }
-    } else {
-      ++live;
-      if (draining) {
-        if (state.marker_pending[op] == 1 || state.ramp_left[op] != 0) {
-          reject("draining instance still owes a marker or holds a ramp");
-        }
-      } else {
-        ++serving;
-      }
-    }
-    if (state.health.states.size() == k_ &&
-        failed != (state.health.states[op] == InstanceHealth::kQuarantined)) {
-      reject("health FSM disagrees with the quarantine set");
-    }
-    if (state.marker_pending[op] == 1) {
-      ++markers;
-    }
-    if (const auto& sketch = state.sketches[op]; sketch.has_value()) {
-      any_sketch = true;
-      if (sketch->dims() != config_.dims() || sketch->seed() != config_.sketch_seed ||
-          sketch->heavy_capacity() != config_.heavy_hitter_capacity ||
-          sketch->conservative() != config_.conservative_update) {
-        reject("shipped sketch layout does not match this configuration");
-      }
-      sketch->validate_untrusted();  // throws std::invalid_argument itself
-    }
-  }
-  if (live > 0 && serving == 0) {
-    reject("live cluster with an empty serving set");
-  }
-  if (live == 0 && restored_state != State::kRoundRobin) {
-    reject("zero live instances outside ROUND_ROBIN");
-  }
-  switch (restored_state) {
-    case State::kRoundRobin:
-      if (markers != 0) {
-        reject("markers pending in ROUND_ROBIN");
-      }
-      break;
-    case State::kSendAll:
-      if (!config_.sync_enabled || state.epoch < 1 || markers < 1 || !any_sketch) {
-        reject("SEND_ALL image inconsistent with the synchronization protocol");
-      }
-      for (std::size_t op = 0; op < k_; ++op) {
-        if (state.reply_received[op] == 1 && state.marker_pending[op] == 1) {
-          reject("reply received before its marker was sent");
-        }
-      }
-      break;
-    case State::kWaitAll:
-      if (!config_.sync_enabled || state.epoch < 1 || markers != 0 || !any_sketch) {
-        reject("WAIT_ALL image inconsistent with the synchronization protocol");
-      }
-      break;
-    case State::kRun:
-      if (markers != 0 || !any_sketch) {
-        reject("RUN image without the sketches that justify it");
-      }
-      break;
-  }
-
-  // Phase 2 — apply. health_.restore validates-then-applies itself, so it
-  // goes first: if it throws, no scheduler member has moved yet either.
   health_.restore(state.health);
-  state_ = restored_state;
+  state_ = static_cast<State>(state.scheduler_state);
   rr_next_ = static_cast<std::size_t>(state.rr_next);
   epoch_ = state.epoch;
   epochs_completed_ = state.epochs_completed;
@@ -1203,11 +1081,11 @@ void PosgScheduler::restore(const CheckpointState& state) {
   derate_ = state.derate;
   ramp_tokens_ = state.ramp_tokens;
   ramp_left_ = state.ramp_left;
-  live_count_ = live;
-  serving_count_ = serving;
-  markers_outstanding_ = markers;
-  ramps_active_ = static_cast<std::size_t>(
-      std::count_if(ramp_left_.begin(), ramp_left_.end(), [](std::uint64_t n) { return n > 0; }));
+  const SetCounts counts = count_sets();
+  live_count_ = counts.live;
+  serving_count_ = counts.serving;
+  markers_outstanding_ = counts.markers;
+  ramps_active_ = counts.ramping;
   // Un-collected AdmissionGrant notices are informational and died with
   // the crashed process.
   ramp_completions_.clear();
@@ -1324,84 +1202,202 @@ double PosgScheduler::derate(common::InstanceId op) const {
   return derate_[op];
 }
 
-void PosgScheduler::debug_validate() const {
-  POSG_CHECK(k_ >= 1, "PosgScheduler: empty cluster");
-  POSG_CHECK(rr_next_ < k_, "PosgScheduler: round-robin cursor out of range");
-  POSG_CHECK(latency_hints_.empty() || latency_hints_.size() == k_,
-             "PosgScheduler: latency hints do not cover every instance");
+PosgScheduler::SetCounts PosgScheduler::count_sets() const noexcept {
+  SetCounts counts;
+  for (std::size_t op = 0; op < k_; ++op) {
+    counts.live += failed_[op] ? 0 : 1;
+    counts.serving += failed_[op] || draining_[op] ? 0 : 1;
+    counts.markers += marker_pending_[op] ? 1 : 0;
+    counts.ramping += ramp_left_[op] > 0 ? 1 : 0;
+    counts.shipped += sketches_[op].has_value() ? 1 : 0;
+  }
+  return counts;
+}
 
+const char* PosgScheduler::invariant_violation(const CheckpointState& state) const noexcept {
+  if (state.k != k_) {
+    return "PosgScheduler: instance count mismatch";
+  }
+  if (state.source_id != source_id_) {
+    // A source's image is its *own* Ĉ view: source s billed the tuples
+    // source s routed. Restoring another source's image would double-bill
+    // its work here and orphan this source's own share.
+    return "PosgScheduler: source id mismatch";
+  }
+  if (state.scheduler_state > static_cast<std::uint8_t>(State::kRun)) {
+    return "PosgScheduler: state machine value out of range";
+  }
+  if (state.rr_next >= k_) {
+    return "PosgScheduler: round-robin cursor out of range";
+  }
+  if (state.epochs_completed > state.epoch) {
+    return "PosgScheduler: completed epochs exceed the epoch counter (non-monotone epoch)";
+  }
+  if (state.c_est.size() != k_ || state.failed.size() != k_ || state.draining.size() != k_ ||
+      state.marker_pending.size() != k_ || state.reply_received.size() != k_ ||
+      state.reply_delta.size() != k_ || state.marker_estimate.size() != k_ ||
+      state.derate.size() != k_ || state.ramp_tokens.size() != k_ ||
+      state.ramp_left.size() != k_ || state.sketches.size() != k_) {
+    return "PosgScheduler: per-instance tables do not cover every instance";
+  }
+  if (!state.latency_hints.empty() && state.latency_hints.size() != k_) {
+    return "PosgScheduler: latency hints do not cover every instance";
+  }
+  // The health tables must cover every instance before the loop reads them.
+  if (const char* why = health_.invariant_violation(state.health)) {
+    return why;
+  }
   std::size_t live = 0;
   std::size_t serving = 0;
   std::size_t markers = 0;
-  std::size_t ramping = 0;
+  bool any_sketch = false;
   for (std::size_t op = 0; op < k_; ++op) {
+    if (state.failed[op] > 1 || state.draining[op] > 1 || state.marker_pending[op] > 1 ||
+        state.reply_received[op] > 1) {
+      return "PosgScheduler: per-instance flag is not 0/1";
+    }
     // Ĉ[op] >= 0: scheduling only adds non-negative estimates and the
     // epoch correction Ĉ += Δop lands on true-cumulated-time-plus-
     // post-marker-estimates, both non-negative. A tiny negative float
     // here means drift cancellation is broken, which voids the greedy
     // bound of Theorem 4.2.
-    POSG_CHECK(std::isfinite(c_est_[op]), "PosgScheduler: C_hat is not finite");
-    POSG_CHECK(c_est_[op] >= 0.0, "PosgScheduler: C_hat went negative");
-    POSG_CHECK(std::isfinite(derate_[op]) && derate_[op] >= 1.0,
-               "PosgScheduler: de-rate factor must be finite and >= 1");
-    if (failed_[op]) {
+    if (!std::isfinite(state.c_est[op])) {
+      return "PosgScheduler: C_hat is not finite";
+    }
+    if (state.c_est[op] < 0.0) {
+      return "PosgScheduler: C_hat went negative";
+    }
+    if (!(std::isfinite(state.derate[op]) && state.derate[op] >= 1.0)) {
+      return "PosgScheduler: de-rate factor must be finite and >= 1";
+    }
+    if (!std::isfinite(state.reply_delta[op])) {
+      return "PosgScheduler: reply delta must be finite";
+    }
+    if (!(std::isfinite(state.marker_estimate[op]) &&
+          (state.marker_estimate[op] == -1.0 || state.marker_estimate[op] >= 0.0))) {
+      return "PosgScheduler: marker estimate must be non-negative or the -1 sentinel";
+    }
+    if (!(std::isfinite(state.ramp_tokens[op]) && state.ramp_tokens[op] >= 0.0)) {
+      return "PosgScheduler: ramp tokens must be finite and non-negative";
+    }
+    if (!state.latency_hints.empty() &&
+        !(std::isfinite(state.latency_hints[op]) && state.latency_hints[op] >= 0.0)) {
+      return "PosgScheduler: latency hints must be finite and non-negative";
+    }
+    const bool failed = state.failed[op] == 1;
+    const bool draining = state.draining[op] == 1;
+    const bool marker = state.marker_pending[op] == 1;
+    if (failed) {
       // Quarantine exclusivity: a failed instance has fully left the
       // candidate set — its Ĉ share was redistributed, its sketch dropped
-      // from billing, no marker may remain addressed to it, and its
-      // de-rate/ramp state is retired.
-      POSG_CHECK(c_est_[op] == 0.0, "PosgScheduler: quarantined instance still holds C_hat");
-      POSG_CHECK(!sketches_[op].has_value(),
-                 "PosgScheduler: quarantined instance still bills a sketch");
-      POSG_CHECK(!marker_pending_[op],
-                 "PosgScheduler: quarantined instance still owes a marker");
-      POSG_CHECK(derate_[op] == 1.0, "PosgScheduler: quarantined instance still de-rated");
-      POSG_CHECK(ramp_left_[op] == 0, "PosgScheduler: quarantined instance still ramping");
-      POSG_CHECK(!draining_[op], "PosgScheduler: quarantined instance still marked draining");
+      // from billing, and its marker estimate, de-rate and drain retired.
+      if (state.c_est[op] != 0.0) {
+        return "PosgScheduler: quarantined instance still holds C_hat";
+      }
+      if (state.sketches[op].has_value()) {
+        return "PosgScheduler: quarantined instance still bills a sketch";
+      }
+      if (state.marker_estimate[op] != -1.0) {
+        return "PosgScheduler: quarantined instance still holds a marker estimate";
+      }
+      if (state.derate[op] != 1.0) {
+        return "PosgScheduler: quarantined instance still de-rated";
+      }
+      if (draining) {
+        return "PosgScheduler: quarantined instance still marked draining";
+      }
     } else {
       ++live;
-      if (draining_[op]) {
-        // Drain exclusivity: out of the rotation (no marker, no ramp) but
-        // still in the cluster with its Ĉ frozen at the cut.
-        POSG_CHECK(!marker_pending_[op], "PosgScheduler: draining instance still owes a marker");
-        POSG_CHECK(ramp_left_[op] == 0, "PosgScheduler: draining instance still ramping");
-      } else {
-        ++serving;
+      serving += draining ? 0 : 1;
+    }
+    // Out of the rotation means no tuple to piggy-back a marker on and no
+    // ramp; a draining instance stays in the cluster, Ĉ frozen at the cut.
+    if ((failed || draining) && marker) {
+      return failed ? "PosgScheduler: quarantined instance still owes a marker"
+                    : "PosgScheduler: draining instance still owes a marker";
+    }
+    if ((failed || draining) && state.ramp_left[op] != 0) {
+      return failed ? "PosgScheduler: quarantined instance still ramping"
+                    : "PosgScheduler: draining instance still ramping";
+    }
+    if (failed != (state.health.states[op] == InstanceHealth::kQuarantined)) {
+      return "PosgScheduler: health FSM disagrees with the quarantine set";
+    }
+    // An instance replies only after its marker was piggy-backed, so a
+    // received reply and a still-pending marker are mutually exclusive.
+    if (marker && state.reply_received[op] == 1) {
+      return "PosgScheduler: reply received before its marker was sent";
+    }
+    markers += marker ? 1 : 0;
+    if (const auto& sketch = state.sketches[op]; sketch.has_value()) {
+      any_sketch = true;
+      if (sketch->dims() != config_.dims() || sketch->seed() != config_.sketch_seed ||
+          sketch->heavy_capacity() != config_.heavy_hitter_capacity ||
+          sketch->conservative() != config_.conservative_update) {
+        return "PosgScheduler: shipped sketch layout does not match this configuration";
+      }
+      if (const char* why = sketch->invariant_violation()) {
+        return why;
       }
     }
-    if (marker_pending_[op]) {
-      ++markers;
-    }
-    if (ramp_left_[op] > 0) {
-      ++ramping;
-    }
-    if (sketches_[op].has_value()) {
-      sketches_[op]->debug_validate();
-    }
   }
-  POSG_CHECK(live == live_count_, "PosgScheduler: live count out of sync with failed set");
-  POSG_CHECK(serving == serving_count_,
+  if (live > 0 && serving == 0) {
+    return "PosgScheduler: live cluster with an empty serving set";
+  }
+  const auto image_state = static_cast<State>(state.scheduler_state);
+  if (live == 0 && image_state != State::kRoundRobin) {
+    // A fully quarantined cluster idles (schedule() throws) until rejoin().
+    return "PosgScheduler: zero live instances outside ROUND_ROBIN";
+  }
+
+  // State-machine consistency (Fig. 3).
+  switch (image_state) {
+    case State::kRoundRobin:
+      return markers != 0 ? "PosgScheduler: markers pending in ROUND_ROBIN" : nullptr;
+    case State::kSendAll:
+      return !config_.sync_enabled   ? "PosgScheduler: SEND_ALL with synchronization disabled"
+             : state.epoch < 1       ? "PosgScheduler: SEND_ALL before the first epoch"
+             : markers < 1           ? "PosgScheduler: SEND_ALL with no marker left to send"
+             : !any_sketch           ? "PosgScheduler: SEND_ALL without any billed sketch"
+                                     : nullptr;
+    case State::kWaitAll:
+      return !config_.sync_enabled   ? "PosgScheduler: WAIT_ALL with synchronization disabled"
+             : state.epoch < 1       ? "PosgScheduler: WAIT_ALL before the first epoch"
+             : markers != 0          ? "PosgScheduler: WAIT_ALL with markers still pending"
+             : !any_sketch           ? "PosgScheduler: WAIT_ALL without any billed sketch"
+                                     : nullptr;
+    case State::kRun:
+      return markers != 0  ? "PosgScheduler: markers pending in RUN"
+             : !any_sketch ? "PosgScheduler: RUN without any billed sketch"
+                           : nullptr;
+  }
+  return nullptr;
+}
+
+void PosgScheduler::debug_validate() const {
+  // The counters an image does not carry must agree with the sets it does.
+  const SetCounts counts = count_sets();
+  POSG_CHECK(counts.live == live_count_, "PosgScheduler: live count out of sync with failed set");
+  POSG_CHECK(counts.serving == serving_count_,
              "PosgScheduler: serving count out of sync with the draining set");
-  POSG_CHECK(live_count_ == 0 || serving_count_ >= 1,
-             "PosgScheduler: live cluster with an empty serving set");
-  POSG_CHECK(markers == markers_outstanding_,
+  POSG_CHECK(counts.markers == markers_outstanding_,
              "PosgScheduler: marker counter out of sync with pending set");
-  POSG_CHECK(ramping == ramps_active_, "PosgScheduler: ramp counter out of sync with buckets");
-  health_.debug_validate();
+  POSG_CHECK(counts.ramping == ramps_active_,
+             "PosgScheduler: ramp counter out of sync with buckets");
+  // Everything an image carries is checked by the function restore() uses.
+  const char* why = invariant_violation(checkpoint_state());
+  POSG_CHECK(why == nullptr, why);
 
   if (live_count_ == 0) {
-    // Fully-quarantined cluster: the scheduler idles (schedule() throws)
-    // until rejoin() revives it. The greedy index is stale by design.
-    POSG_CHECK(state_ == State::kRoundRobin,
-               "PosgScheduler: zero live instances outside ROUND_ROBIN");
-    POSG_CHECK(markers_outstanding_ == 0,
-               "PosgScheduler: markers pending with zero live instances");
+    // Fully-quarantined cluster: the greedy index is stale by design until
+    // rejoin() revives it.
     return;
   }
 
   // Rotation exclusivity: the greedy pick must never name a quarantined
-  // instance (the rotation itself is checked structurally above — a failed
-  // instance never holds a pending marker, and next_round_robin skips the
-  // failed set by construction).
+  // instance (the rotation itself is checked structurally by the image —
+  // a failed instance never holds a pending marker, and next_round_robin
+  // skips the failed set by construction).
   POSG_CHECK(!failed_[greedy_pick()], "PosgScheduler: greedy pick chose a quarantined instance");
   POSG_CHECK(!draining_[greedy_pick()], "PosgScheduler: greedy pick chose a draining instance");
   // The incremental argmin must agree with the reference linear scan at
@@ -1415,13 +1411,7 @@ void PosgScheduler::debug_validate() const {
 
   POSG_CHECK(std::isfinite(global_mean_) && global_mean_ >= 0.0,
              "PosgScheduler: global mean execution time must be finite and non-negative");
-  std::size_t shipped = 0;
-  for (std::size_t op = 0; op < k_; ++op) {
-    if (sketches_[op].has_value()) {
-      ++shipped;
-    }
-  }
-  POSG_CHECK(shipped == shipped_ops_.size(),
+  POSG_CHECK(counts.shipped == shipped_ops_.size(),
              "PosgScheduler: shipped-op index out of sync with the sketch slots");
   POSG_CHECK(shipped_cells_.size() == shipped_ops_.size(),
              "PosgScheduler: shipped-cell pointer cache out of sync with the op index");
@@ -1431,35 +1421,6 @@ void PosgScheduler::debug_validate() const {
   }
   if (auto merged = build_merged()) {
     merged->debug_validate();
-  }
-
-  // State-machine consistency (Fig. 3).
-  switch (state_) {
-    case State::kRoundRobin:
-      POSG_CHECK(markers_outstanding_ == 0, "PosgScheduler: markers pending in ROUND_ROBIN");
-      break;
-    case State::kSendAll:
-      POSG_CHECK(config_.sync_enabled, "PosgScheduler: SEND_ALL with synchronization disabled");
-      POSG_CHECK(epoch_ >= 1, "PosgScheduler: SEND_ALL before the first epoch");
-      POSG_CHECK(markers_outstanding_ >= 1, "PosgScheduler: SEND_ALL with no marker left to send");
-      POSG_CHECK(has_billed_sketch(), "PosgScheduler: SEND_ALL without any billed sketch");
-      for (std::size_t op = 0; op < k_; ++op) {
-        // An instance replies only after its marker was piggy-backed, so a
-        // received reply and a still-pending marker are mutually exclusive.
-        POSG_CHECK(!(reply_received_[op] && marker_pending_[op]),
-                   "PosgScheduler: reply received before its marker was sent");
-      }
-      break;
-    case State::kWaitAll:
-      POSG_CHECK(config_.sync_enabled, "PosgScheduler: WAIT_ALL with synchronization disabled");
-      POSG_CHECK(epoch_ >= 1, "PosgScheduler: WAIT_ALL before the first epoch");
-      POSG_CHECK(markers_outstanding_ == 0, "PosgScheduler: WAIT_ALL with markers still pending");
-      POSG_CHECK(has_billed_sketch(), "PosgScheduler: WAIT_ALL without any billed sketch");
-      break;
-    case State::kRun:
-      POSG_CHECK(markers_outstanding_ == 0, "PosgScheduler: markers pending in RUN");
-      POSG_CHECK(has_billed_sketch(), "PosgScheduler: RUN without any billed sketch");
-      break;
   }
 }
 

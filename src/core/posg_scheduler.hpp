@@ -92,7 +92,9 @@ class PosgScheduler final : public Scheduler {
 
   /// Consumes the two messages POSG is fed: stable (F, W) shipments,
   /// whose sketch is moved into the billing slot rather than copied, and
-  /// Δ replies. Execution feedback and load reports are ignored.
+  /// Δ replies. Execution feedback and load reports are ignored. Throws
+  /// std::invalid_argument on an unknown instance, a shipment in another
+  /// sketch layout, or a non-finite Δ.
   void on_feedback(FeedbackEvent&& event) override;
   std::size_t instances() const override { return k_; }
   std::string name() const override { return "posg"; }
@@ -135,15 +137,21 @@ class PosgScheduler final : public Scheduler {
   /// counters) are deliberately excluded — restore() recomputes them.
   CheckpointState checkpoint_state() const;
 
+  /// The scheduler's invariants, stated once, over a checkpoint image: it
+  /// fits this scheduler (k, source, table sizes, sketch layouts), every
+  /// value lies in its domain, quarantine and drain exclusivity hold, and
+  /// the marker, reply and sketch bookkeeping matches its Fig. 3 state.
+  /// Returns the first broken one, or nullptr; it allocates nothing.
+  const char* invariant_violation(const CheckpointState& state) const noexcept;
+
   /// Restores a checkpoint_state() image. Checkpoints are untrusted input
-  /// (a CRC only catches accidental corruption), so every invariant
-  /// debug_validate() aborts on is re-checked *throwing* here — k match,
-  /// Ĉ domain, quarantine/drain exclusivity, state-machine consistency,
-  /// monotone epoch, sketch layout — before a single member is touched;
-  /// a rejected image leaves the scheduler exactly as constructed, ready
-  /// for a cold start. On success the derived caches are rebuilt and the
-  /// restored scheduler is indistinguishable from one that never crashed
-  /// (the round-trip checkpoint tests pin byte-equality).
+  /// (a CRC only catches accidental corruption), so restore throws
+  /// std::invalid_argument with invariant_violation()'s message before a
+  /// single member is touched; a rejected image leaves the scheduler
+  /// exactly as constructed, ready for a cold start. On success the
+  /// derived caches are rebuilt and the restored scheduler is
+  /// indistinguishable from one that never crashed (the round-trip
+  /// checkpoint tests pin byte-equality).
   void restore(const CheckpointState& state);
 
   /// Re-attaches live instance `op` after a scheduler crash-restart (the
@@ -184,7 +192,8 @@ class PosgScheduler final : public Scheduler {
   /// every drained tuple. Returns the final billed Ĉ (the conservation
   /// tests pin it against the instance's measured cumulated time). The
   /// retired slot may rejoin() later — that is exactly how a scale-up
-  /// revives it. Throws std::invalid_argument unless `op` is draining.
+  /// revives it. Throws std::invalid_argument unless `op` is draining
+  /// and `final_delta` is finite.
   common::TimeMs retire(common::InstanceId op, common::TimeMs final_delta);
 
   bool is_draining(common::InstanceId op) const;
@@ -244,6 +253,7 @@ class PosgScheduler final : public Scheduler {
   /// latency toward instance op; the greedy then minimizes
   /// Ĉ[op] + hints[op] — the estimated completion of the tuple being
   /// placed — instead of Ĉ[op] alone. Pass an empty vector to disable.
+  /// Hints must be finite and non-negative.
   void set_latency_hints(std::vector<common::TimeMs> hints);
   const std::vector<common::TimeMs>& latency_hints() const noexcept { return latency_hints_; }
 
@@ -332,16 +342,13 @@ class PosgScheduler final : public Scheduler {
   /// Epochs whose synchronization completed (WAIT_ALL → RUN edges).
   std::uint64_t epochs_completed() const noexcept { return epochs_completed_; }
 
-  /// Machine-checked paper-level invariants (aborts via POSG_CHECK):
-  /// Ĉ[op] >= 0 for every instance (Listing III.2 only ever adds
-  /// non-negative estimates; the Δop correction restores the *true*
-  /// cumulated time, which is non-negative too), quarantine/rotation
-  /// exclusivity (a failed instance holds no Ĉ share, no sketch, no
-  /// pending marker, and is never the greedy pick nor a round-robin
-  /// candidate), marker/reply bookkeeping consistency with the four-state
-  /// machine, and live-count agreement. Called from tests unconditionally
-  /// and at every epoch boundary under POSG_DCHECK_IS_ON. Also validates
-  /// every shipped sketch.
+  /// Aborts via POSG_CHECK when checkpoint_state() breaks an invariant
+  /// (invariant_violation) or a derived cache an image does not carry
+  /// disagrees with it: the live/serving/marker/ramp counters, the greedy
+  /// index against the reference scan (never a quarantined or draining
+  /// pick), the shipped-op and cell caches, the merged sketch and the
+  /// global mean. Called from tests unconditionally and at every epoch
+  /// boundary under POSG_DCHECK_IS_ON.
   void debug_validate() const;
 
   /// Test-only backdoor (tests/check_test.cpp) that corrupts private state
@@ -418,6 +425,17 @@ class PosgScheduler final : public Scheduler {
   bool has_billed_sketch() const noexcept { return !shipped_ops_.empty(); }
   /// Materializes the merged sketch for debug_validate.
   std::optional<sketch::DualSketch> build_merged() const;
+  /// Live, serving, marker-owing, ramping and sketch-shipping instances
+  /// counted from the per-instance sets: restore() sets its counters from
+  /// it, debug_validate() checks the counters and caches against it.
+  struct SetCounts {
+    std::size_t live = 0;
+    std::size_t serving = 0;
+    std::size_t markers = 0;
+    std::size_t ramping = 0;
+    std::size_t shipped = 0;
+  };
+  SetCounts count_sets() const noexcept;
   void maybe_complete_epoch() noexcept;
   bool all_live_shipped() const noexcept;
   /// Bills `item` to `target` (estimate × de-rate factor) and nudges the

@@ -154,12 +154,12 @@ std::span<const std::byte> encode_tuple(const TupleMessage& tuple,
 /// or malformed payloads.
 Message decode(std::span<const std::byte> payload);
 
-/// Machine-checked structural frame bounds (aborts via POSG_CHECK rather
-/// than throwing — a frame *we produced* that violates its own layout is a
-/// programming error, not peer input): non-empty payload, known tag, and
-/// the exact per-tag payload size (fixed-size messages) or the minimum
-/// self-describing header size (sketch shipments). encode() runs this on
-/// its own output under POSG_DCHECK_IS_ON; tests call it directly.
+/// Aborts via POSG_CHECK, with decode()'s message, unless `payload`
+/// decodes: decode() is the one statement of a frame's layout, and a frame
+/// *we produced* that breaks it is a programming error, not peer input.
+/// encode() runs this on its own output under POSG_DCHECK_IS_ON (a
+/// shipment is then decoded in full, sketch invariants included); tests
+/// call it directly.
 void debug_validate_frame(std::span<const std::byte> payload);
 
 }  // namespace posg::net

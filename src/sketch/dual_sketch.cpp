@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -199,11 +197,13 @@ void DualSketch::merge_from(const DualSketch& other) {
   total_time_ += other.total_time_;
 }
 
-void DualSketch::debug_validate() const {
-  POSG_CHECK(std::isfinite(total_time_) && total_time_ >= 0.0,
-             "DualSketch: total execution time must be finite and non-negative");
-  POSG_CHECK(updates_ > 0 || total_time_ == 0.0,
-             "DualSketch: non-zero execution time with zero updates");
+const char* DualSketch::invariant_violation() const noexcept {
+  if (!(std::isfinite(total_time_) && total_time_ >= 0.0)) {
+    return "DualSketch: total execution time must be finite and non-negative";
+  }
+  if (updates_ == 0 && total_time_ != 0.0) {
+    return "DualSketch: non-zero execution time with zero updates";
+  }
 
   const std::size_t rows = dims_.rows;
   const std::size_t cols = dims_.cols;
@@ -215,94 +215,67 @@ void DualSketch::debug_validate() const {
     double w_row_total = 0.0;
     const FWCell* row = cells_.data() + i * cols;
     for (std::size_t j = 0; j < cols; ++j) {
-      POSG_CHECK(std::isfinite(row[j].w), "DualSketch: W cell is not finite");
-      POSG_CHECK(row[j].w >= 0.0, "DualSketch: W cell went negative");
+      if (!std::isfinite(row[j].w)) {
+        return "DualSketch: W cell is not finite";
+      }
+      if (row[j].w < 0.0) {
+        return "DualSketch: W cell went negative";
+      }
       f_row_total += row[j].f;
       w_row_total += row[j].w;
     }
     if (conservative_) {
       // Conservative update raises at most `value` mass per row, so row
       // totals are bounded by (not equal to) the update totals.
-      POSG_CHECK(f_row_total <= updates_,
-                 "DualSketch: conservative F row total exceeds update count");
-      POSG_CHECK(w_row_total <= total_time_ + w_tolerance,
-                 "DualSketch: conservative W row total exceeds recorded time");
+      if (f_row_total > updates_) {
+        return "DualSketch: conservative F row total exceeds update count";
+      }
+      if (!(w_row_total <= total_time_ + w_tolerance)) {
+        return "DualSketch: conservative W row total exceeds recorded time";
+      }
     } else {
       // Plain Count-Min mass conservation: every update touches every row
       // exactly once (Listing III.1), so each row total equals the global
       // total.
-      POSG_CHECK(f_row_total == updates_, "DualSketch: F row total != update count");
-      POSG_CHECK(std::abs(w_row_total - total_time_) <= w_tolerance,
-                 "DualSketch: W row total != recorded execution time");
+      if (f_row_total != updates_) {
+        return "DualSketch: F row total != update count";
+      }
+      if (!(std::abs(w_row_total - total_time_) <= w_tolerance)) {
+        return "DualSketch: W row total != recorded execution time";
+      }
     }
   }
 
   if (heavy_) {
-    POSG_CHECK(heavy_->capacity() >= 1, "DualSketch: heavy table with zero capacity");
-    POSG_CHECK(heavy_->size() <= heavy_->capacity(),
-               "DualSketch: heavy table overflowed its capacity");
+    if (heavy_->capacity() < 1) {
+      return "DualSketch: heavy table with zero capacity";
+    }
+    if (heavy_->size() > heavy_->capacity()) {
+      return "DualSketch: heavy table overflowed its capacity";
+    }
     for (const auto& [item, entry] : heavy_->entries()) {
       (void)item;
-      POSG_CHECK(entry.count >= 1, "DualSketch: monitored heavy item with zero count");
+      if (entry.count < 1) {
+        return "DualSketch: monitored heavy item with zero count";
+      }
       // Space-Saving bookkeeping identity: the count is exactly the
       // inherited floor plus the genuinely observed hits (takeover sets
       // count = victim + 1 with error = victim, observed = 1; every later
       // hit raises count and observed together; merge sums all three).
-      POSG_CHECK(entry.error + entry.observed == entry.count,
-                 "DualSketch: heavy-hitter count != error + observed");
-      POSG_CHECK(std::isfinite(entry.time_sum) && entry.time_sum >= 0.0,
-                 "DualSketch: heavy-hitter time sum must be finite and non-negative");
+      if (entry.error + entry.observed != entry.count) {
+        return "DualSketch: heavy-hitter count != error + observed";
+      }
+      if (!(std::isfinite(entry.time_sum) && entry.time_sum >= 0.0)) {
+        return "DualSketch: heavy-hitter time sum must be finite and non-negative";
+      }
     }
   }
+  return nullptr;
 }
 
-void DualSketch::validate_untrusted() const {
-  const auto reject = [](bool ok, const char* why) {
-    if (!ok) {
-      throw std::invalid_argument(std::string("sketch: untrusted content: ") + why);
-    }
-  };
-  // Mirror of debug_validate's mass-conservation block, but thrown: these
-  // are exactly the identities a single flipped byte in a structurally
-  // valid buffer breaks (a counter, a cell, a sign bit), and rejection
-  // here turns frame corruption into a peer quarantine instead of an
-  // abort at the next epoch's validation pass.
-  reject(std::isfinite(total_time_) && total_time_ >= 0.0,
-         "total execution time not finite and non-negative");
-  reject(updates_ > 0 || total_time_ == 0.0, "non-zero execution time with zero updates");
-
-  const std::size_t rows = dims_.rows;
-  const std::size_t cols = dims_.cols;
-  const double w_tolerance = 1e-6 * std::max(1.0, total_time_);
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t f_row_total = 0;
-    double w_row_total = 0.0;
-    const FWCell* row = cells_.data() + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      reject(std::isfinite(row[j].w) && row[j].w >= 0.0, "W cell not finite and non-negative");
-      f_row_total += row[j].f;
-      w_row_total += row[j].w;
-    }
-    if (conservative_) {
-      reject(f_row_total <= updates_, "conservative F row total exceeds update count");
-      reject(w_row_total <= total_time_ + w_tolerance,
-             "conservative W row total exceeds recorded time");
-    } else {
-      reject(f_row_total == updates_, "F row total != update count");
-      reject(std::abs(w_row_total - total_time_) <= w_tolerance,
-             "W row total != recorded execution time");
-    }
-  }
-
-  if (heavy_) {
-    for (const auto& [item, entry] : heavy_->entries()) {
-      (void)item;
-      reject(entry.count >= 1, "monitored heavy item with zero count");
-      reject(entry.error + entry.observed == entry.count, "heavy-hitter count != error + observed");
-      reject(std::isfinite(entry.time_sum) && entry.time_sum >= 0.0,
-             "heavy-hitter time sum not finite and non-negative");
-    }
-  }
+void DualSketch::debug_validate() const {
+  const char* why = invariant_violation();
+  POSG_CHECK(why == nullptr, why);
 }
 
 }  // namespace posg::sketch

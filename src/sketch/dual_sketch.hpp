@@ -131,26 +131,21 @@ class DualSketch {
   /// Layouts (dims, seed, heavy capacity) must match.
   void merge_from(const DualSketch& other);
 
-  /// Machine-checked paper-level invariants (aborts via POSG_CHECK):
-  /// every W cell is finite and >= 0 (execution times are non-negative,
-  /// so the weight matrix can never go negative), per-row mass
-  /// conservation against the update totals (== in plain mode, <= under
-  /// conservative update), and heavy-hitter table consistency (size <=
-  /// capacity, observed <= count, time_sum >= 0). The paper's "F and W
-  /// share dims and hashes" invariant (Sec. III-A) is structural in the
-  /// fused layout: one hash set, one cell array. Called from tests
-  /// unconditionally and from epoch boundaries under POSG_DCHECK_IS_ON.
-  void debug_validate() const;
+  /// The sketch's invariants, stated once: every W cell is finite and
+  /// >= 0 (execution times are non-negative), per-row mass conservation
+  /// against the update totals (== in plain mode, <= under conservative
+  /// update), and heavy-hitter table consistency (size <= capacity, error
+  /// + observed == count, time_sum >= 0). Returns the first broken one, or
+  /// nullptr; it allocates nothing. The paper's "F and W share dims and
+  /// hashes" invariant (Sec. III-A) is structural in the fused layout.
+  /// A flipped byte in a structurally valid buffer breaks exactly these,
+  /// so sketch::deserialize throws on a violation (the runtime quarantines
+  /// the sender), while debug_validate() aborts on one.
+  const char* invariant_violation() const noexcept;
 
-  /// Trust-boundary variant of the same mass-conservation invariants for
-  /// sketches rebuilt from untrusted bytes (called by sketch::deserialize):
-  /// throws std::invalid_argument instead of aborting. A corrupt shipment
-  /// is the *peer's* fault — a structurally valid frame can still carry
-  /// flipped counter bytes (gray-fault corruption lands mid-payload), and
-  /// the receiver must quarantine the sender like any other undecodable
-  /// frame rather than fold the poison into its own state and trip
-  /// debug_validate later.
-  void validate_untrusted() const;
+  /// Aborts via POSG_CHECK with invariant_violation()'s message; tests
+  /// call it directly, epoch boundaries under POSG_DCHECK_IS_ON.
+  void debug_validate() const;
 
  private:
   /// Shared tail of both update forms: heavy-hitter side table + totals.

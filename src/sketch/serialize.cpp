@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace posg::sketch {
 
@@ -151,19 +153,17 @@ DualSketch deserialize(std::span<const std::byte> bytes) {
       entries.emplace(item, entry);
     }
     with_heavy.heavy_hitters_mutable()->restore(entries);
-    if (!reader.exhausted()) {
-      throw std::invalid_argument("sketch::deserialize: trailing bytes");
-    }
-    with_heavy.validate_untrusted();
-    return with_heavy;
+    sketch = std::move(with_heavy);
   }
   if (!reader.exhausted()) {
     throw std::invalid_argument("sketch::deserialize: trailing bytes");
   }
   // Structure alone does not make wire bytes a sketch: a flipped byte in
-  // a counter or a cell still parses. Reject anything whose content
-  // breaks the Count-Min mass identities before a scheduler bills it.
-  sketch.validate_untrusted();
+  // a counter or a cell still parses. Reject anything that breaks the
+  // sketch's invariants before a scheduler bills it.
+  if (const char* why = sketch.invariant_violation()) {
+    throw std::invalid_argument(std::string("sketch::deserialize: ") + why);
+  }
   return sketch;
 }
 

@@ -320,7 +320,7 @@ TEST(FrameValidate, EveryEncodedMessageKindPasses) {
 }
 
 TEST(FrameValidateDeathTest, EmptyFrameAborts) {
-  EXPECT_DEATH(posg::net::debug_validate_frame({}), "empty payload");
+  EXPECT_DEATH(posg::net::debug_validate_frame({}), "truncated message");
 }
 
 TEST(FrameValidateDeathTest, UnknownTagAborts) {
@@ -331,26 +331,25 @@ TEST(FrameValidateDeathTest, UnknownTagAborts) {
 TEST(FrameValidateDeathTest, TruncatedHelloAborts) {
   auto frame = posg::net::encode(posg::net::Hello{1});
   frame.pop_back();
-  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "Hello");
+  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "truncated message");
 }
 
 TEST(FrameValidateDeathTest, OversizedEndOfStreamAborts) {
   auto frame = posg::net::encode(posg::net::EndOfStream{});
   frame.push_back(std::byte{0});
-  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "EndOfStream carries no payload");
+  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "trailing bytes");
 }
 
 TEST(FrameValidateDeathTest, LyingMarkerFlagAborts) {
   // A bare tuple whose marker flag claims a marker: flag and size disagree.
   auto frame = posg::net::encode(posg::net::TupleMessage{7, 11, std::nullopt});
   frame[17] = std::byte{1};
-  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "marker flag disagrees");
+  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "truncated message");
 }
 
 TEST(FrameValidateDeathTest, TruncatedShipmentAborts) {
   const std::vector<std::byte> frame(20, std::byte{3});  // tag 3 = shipment
-  EXPECT_DEATH(posg::net::debug_validate_frame(frame),
-               "SketchShipment shorter than its fixed header");
+  EXPECT_DEATH(posg::net::debug_validate_frame(frame), "bad magic");
 }
 
 }  // namespace

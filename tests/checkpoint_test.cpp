@@ -12,7 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,6 +215,266 @@ TEST(Checkpoint, RestoreRejectsInvariantViolatingContent) {
     PosgScheduler scheduler(3, small_config());
     EXPECT_THROW(scheduler.restore(tampered), std::invalid_argument);
   }
+}
+
+/// One image per invariant PosgScheduler::invariant_violation states, each
+/// a single tampering of a valid warm RUN image (k = 3). `expected` is a
+/// substring of the message restore() must throw.
+struct Tampering {
+  const char* expected;
+  std::function<void(CheckpointState&)> tamper;
+  bool sync_enabled = true;
+};
+
+/// Makes instance `op` a consistently quarantined slot.
+void quarantine(CheckpointState& state, std::size_t op) {
+  state.failed[op] = 1;
+  state.c_est[op] = 0.0;
+  state.sketches[op].reset();
+  state.marker_pending[op] = 0;
+  state.marker_estimate[op] = -1.0;
+  state.derate[op] = 1.0;
+  state.ramp_left[op] = 0;
+  state.draining[op] = 0;
+  state.health.states[op] = core::InstanceHealth::kQuarantined;
+}
+
+/// Turns the RUN image into SEND_ALL with instance 0's marker outstanding.
+void to_send_all(CheckpointState& state) {
+  state.scheduler_state = static_cast<std::uint8_t>(PosgScheduler::State::kSendAll);
+  state.marker_pending[0] = 1;
+  state.reply_received[0] = 0;
+}
+
+void to_wait_all(CheckpointState& state) {
+  state.scheduler_state = static_cast<std::uint8_t>(PosgScheduler::State::kWaitAll);
+}
+
+void drop_sketches(CheckpointState& state) {
+  for (auto& sketch : state.sketches) {
+    sketch.reset();
+  }
+}
+
+TEST(Checkpoint, RestoreRejectsEachInvariantAndLeavesColdStartIntact) {
+  const auto valid = core::decode(warm_image(3));
+  ASSERT_EQ(valid.scheduler_state, static_cast<std::uint8_t>(PosgScheduler::State::kRun));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  using Health = core::InstanceHealth;
+  const std::vector<Tampering> table = {
+      {"instance count mismatch", [](auto& s) { s.k = 4; }},
+      {"source id mismatch", [](auto& s) { s.source_id = 1; }},
+      {"state machine value out of range", [](auto& s) { s.scheduler_state = 4; }},
+      {"round-robin cursor out of range", [](auto& s) { s.rr_next = 3; }},
+      {"non-monotone epoch", [](auto& s) { s.epochs_completed = s.epoch + 1; }},
+      {"tables do not cover every instance", [](auto& s) { s.derate.pop_back(); }},
+      {"latency hints do not cover every instance", [](auto& s) { s.latency_hints = {1.0}; }},
+      {"HealthMonitor: per-instance tables", [](auto& s) { s.health.queue_ewma.pop_back(); }},
+      {"HealthMonitor: state out of range",
+       [](auto& s) { s.health.states[0] = static_cast<Health>(7); }},
+      {"HealthMonitor: drift EWMA", [](auto& s) { s.health.drift_ewma[0] = kNaN; }},
+      {"HealthMonitor: queue EWMA", [](auto& s) { s.health.queue_ewma[0] = -0.5; }},
+      {"HealthMonitor: hot and calm streaks",
+       [](auto& s) { s.health.hot_streak[0] = s.health.calm_streak[0] = 1; }},
+      {"flag is not 0/1", [](auto& s) { s.draining[0] = 2; }},
+      {"C_hat is not finite", [](auto& s) { s.c_est[0] = kInf; }},
+      {"C_hat went negative", [](auto& s) { s.c_est[0] = -5.0; }},
+      {"de-rate factor", [](auto& s) { s.derate[0] = 0.5; }},
+      {"reply delta must be finite", [](auto& s) { s.reply_delta[0] = kNaN; }},
+      {"marker estimate", [](auto& s) { s.marker_estimate[0] = -0.5; }},
+      {"ramp tokens", [](auto& s) { s.ramp_tokens[0] = -1.0; }},
+      {"latency hints must be finite", [](auto& s) { s.latency_hints = {0.0, -1.0, 0.0}; }},
+      {"quarantined instance still holds C_hat",
+       [](auto& s) { quarantine(s, 1), s.c_est[1] = 5.0; }},
+      {"quarantined instance still bills a sketch",
+       [](auto& s) { quarantine(s, 1), s.sketches[1] = s.sketches[0]; }},
+      {"quarantined instance still owes a marker",
+       [](auto& s) { quarantine(s, 1), s.marker_pending[1] = 1; }},
+      {"quarantined instance still holds a marker estimate",
+       [](auto& s) { quarantine(s, 1), s.marker_estimate[1] = 3.0; }},
+      {"quarantined instance still de-rated", [](auto& s) { quarantine(s, 1), s.derate[1] = 2.0; }},
+      {"quarantined instance still ramping", [](auto& s) { quarantine(s, 1), s.ramp_left[1] = 5; }},
+      {"quarantined instance still marked draining",
+       [](auto& s) { quarantine(s, 1), s.draining[1] = 1; }},
+      {"draining instance still owes a marker",
+       [](auto& s) { s.draining[1] = 1, s.marker_pending[1] = 1; }},
+      {"draining instance still ramping", [](auto& s) { s.draining[1] = 1, s.ramp_left[1] = 3; }},
+      {"health FSM disagrees with the quarantine set",
+       [](auto& s) { s.health.states[1] = Health::kQuarantined; }},
+      {"reply received before its marker was sent",
+       [](auto& s) { to_send_all(s), s.reply_received[0] = 1; }},
+      {"sketch layout does not match",
+       [](auto& s) { s.sketches[0] = sketch::DualSketch(sketch::SketchDims{2, 4}, 1); }},
+      {"DualSketch: W cell went negative",
+       [](auto& s) { s.sketches[0]->cells_mutable()[0].w = -1.0; }},
+      {"live cluster with an empty serving set",
+       [](auto& s) { s.draining = {1, 1, 1}; }},
+      {"zero live instances outside ROUND_ROBIN",
+       [](auto& s) { quarantine(s, 0), quarantine(s, 1), quarantine(s, 2); }},
+      {"markers pending in ROUND_ROBIN",
+       [](auto& s) { s.scheduler_state = 0, s.marker_pending[0] = 1, s.reply_received[0] = 0; }},
+      {"SEND_ALL with synchronization disabled", [](auto& s) { to_send_all(s); }, false},
+      {"SEND_ALL before the first epoch",
+       [](auto& s) { to_send_all(s), s.epoch = 0, s.epochs_completed = 0; }},
+      {"SEND_ALL with no marker left to send",
+       [](auto& s) { to_send_all(s), s.marker_pending[0] = 0; }},
+      {"SEND_ALL without any billed sketch", [](auto& s) { to_send_all(s), drop_sketches(s); }},
+      {"WAIT_ALL with synchronization disabled", [](auto& s) { to_wait_all(s); }, false},
+      {"WAIT_ALL before the first epoch",
+       [](auto& s) { to_wait_all(s), s.epoch = 0, s.epochs_completed = 0; }},
+      {"WAIT_ALL with markers still pending",
+       [](auto& s) { to_wait_all(s), s.marker_pending[0] = 1, s.reply_received[0] = 0; }},
+      {"WAIT_ALL without any billed sketch", [](auto& s) { to_wait_all(s), drop_sketches(s); }},
+      {"markers pending in RUN", [](auto& s) { s.marker_pending[0] = 1, s.reply_received[0] = 0; }},
+      {"RUN without any billed sketch", [](auto& s) { drop_sketches(s); }},
+  };
+
+  // The building blocks alone keep the image valid, so each row breaks
+  // exactly the invariant it names.
+  for (const auto& base : std::vector<std::function<void(CheckpointState&)>>{
+           [](auto&) {}, [](auto& s) { quarantine(s, 1); }, [](auto& s) { s.draining[1] = 1; },
+           to_send_all, to_wait_all}) {
+    auto image = valid;
+    base(image);
+    PosgScheduler scheduler(3, small_config());
+    EXPECT_NO_THROW(scheduler.restore(image));
+  }
+
+  for (const auto& row : table) {
+    auto tampered = valid;
+    row.tamper(tampered);
+    PosgConfig config = small_config();
+    config.sync_enabled = row.sync_enabled;
+    PosgScheduler scheduler(3, config);
+    try {
+      scheduler.restore(tampered);
+      ADD_FAILURE() << "restored an image that breaks: " << row.expected;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(row.expected), std::string::npos)
+          << "expected \"" << row.expected << "\", got \"" << error.what() << "\"";
+    }
+    EXPECT_EQ(scheduler.state(), PosgScheduler::State::kRoundRobin) << row.expected;
+    EXPECT_EQ(scheduler.epoch(), 0u) << row.expected;
+    EXPECT_NO_THROW(scheduler.schedule(1, 0)) << row.expected;
+  }
+}
+
+/// Asserts capture → restore → capture reproduces `scheduler`'s image.
+void expect_round_trip(const PosgScheduler& scheduler, const PosgConfig& config) {
+  const auto image = core::encode(scheduler.checkpoint_state());
+  PosgScheduler restored(scheduler.instances(), config);
+  restored.restore(core::decode(image));
+  EXPECT_EQ(restored.state(), scheduler.state());
+  EXPECT_EQ(core::encode(restored.checkpoint_state()), image);
+}
+
+TEST(Checkpoint, RoundTripIsByteIdenticalInEveryState) {
+  const PosgConfig config = small_config();
+  const std::size_t k = 3;
+  PosgScheduler scheduler(k, config);
+  auto trackers = make_trackers(k, config);
+  common::SeqNo seq = 0;
+  drive_epochs(scheduler, trackers, 2, seq);
+
+  // SEND_ALL with markers outstanding: a re-ship opens the next epoch, and
+  // one tuple carries the first marker out.
+  core::SketchShipment reship{0, *scheduler.checkpoint_state().sketches[0]};
+  scheduler.on_feedback(std::move(reship));
+  ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
+  auto decision = scheduler.schedule(1, seq++);
+  ASSERT_TRUE(decision.sync_request.has_value());
+  ASSERT_EQ(scheduler.state(), PosgScheduler::State::kSendAll);
+  expect_round_trip(scheduler, config);
+
+  // WAIT_ALL with one reply in.
+  std::vector<std::pair<common::InstanceId, core::SyncRequest>> markers{
+      {decision.instance, *decision.sync_request}};
+  while (scheduler.state() == PosgScheduler::State::kSendAll) {
+    decision = scheduler.schedule(1, seq++);
+    if (decision.sync_request) {
+      markers.emplace_back(decision.instance, *decision.sync_request);
+    }
+  }
+  ASSERT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
+  scheduler.on_feedback(core::SyncReply{markers[0].first, markers[0].second.epoch, 0.25});
+  ASSERT_EQ(scheduler.pending_replies().size(), k - 1);
+  expect_round_trip(scheduler, config);
+
+  // RUN with one quarantined, one draining and one ramping instance.
+  const std::size_t k4 = 4;
+  PosgScheduler membership(k4, config);
+  auto trackers4 = make_trackers(k4, config);
+  seq = 0;
+  drive_epochs(membership, trackers4, 2, seq);
+  ASSERT_EQ(membership.state(), PosgScheduler::State::kRun);
+  membership.mark_failed(3);
+  membership.rejoin(3);
+  membership.mark_failed(0);
+  membership.begin_drain(1);
+  ASSERT_EQ(membership.state(), PosgScheduler::State::kRun);
+  ASSERT_TRUE(membership.is_failed(0));
+  ASSERT_TRUE(membership.is_draining(1));
+  ASSERT_GT(membership.ramp_remaining(3), 0u);
+  expect_round_trip(membership, config);
+}
+
+/// The smallest legal layout: epsilon 1 and delta 0.5 give a 1 x 3 sketch.
+PosgConfig fixture_config() {
+  PosgConfig config = small_config();
+  config.epsilon = 1.0;
+  config.delta = 0.5;
+  return config;
+}
+
+/// A version-2 image written by the encoder of commit 677e8fc: k = 2,
+/// fixture_config(), captured in RUN after drive_epochs completed two
+/// epochs. Fixed bytes, so an encoder change that breaks old images fails
+/// here rather than on a restarted scheduler.
+std::vector<std::byte> v2_fixture() {
+  std::ifstream in(std::string(POSG_TEST_DATA_DIR) + "/checkpoint_v2_k2.bin", std::ios::binary);
+  const std::vector<char> raw{std::istreambuf_iterator<char>(in), {}};
+  std::vector<std::byte> bytes(raw.size());
+  std::memcpy(bytes.data(), raw.data(), raw.size());
+  return bytes;
+}
+
+TEST(Checkpoint, FixedVersion2ImageDecodesRestoresAndReencodes) {
+  const auto fixture = v2_fixture();
+  ASSERT_EQ(fixture.size(), 693u);
+  const auto state = core::decode(fixture);
+  EXPECT_EQ(state.k, 2u);
+  EXPECT_EQ(state.epochs_completed, 2u);
+  EXPECT_EQ(core::encode(state), fixture);
+
+  PosgScheduler restored(2, fixture_config());
+  restored.restore(state);
+  EXPECT_EQ(restored.state(), PosgScheduler::State::kRun);
+  EXPECT_EQ(core::encode(restored.checkpoint_state()), fixture);
+}
+
+TEST(Checkpoint, Version1ImageRestoresAsSourceZero) {
+  // Version 1 is version 2 without the u32 source id after k.
+  const auto fixture = v2_fixture();
+  ASSERT_EQ(fixture.size(), 693u);
+  const std::size_t header = core::kCheckpointHeaderBytes;
+  auto v1 = fixture;
+  v1.erase(v1.begin() + static_cast<std::ptrdiff_t>(header + 8),
+           v1.begin() + static_cast<std::ptrdiff_t>(header + 12));
+  const std::uint32_t version = 1;
+  std::memcpy(v1.data() + 4, &version, sizeof(version));
+  std::uint64_t payload = 0;
+  std::memcpy(&payload, v1.data() + 8, sizeof(payload));
+  payload -= 4;
+  std::memcpy(v1.data() + 8, &payload, sizeof(payload));
+  const std::uint32_t crc = core::crc32(std::span<const std::byte>(v1).subspan(header));
+  std::memcpy(v1.data() + 16, &crc, sizeof(crc));
+
+  const auto state = core::decode(v1);
+  EXPECT_EQ(state.source_id, 0u);
+  PosgScheduler restored(2, fixture_config());
+  restored.restore(state);
+  EXPECT_EQ(core::encode(restored.checkpoint_state()), fixture);
 }
 
 TEST(Checkpoint, FileHelpersRoundTripReplaceAndSignalMissing) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <variant>
 
 #include "common/prng.hpp"
 #include "core/backlog_oracle.hpp"
@@ -14,6 +17,7 @@
 #include "core/reactive_jsq.hpp"
 #include "core/round_robin.hpp"
 #include "core/two_choices.hpp"
+#include "net/protocol.hpp"
 
 namespace {
 
@@ -486,6 +490,101 @@ TEST(PosgScheduler, RejectsInvalidMessages) {
   wrong_layout.epsilon = 0.7;
   auto shipment = make_shipment(0, wrong_layout);
   EXPECT_THROW(scheduler.on_feedback(shipment), std::invalid_argument);
+}
+
+/// Ships every instance a sketch of `cost` per tuple (which opens a fresh
+/// epoch outside ROUND_ROBIN) and routes until every marker went out.
+/// Returns the markers by instance.
+std::vector<core::SyncRequest> open_epoch(PosgScheduler& scheduler, const PosgConfig& config,
+                                          common::TimeMs cost = 2.0) {
+  std::vector<core::SyncRequest> requests(scheduler.instances());
+  for (common::InstanceId op = 0; op < scheduler.instances(); ++op) {
+    scheduler.on_feedback(make_shipment(op, config, 1, cost));
+  }
+  for (common::SeqNo i = 0; scheduler.state() == PosgScheduler::State::kSendAll; ++i) {
+    const Decision d = scheduler.schedule(1, i);
+    if (d.sync_request) {
+      requests[d.instance] = *d.sync_request;
+    }
+  }
+  return requests;
+}
+
+/// A SyncReply as the runtime's reader hands it over: through the codec.
+core::SyncReply off_the_wire(const core::SyncReply& reply) {
+  return std::get<core::SyncReply>(net::decode(net::encode(reply)));
+}
+
+TEST(PosgScheduler, NonFiniteDeltaFromTheWireIsRefused) {
+  // Δ is peer input. Folded unchecked, a non-finite one completing an
+  // epoch throws out of the noexcept drift sample (+inf: terminate) or
+  // resets Ĉ to 0 (NaN, −inf). It must be refused with
+  // std::invalid_argument, which the runtime's reader turns into a
+  // quarantine, and change nothing.
+  const auto config = test_config();
+  PosgScheduler scheduler(2, config);
+  auto requests = open_epoch(scheduler, config);
+  for (common::InstanceId op = 0; op < 2; ++op) {
+    scheduler.on_feedback(off_the_wire(core::SyncReply{op, requests[op].epoch, 0.0}));
+  }
+  ASSERT_EQ(scheduler.epochs_completed(), 1u);  // later epochs feed drift samples
+
+  requests = open_epoch(scheduler, config);
+  ASSERT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
+  scheduler.on_feedback(off_the_wire(core::SyncReply{0, requests[0].epoch, 0.5}));
+  const auto loads = scheduler.estimated_loads();
+  for (const double delta : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(
+        scheduler.on_feedback(off_the_wire(core::SyncReply{1, requests[1].epoch, delta})),
+        std::invalid_argument);
+    EXPECT_EQ(scheduler.state(), PosgScheduler::State::kWaitAll);
+    EXPECT_EQ(scheduler.estimated_loads(), loads);
+  }
+  scheduler.on_feedback(off_the_wire(core::SyncReply{1, requests[1].epoch, 0.5}));
+  EXPECT_EQ(scheduler.epochs_completed(), 2u);
+  scheduler.debug_validate();
+
+  // A drain's final Δ comes off the wire too (DrainComplete).
+  scheduler.begin_drain(0);
+  EXPECT_THROW(scheduler.retire(0, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_TRUE(scheduler.is_draining(0));
+  scheduler.retire(0, 0.0);
+  scheduler.debug_validate();
+}
+
+TEST(PosgScheduler, OverflowingDriftRatioFeedsNoSample) {
+  // A finite Δ can still overflow (Ĉ_marker + Δ)/Ĉ_marker when Ĉ_marker is
+  // below 1: the epoch completes and the health monitor sees no sample.
+  const auto config = test_config();
+  PosgScheduler scheduler(2, config);
+  auto requests = open_epoch(scheduler, config, 1e-3);
+  for (common::InstanceId op = 0; op < 2; ++op) {
+    scheduler.on_feedback(core::SyncReply{op, requests[op].epoch, 0.0});
+  }
+  requests = open_epoch(scheduler, config, 1e-3);
+  ASSERT_LT(requests[1].estimated_cumulated, 1.0);
+  scheduler.on_feedback(core::SyncReply{0, requests[0].epoch, 0.0});
+  scheduler.on_feedback(
+      core::SyncReply{1, requests[1].epoch, std::numeric_limits<double>::max()});
+  EXPECT_EQ(scheduler.epochs_completed(), 2u);
+  EXPECT_EQ(scheduler.health().state(1), core::InstanceHealth::kLive);
+  EXPECT_TRUE(std::isfinite(scheduler.estimated_loads()[1]));
+  scheduler.debug_validate();
+}
+
+TEST(PosgScheduler, RejectsNonFiniteOrNegativeLatencyHints) {
+  PosgScheduler scheduler(3, test_config());
+  EXPECT_THROW(scheduler.set_latency_hints({0.0, std::numeric_limits<double>::infinity(), 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(scheduler.set_latency_hints({0.0, 0.0, std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  EXPECT_THROW(scheduler.set_latency_hints({-1.0, 0.0, 0.0}), std::invalid_argument);
+  EXPECT_TRUE(scheduler.latency_hints().empty());
+  scheduler.set_latency_hints({1.0, 0.0, 2.0});
+  scheduler.debug_validate();
 }
 
 }  // namespace
