@@ -50,9 +50,7 @@ common::TimeMs mean_completion(const sim::Experiment& experiment, const Policy& 
     core::PosgScheduler scheduler(config.k, config.posg);
     return simulator.run(experiment.stream(), scheduler).completions.average();
   }
-  core::MultiSourceConfig multi;
-  multi.sources = policy.sources;
-  core::MultiSourceScheduler scheduler(config.k, config.posg, multi);
+  core::MultiSourceScheduler scheduler(config.k, config.posg, policy.sources);
   return simulator.run_multi(experiment.stream(), scheduler).completions.average();
 }
 

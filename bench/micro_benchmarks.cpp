@@ -427,9 +427,7 @@ void BM_RouterThroughputMultiSource(benchmark::State& state) {
   core::PosgConfig config;
   config.window = 64;
   config.mu = 10.0;  // ship every second window
-  core::MultiSourceConfig multi;
-  multi.sources = sources;
-  core::MultiSourceScheduler scheduler(k, config, multi);
+  core::MultiSourceScheduler scheduler(k, config, sources);
   std::vector<core::InstanceTracker> trackers;  // [op * sources + source]
   trackers.reserve(k * sources);
   for (common::InstanceId op = 0; op < k; ++op) {

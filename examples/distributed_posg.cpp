@@ -20,9 +20,11 @@
 //   2  a refused flag: an id out of range (--kill/--slow >= k,
 //      --kill-source >= S), a count below its floor (--k or --sources
 //      below 1; --m, --sched-kill, --initial, --kill-epoch, --slow-after,
-//      --metrics-every or --arrival-us below 0), a non-empty --stats-dir,
-//      or a numeric flag whose value does not parse whole, all before
-//      anything forks;
+//      --metrics-every or --arrival-us below 0), a rate or scale out of
+//      its domain (--slow-factor or --spike-factor not above 0;
+//      --sleep-scale, --spike-at-ms or --spike-for-ms below 0), a
+//      non-empty --stats-dir, or a numeric flag whose value does not parse
+//      whole, all before anything forks;
 //   3  a gate failed, named on a `gate failed:` line. 3 wins over 1:
 //      conservation must hold in a degraded run too.
 // The gates of each mode print as `ok|violated` summary lines:
@@ -870,13 +872,24 @@ int run(const common::CliArgs& args) {
     }
     return static_cast<std::size_t>(value);
   };
+  // So is a rate or scale an instance or the arrival profile would reject:
+  // an instance whose constructor throws never dials, and registration
+  // waits for it.
+  const auto positive_real = [&args](const char* flag, double fallback, bool zero_ok) {
+    const double value = args.get_double(flag, fallback);
+    if (zero_ok ? value < 0.0 : value <= 0.0) {
+      refuse(std::string("--") + flag + " " + args.get_string(flag, "") +
+             (zero_ok ? " is below 0" : " is not above 0"));
+    }
+    return value;
+  };
   const bool autoscale = args.get_bool("autoscale", false);
   const std::size_t k = count_at_least("k", 3, 1);
   const std::size_t m = count_at_least("m", 20'000, 0);
   const auto kill_id = args.get_int("kill", -1);
   const auto kill_epoch = static_cast<common::Epoch>(count_at_least("kill-epoch", 1, 0));
   const auto slow_id = args.get_int("slow", -1);
-  const double slow_factor = args.get_double("slow-factor", 4.0);
+  const double slow_factor = positive_real("slow-factor", 4.0, false);
   const auto slow_after = static_cast<std::uint64_t>(count_at_least("slow-after", 0, 0));
   const bool rejoin = args.get_bool("rejoin", false) || autoscale;
   const std::string stats_dir = args.get_string("stats-dir", "");
@@ -892,6 +905,14 @@ int run(const common::CliArgs& args) {
   const std::size_t initial_raw = count_at_least("initial", 0, 0);
   const auto arrival_us =
       static_cast<std::uint64_t>(count_at_least("arrival-us", autoscale ? 200 : 0, 0));
+  const double sleep_scale = positive_real("sleep-scale", autoscale ? 0.02 : 0.0, true);
+  workload::ArrivalProfile profile;  // wall-clock ms since the stream began
+  if (args.has("spike-factor")) {
+    profile.kind = workload::ArrivalProfile::Kind::kFlashCrowd;
+    profile.spike_factor = positive_real("spike-factor", 20.0, false);
+    profile.spike_start = positive_real("spike-at-ms", 500.0, true);
+    profile.spike_duration = positive_real("spike-for-ms", 1000.0, true);
+  }
   // Multi-source tier: --sources S > 1 switches to the shared-pool
   // driver (DESIGN.md §15). Orthogonal to the single-source modes below.
   const std::size_t sources = count_at_least("sources", 1, 1);
@@ -928,20 +949,11 @@ int run(const common::CliArgs& args) {
                                    ckpt_path, metrics_out);
   }
   const std::size_t initial = initial_raw == 0 ? k : std::min(initial_raw, k);
-  const double sleep_scale = args.get_double("sleep-scale", autoscale ? 0.02 : 0.0);
-  workload::ArrivalProfile profile;  // wall-clock ms since the stream began
-  if (args.has("spike-factor")) {
-    profile.kind = workload::ArrivalProfile::Kind::kFlashCrowd;
-    profile.spike_factor = args.get_double("spike-factor", 20.0);
-    profile.spike_start = args.get_double("spike-at-ms", 500.0);
-    profile.spike_duration = args.get_double("spike-for-ms", 1000.0);
-    profile.validate();
-  }
 
   runtime::SchedulerRuntimeConfig config;
   config.instances = k;  // PosgConfig keeps its calibrated defaults
   config.allow_rejoin = rejoin;
-  config.obs.tracing = trace_on;
+  config.tracing = trace_on;
   const std::string socket_path = "/tmp/posg_distributed_" + std::to_string(getpid()) + ".sock";
   Sockets sockets{{socket_path}, std::vector<std::optional<net::Listener>>(1), stats_dir};
   std::optional<net::Listener>& listener = sockets.listeners[0];

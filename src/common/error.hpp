@@ -33,7 +33,8 @@ enum class ErrorCode : std::uint8_t {
   kProtocol = 2,
   /// Instance registration did not complete (exhausted attempts).
   kRegistration = 3,
-  /// A config tree failed validation (see `posg::Config::require_valid`).
+  /// A command-line flag value was refused: one `CliArgs` cannot parse,
+  /// or one a program's own checks reject.
   kConfig = 4,
 };
 

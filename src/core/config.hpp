@@ -4,12 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "common/error.hpp"
 #include "common/types.hpp"
-#include "core/elastic.hpp"
-#include "core/instance_health.hpp"
 #include "core/overload.hpp"
 #include "sketch/dual_sketch.hpp"
 
@@ -17,6 +13,9 @@ namespace posg::obs {
 class TraceRing;  // obs/trace_ring.hpp; configs only carry a pointer
 }  // namespace posg::obs
 
+/// The configuration structs, one per component. Each is checked once, by
+/// the constructor that reads it: an out-of-domain field throws
+/// std::invalid_argument whose message names that field.
 namespace posg::core {
 
 /// Token-bucket admission ramp for rejoining instances (extension; see
@@ -24,7 +23,9 @@ namespace posg::core {
 /// which still leaves it the greedy favourite until it accumulates billing;
 /// the ramp caps how fast tuples may flow to it so it warms up (fresh
 /// sketches, caches, JITs in a real deployment) without a thundering herd.
-/// All quantities are tuple counts, so the ramp is deterministic.
+/// All quantities are tuple counts, so the ramp is deterministic. While
+/// ramping is on, PosgScheduler requires a finite tokens_per_tuple > 0
+/// and a finite burst >= 1 (a ramping instance must hold one token).
 struct RejoinRampConfig {
   /// Tokens granted to each ramping instance per scheduled tuple
   /// (cluster-wide). 0.25 ≈ one tuple in four of its greedy wins.
@@ -61,7 +62,7 @@ struct PosgConfig {
   /// Ĉ — often enough to bound drift).
   std::size_t window = 256;
   /// Stability tolerance µ on the snapshot relative error (Eq. 1).
-  /// Paper: 0.05.
+  /// Paper: 0.05. Finite and > 0.
   double mu = 0.05;
   /// Liveness cap (extension, not in the paper): ship the matrices after
   /// at most this many windows even when η never drops below µ. On
@@ -98,42 +99,15 @@ struct PosgConfig {
   /// synchronization protocol and jumps straight from ROUND_ROBIN to RUN
   /// once all sketches arrived (estimation drift is never corrected).
   bool sync_enabled = true;
-  /// Straggler detection and de-rating (extension; see
-  /// core/instance_health.hpp). Enabled by default: the thresholds are
-  /// conservative enough that a healthy cluster never leaves Live, and a
-  /// Live instance's de-rate factor is exactly 1.0 — billing stays
-  /// bit-identical (tests/golden_schedule_test.cpp).
-  HealthConfig health;
   /// Admission ramp applied by rejoin() (see above).
   RejoinRampConfig rejoin_ramp;
 
   sketch::SketchDims dims() const { return sketch::SketchDims::from_accuracy(epsilon, delta); }
 };
 
-/// Tunables of the multi-source tier. Lives beside PosgConfig (not inside
-/// it) because a single-source deployment never reads any of this. There
-/// is one S > 1 policy and it has no knob: before each decision a view
-/// reads its siblings' Ĉ (core::sibling_loads; DESIGN.md §15).
-struct MultiSourceConfig {
-  /// Number of independent sources S routing over the shared pool.
-  std::size_t sources = 1;
-};
-
 }  // namespace posg::core
 
 namespace posg {
-
-/// Observability wiring for a runtime (see src/obs/): whether the
-/// TraceRing is armed at start and how many events it retains.
-/// Metrics-registry instruments are always registered — their hot-path
-/// cost is a relaxed atomic or nothing (pull callbacks).
-struct ObsConfig {
-  /// Arm event tracing from the first tuple. Off by default: the
-  /// per-tuple cost of a disarmed ring is one relaxed load + branch.
-  bool tracing = false;
-  /// Events the drop-oldest ring retains.
-  std::size_t trace_capacity = std::size_t{1} << 14U;
-};
 
 /// Configuration of the multi-threaded Engine (src/engine/engine.hpp).
 struct EngineConfig {
@@ -152,15 +126,6 @@ struct EngineConfig {
   /// Optional trace sink for ShedWindow events (not owned; must outlive
   /// the engine). nullptr = no tracing.
   obs::TraceRing* trace = nullptr;
-
-  /// Predictive autoscaling of POSG-grouped bolts (core/elastic.hpp;
-  /// DESIGN.md §11). Disabled by default: the engine runs the paper's
-  /// fixed-k semantics and no monitor thread is spawned.
-  core::ElasticConfig elastic;
-  /// Period of the elastic monitor's queue samples, wall-clock
-  /// milliseconds. Read only when elastic.enabled. All k instances serve
-  /// at start; the controller drains and revives from there.
-  double elastic_sample_period_ms = 20.0;
 };
 
 /// Configuration of the scheduler-side distributed runtime
@@ -169,7 +134,7 @@ struct SchedulerRuntimeConfig {
   std::size_t instances = 3;
   core::PosgConfig posg;
 
-  /// Reader poll tick: bounds how fast a reader notices shutdown.
+  /// Reader poll tick: bounds how fast a reader notices shutdown. > 0.
   std::chrono::milliseconds recv_deadline{100};
 
   /// Synchronization liveness bound: while an epoch is in flight
@@ -178,10 +143,11 @@ struct SchedulerRuntimeConfig {
   /// reply) for this long is quarantined. A single lost reply self-heals
   /// — the next shipment from that instance opens a fresh epoch (Fig.
   /// 3.F) — so this only fires for peers that went feedback-mute, the one
-  /// failure mode EOF detection cannot see. 0 disables the deadline.
+  /// failure mode EOF detection cannot see. A value <= 0 disables the
+  /// deadline.
   std::chrono::milliseconds epoch_deadline{2000};
 
-  /// Wait budget for each Hello during registration.
+  /// Wait budget for each Hello during registration. > 0.
   std::chrono::milliseconds hello_deadline{2000};
 
   /// Registration attempts allowed before giving up (0 = 2k + 8).
@@ -193,9 +159,10 @@ struct SchedulerRuntimeConfig {
   /// instances over the Hello path.
   bool allow_rejoin = false;
 
-  /// Observability wiring (metrics registry + trace ring owned by the
-  /// runtime).
-  ObsConfig obs;
+  /// Arm the runtime's trace ring (src/obs/) from the first tuple. Off by
+  /// default: the per-tuple cost of a disarmed ring is one relaxed load
+  /// and a branch. Metrics-registry instruments are always registered.
+  bool tracing = false;
 
   /// Crash-recovery checkpoint file (core/checkpoint.hpp; DESIGN.md §14).
   /// Empty (the default) disables checkpointing entirely — no writer
@@ -209,15 +176,15 @@ struct SchedulerRuntimeConfig {
   /// missing, torn, corrupt, or invariant-violating checkpoint degrades
   /// to a cold start (counted in posg.runtime.recovery_cold_starts), never
   /// a crash. Registration then accepts SchedulerHello re-attaches from
-  /// instances that outlived the previous scheduler process.
+  /// instances that outlived the previous scheduler process. Without a
+  /// checkpoint_path there is nothing to restore: the runtime starts cold.
   bool recover = false;
 
   /// This runtime's source id in a multi-source deployment (DESIGN.md
   /// §15): stamped into every frame it sends, into its checkpoints
   /// (restore rejects another source's image), and into its metrics
   /// prefix ("posg.s<id>" when non-zero, plain "posg" for source 0 so
-  /// single-source dashboards keep working). Must be < multi_source.sources
-  /// when validated as part of the tree.
+  /// single-source dashboards keep working).
   common::SourceId source_id = 0;
 };
 
@@ -230,8 +197,8 @@ struct InstanceRuntimeConfig {
   /// timed instead). Default: items 0..63 cost 1..64 units.
   std::function<common::TimeMs(common::Item)> cost_model;
 
-  /// Receive deadline; the poll tick is min(recv_deadline, 10 ms), which
-  /// bounds how fast run() notices request_stop().
+  /// Receive deadline (> 0); the poll tick is min(recv_deadline, 10 ms),
+  /// which bounds how fast run() notices request_stop().
   std::chrono::milliseconds recv_deadline{200};
 
   /// Deterministic fault injection at the process level: crash (sever the
@@ -258,7 +225,7 @@ struct InstanceRuntimeConfig {
   /// Gray-fault scripting: multiplies every cost_model() result, so the
   /// instance truly executes `cost_scale` times slower than its sketches
   /// (and everyone else's) predict — the straggler the drift detector must
-  /// catch. 1.0 is a healthy instance.
+  /// catch. 1.0 is a healthy instance. Finite and > 0.
   double cost_scale = 1.0;
 
   /// Straggle onset: cost_scale applies only from this executed-tuple
@@ -271,7 +238,7 @@ struct InstanceRuntimeConfig {
   /// milliseconds of real time, so queues actually back up under load and
   /// an ElasticController watching backlog sees something true. 0 (the
   /// default) keeps execution instantaneous — the simulated-cost-only mode
-  /// every correctness test uses.
+  /// every correctness test uses. Finite and >= 0.
   double real_sleep_scale = 0.0;
 
   /// Scheduler-crash survival (DESIGN.md §14): when non-empty, a link
@@ -287,98 +254,5 @@ struct InstanceRuntimeConfig {
   /// only when reconnect_path is non-empty; must then be >= 1.
   std::size_t reconnect_attempts = 3;
 };
-
-/// Machine-readable category of one config-validation failure.
-enum class ConfigErrorCode : std::uint8_t {
-  kOutOfRange = 0,   // value outside its documented domain
-  kOrdering = 1,     // two fields violate a required ordering
-  kMustBePositive = 2,
-};
-
-/// One field-level validation failure: `field` is the dotted path into
-/// the posg::Config tree (e.g. "scheduler.health.suspect_drift").
-struct ConfigError {
-  std::string field;
-  ConfigErrorCode code;
-  std::string message;
-};
-
-/// Thrown by Config::require_valid; carries every field-level failure.
-class ConfigValidationError : public Error {
- public:
-  explicit ConfigValidationError(std::vector<ConfigError> errors)
-      : Error(ErrorCode::kConfig, render(errors)), errors_(std::move(errors)) {}
-
-  const std::vector<ConfigError>& errors() const noexcept { return errors_; }
-
- private:
-  static std::string render(const std::vector<ConfigError>& errors);
-  std::vector<ConfigError> errors_;
-};
-
-/// The unified configuration tree: one struct covering the scheduler
-/// algorithm, the threaded engine, and both distributed runtimes, with a
-/// single `validate()` that reports *every* rejectable field at once
-/// (component constructors still hard-reject with `std::invalid_argument`
-/// as a backstop; `validate()` is the front door that finds all problems
-/// before anything is constructed).
-///
-/// `scheduler` is authoritative for the POSG algorithm parameters: the
-/// `runtime.posg` / `instance.posg` copies exist only because the
-/// per-layer structs predate the tree, and the materializer helpers
-/// (`scheduler_runtime()` / `instance_runtime()`) stamp `scheduler` over
-/// them so both sides of the wire always agree on sketch layout.
-struct Config {
-  core::PosgConfig scheduler;
-  EngineConfig engine;
-  SchedulerRuntimeConfig runtime;
-  InstanceRuntimeConfig instance;
-  /// Multi-source tier (DESIGN.md §15). The default (S = 1) describes
-  /// every single-source deployment.
-  core::MultiSourceConfig multi_source;
-
-  /// Checks every field of the whole tree; returns all failures (empty =
-  /// valid). Never throws.
-  std::vector<ConfigError> validate() const;
-
-  /// Throws ConfigValidationError listing every failure; no-op when valid.
-  void require_valid() const;
-
-  /// Per-layer configs with the authoritative `scheduler` stamped in.
-  SchedulerRuntimeConfig scheduler_runtime() const {
-    SchedulerRuntimeConfig out = runtime;
-    out.posg = scheduler;
-    return out;
-  }
-  InstanceRuntimeConfig instance_runtime() const {
-    InstanceRuntimeConfig out = instance;
-    out.posg = scheduler;
-    return out;
-  }
-};
-
-/// Per-subtree validators (all append dotted-path errors to `out`;
-/// `prefix` has no trailing dot). Exposed so callers holding only one
-/// layer's config can validate it in isolation.
-void validate_posg(const core::PosgConfig& config, const std::string& prefix,
-                   std::vector<ConfigError>& out);
-void validate_health(const core::HealthConfig& config, const std::string& prefix,
-                     std::vector<ConfigError>& out);
-void validate_rejoin_ramp(const core::RejoinRampConfig& config, const std::string& prefix,
-                          std::vector<ConfigError>& out);
-void validate_overload(const core::OverloadConfig& config, const std::string& prefix,
-                       std::vector<ConfigError>& out);
-void validate_elastic(const core::ElasticConfig& config, const std::string& prefix,
-                      std::vector<ConfigError>& out);
-void validate_engine(const EngineConfig& config, const std::string& prefix,
-                     std::vector<ConfigError>& out);
-void validate_scheduler_runtime(const SchedulerRuntimeConfig& config, const std::string& prefix,
-                                std::vector<ConfigError>& out);
-void validate_instance_runtime(const InstanceRuntimeConfig& config, const std::string& prefix,
-                               std::vector<ConfigError>& out);
-void validate_obs(const ObsConfig& config, const std::string& prefix,
-                  std::vector<ConfigError>& out);
-void validate_multi_source(const core::MultiSourceConfig& config, const std::string& prefix,
-                           std::vector<ConfigError>& out);
 
 }  // namespace posg

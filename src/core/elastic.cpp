@@ -27,18 +27,21 @@ ElasticController::ElasticController(const ElasticConfig& config) : config_(conf
   common::require(config.derivative_alpha > 0.0 && config.derivative_alpha <= 1.0,
                   "ElasticController: derivative_alpha must be in (0, 1]");
   common::require(std::isfinite(config.horizon_samples) && config.horizon_samples >= 0.0,
-                  "ElasticController: horizon must be finite and non-negative");
+                  "ElasticController: horizon_samples must be finite and >= 0");
   common::require(config.min_instances >= 1, "ElasticController: min_instances must be >= 1");
   common::require(config.max_instances == 0 || config.max_instances >= config.min_instances,
                   "ElasticController: max_instances must be 0 or >= min_instances");
-  common::require(config.up_backlog_per_instance > 0.0,
-                  "ElasticController: up threshold must be positive");
+  common::require(std::isfinite(config.up_backlog_per_instance) &&
+                      config.up_backlog_per_instance > 0.0,
+                  "ElasticController: up_backlog_per_instance must be finite and > 0");
   common::require(config.down_backlog_per_instance >= 0.0 &&
                       config.down_backlog_per_instance < config.up_backlog_per_instance,
-                  "ElasticController: down threshold must be in [0, up)");
-  common::require(config.up_hold >= 1 && config.down_hold >= 1,
-                  "ElasticController: hold windows must be >= 1");
-  common::require(config.skew_veto > 1.0, "ElasticController: skew veto must be > 1");
+                  "ElasticController: down_backlog_per_instance must be in "
+                  "[0, up_backlog_per_instance)");
+  common::require(config.up_hold >= 1, "ElasticController: up_hold must be >= 1");
+  common::require(config.down_hold >= 1, "ElasticController: down_hold must be >= 1");
+  common::require(std::isfinite(config.skew_veto) && config.skew_veto > 1.0,
+                  "ElasticController: skew_veto must be finite and > 1");
 }
 
 void ElasticController::bind_trace(obs::TraceRing* trace) {

@@ -12,22 +12,22 @@ namespace {
 constexpr double kEwmaAlpha = 0.5;
 }  // namespace
 
-HealthMonitor::HealthMonitor(std::size_t instances, const HealthConfig& config)
+static_assert(HealthMonitor::kSuspectDrift >= 1.0 &&
+              HealthMonitor::kDegradeDrift >= HealthMonitor::kSuspectDrift &&
+              HealthMonitor::kPromoteDrift >= 1.0 &&
+              HealthMonitor::kPromoteDrift <= HealthMonitor::kSuspectDrift &&
+              HealthMonitor::kDerateCap >= 1.0 && HealthMonitor::kDegradeEpochs >= 1 &&
+              HealthMonitor::kPromoteEpochs >= 1 && HealthMonitor::kQueueSkew >= 1.0 &&
+              HealthMonitor::kQueueFloor >= 0.0);
+
+HealthMonitor::HealthMonitor(std::size_t instances)
     : k_(instances),
-      config_(config),
       states_(instances, InstanceHealth::kLive),
       drift_ewma_(instances, 1.0),
       hot_streak_(instances, 0),
       calm_streak_(instances, 0),
       queue_ewma_(instances, -1.0) {
   common::require(instances >= 1, "HealthMonitor: need at least one instance");
-  common::require(config.suspect_drift >= 1.0 && config.degrade_drift >= config.suspect_drift,
-                  "HealthMonitor: drift thresholds must be >= 1 and ordered");
-  common::require(config.promote_drift >= 1.0 && config.promote_drift <= config.suspect_drift,
-                  "HealthMonitor: promote threshold must sit below the suspect threshold");
-  common::require(config.derate_cap >= 1.0, "HealthMonitor: derate cap must be >= 1");
-  common::require(config.degrade_epochs >= 1 && config.promote_epochs >= 1,
-                  "HealthMonitor: streak lengths must be >= 1");
 }
 
 void HealthMonitor::trace_transition(common::InstanceId op, InstanceHealth prev,
@@ -65,18 +65,18 @@ void HealthMonitor::become(common::InstanceId op, InstanceHealth next) {
 
 void HealthMonitor::on_epoch_drift(common::InstanceId op, double ratio) {
   common::require(op < k_, "HealthMonitor: unknown instance");
-  if (!config_.enabled || states_[op] == InstanceHealth::kQuarantined) {
+  if (states_[op] == InstanceHealth::kQuarantined) {
     return;
   }
   common::require(std::isfinite(ratio) && ratio >= 0.0,
                   "HealthMonitor: drift ratio must be finite and non-negative");
   drift_ewma_[op] = kEwmaAlpha * ratio + (1.0 - kEwmaAlpha) * drift_ewma_[op];
 
-  if (ratio >= config_.degrade_drift) {
+  if (ratio >= kDegradeDrift) {
     ++hot_streak_[op];
     calm_streak_[op] = 0;
     if (states_[op] != InstanceHealth::kDegraded) {
-      if (hot_streak_[op] >= config_.degrade_epochs) {
+      if (hot_streak_[op] >= kDegradeEpochs) {
         become(op, InstanceHealth::kDegraded);
       } else {
         become(op, InstanceHealth::kSuspect);
@@ -85,22 +85,22 @@ void HealthMonitor::on_epoch_drift(common::InstanceId op, double ratio) {
     return;
   }
   hot_streak_[op] = 0;
-  if (ratio >= config_.suspect_drift) {
+  if (ratio >= kSuspectDrift) {
     calm_streak_[op] = 0;
     if (states_[op] == InstanceHealth::kLive) {
       become(op, InstanceHealth::kSuspect);
     }
     return;
   }
-  if (ratio <= config_.promote_drift) {
+  if (ratio <= kPromoteDrift) {
     ++calm_streak_[op];
     if (states_[op] == InstanceHealth::kSuspect) {
       become(op, InstanceHealth::kLive);
       return;
     }
-    // Hysteresis: a Degraded instance must stay calm for promote_epochs
+    // Hysteresis: a Degraded instance must stay calm for kPromoteEpochs
     // consecutive epochs — one lucky epoch does not restore full billing.
-    if (states_[op] == InstanceHealth::kDegraded && calm_streak_[op] >= config_.promote_epochs) {
+    if (states_[op] == InstanceHealth::kDegraded && calm_streak_[op] >= kPromoteEpochs) {
       become(op, InstanceHealth::kLive);
       drift_ewma_[op] = 1.0;
     }
@@ -113,9 +113,6 @@ void HealthMonitor::on_epoch_drift(common::InstanceId op, double ratio) {
 
 void HealthMonitor::note_stale_feedback(common::InstanceId op) {
   common::require(op < k_, "HealthMonitor: unknown instance");
-  if (!config_.enabled) {
-    return;
-  }
   if (states_[op] == InstanceHealth::kLive) {
     become(op, InstanceHealth::kSuspect);
   }
@@ -125,7 +122,7 @@ void HealthMonitor::note_queue_depth(common::InstanceId op, double occupancy_fra
   common::require(op < k_, "HealthMonitor: unknown instance");
   common::require(std::isfinite(occupancy_fraction) && occupancy_fraction >= 0.0,
                   "HealthMonitor: occupancy must be finite and non-negative");
-  if (!config_.enabled || states_[op] == InstanceHealth::kQuarantined) {
+  if (states_[op] == InstanceHealth::kQuarantined) {
     return;
   }
   queue_ewma_[op] = queue_ewma_[op] < 0.0
@@ -140,8 +137,8 @@ void HealthMonitor::note_queue_depth(common::InstanceId op, double occupancy_fra
     }
   }
   const double mean = sampled > 0 ? sum / static_cast<double>(sampled) : 0.0;
-  if (states_[op] == InstanceHealth::kLive && queue_ewma_[op] >= config_.queue_floor &&
-      queue_ewma_[op] >= config_.queue_skew * mean) {
+  if (states_[op] == InstanceHealth::kLive && queue_ewma_[op] >= kQueueFloor &&
+      queue_ewma_[op] >= kQueueSkew * mean) {
     become(op, InstanceHealth::kSuspect);
   }
 }
@@ -172,10 +169,10 @@ InstanceHealth HealthMonitor::state(common::InstanceId op) const {
 
 double HealthMonitor::derate(common::InstanceId op) const {
   common::require(op < k_, "HealthMonitor: unknown instance");
-  if (!config_.enabled || states_[op] != InstanceHealth::kDegraded) {
+  if (states_[op] != InstanceHealth::kDegraded) {
     return 1.0;
   }
-  return std::clamp(drift_ewma_[op], 1.0, config_.derate_cap);
+  return std::clamp(drift_ewma_[op], 1.0, kDerateCap);
 }
 
 HealthMonitor::Snapshot HealthMonitor::snapshot() const {
@@ -203,7 +200,7 @@ const char* HealthMonitor::invariant_violation(const Snapshot& snapshot) const n
       return "HealthMonitor: state out of range";
     }
     // A finite drift EWMA also keeps derate() = clamp(drift, 1, cap)
-    // inside [1, derate_cap].
+    // inside [1, kDerateCap].
     if (!(std::isfinite(snapshot.drift_ewma[op]) && snapshot.drift_ewma[op] >= 0.0)) {
       return "HealthMonitor: drift EWMA must be finite and non-negative";
     }

@@ -16,8 +16,8 @@
 /// instance:
 ///
 ///   Live ──(drift / staleness / queue skew)──► Suspect
-///   Suspect ──(drift sustained over degrade_epochs)──► Degraded
-///   Degraded ──(calm for promote_epochs, hysteresis)──► Live
+///   Suspect ──(drift sustained over kDegradeEpochs)──► Degraded
+///   Degraded ──(calm for kPromoteEpochs, hysteresis)──► Live
 ///   any ──(mark_failed)──► Quarantined ──(rejoin)──► Live
 ///
 /// A Degraded instance stays in rotation but the scheduler bills its
@@ -33,39 +33,35 @@ namespace posg::core {
 
 enum class InstanceHealth : std::uint8_t { kLive, kSuspect, kDegraded, kQuarantined };
 
-/// Tunables of the health state machine. Defaults are conservative enough
-/// that a homogeneous, healthy cluster never leaves Live (which keeps the
+/// The ladder's thresholds are constants. They are conservative enough
+/// that a homogeneous, healthy cluster never leaves Live, which keeps the
 /// golden scheduling streams byte-identical: a de-rate factor of exactly
-/// 1.0 multiplies estimates bit-for-bit).
-struct HealthConfig {
-  /// Master switch; when false every instance reports Live / derate 1.0.
-  bool enabled = true;
-  /// Epoch drift ratio (measured C / billed Ĉ at the marker cut) above
-  /// which one epoch makes a Live instance Suspect.
-  double suspect_drift = 1.5;
-  /// Drift ratio that counts toward degradation.
-  double degrade_drift = 2.0;
-  /// Consecutive epochs at or above degrade_drift before Suspect becomes
-  /// Degraded (the suspect → degraded transition the metrics count).
-  std::size_t degrade_epochs = 2;
-  /// Hysteresis: drift must fall to or below this ratio...
-  double promote_drift = 1.2;
-  /// ...for this many consecutive epochs before a Degraded instance
-  /// re-promotes to Live.
-  std::size_t promote_epochs = 2;
-  /// Upper bound on the de-rate factor (billing multiplier); keeps one
-  /// absurd measurement from effectively quarantining an instance.
-  double derate_cap = 8.0;
-  /// Queue-depth signal: an instance whose smoothed input-queue occupancy
-  /// exceeds `queue_skew` × the cluster mean (and is at least
-  /// `queue_floor` absolute) becomes Suspect.
-  double queue_skew = 2.0;
-  double queue_floor = 0.5;
-};
-
+/// 1.0 multiplies estimates bit-for-bit.
 class HealthMonitor {
  public:
-  HealthMonitor(std::size_t instances, const HealthConfig& config);
+  /// Epoch drift ratio (measured C / billed Ĉ at the marker cut) above
+  /// which one epoch makes a Live instance Suspect.
+  static constexpr double kSuspectDrift = 1.5;
+  /// Drift ratio that counts toward degradation.
+  static constexpr double kDegradeDrift = 2.0;
+  /// Consecutive epochs at or above kDegradeDrift before Suspect becomes
+  /// Degraded (the suspect → degraded transition the metrics count).
+  static constexpr std::size_t kDegradeEpochs = 2;
+  /// Hysteresis: drift must fall to or below this ratio...
+  static constexpr double kPromoteDrift = 1.2;
+  /// ...for this many consecutive epochs before a Degraded instance
+  /// re-promotes to Live.
+  static constexpr std::size_t kPromoteEpochs = 2;
+  /// Upper bound on the de-rate factor (billing multiplier); keeps one
+  /// absurd measurement from effectively quarantining an instance.
+  static constexpr double kDerateCap = 8.0;
+  /// Queue-depth signal: an instance whose smoothed input-queue occupancy
+  /// exceeds kQueueSkew × the cluster mean (and is at least kQueueFloor
+  /// absolute) becomes Suspect.
+  static constexpr double kQueueSkew = 2.0;
+  static constexpr double kQueueFloor = 0.5;
+
+  explicit HealthMonitor(std::size_t instances);
 
   /// Feeds one epoch's measured drift for instance `op`: the ratio of the
   /// true cumulated time at the marker cut to the scheduler's billed Ĉ
@@ -89,15 +85,13 @@ class HealthMonitor {
 
   InstanceHealth state(common::InstanceId op) const;
   /// Billing multiplier: 1.0 for Live/Suspect/Quarantined, the smoothed
-  /// drift ratio (clamped to [1, derate_cap]) while Degraded.
+  /// drift ratio (clamped to [1, kDerateCap]) while Degraded.
   double derate(common::InstanceId op) const;
 
   // Transition counters (metrics::ResilienceStats surfaces these).
   std::uint64_t suspect_transitions() const noexcept { return suspect_transitions_; }
   std::uint64_t degraded_transitions() const noexcept { return degraded_transitions_; }
   std::uint64_t promotions() const noexcept { return promotions_; }
-
-  const HealthConfig& config() const noexcept { return config_; }
 
   /// Binds a trace sink for HealthTransition events (detail encodes
   /// (from << 4) | to of the FSM edge, value the drift EWMA at that
@@ -140,14 +134,13 @@ class HealthMonitor {
   void trace_transition(common::InstanceId op, InstanceHealth prev, InstanceHealth next) const;
 
   std::size_t k_;
-  HealthConfig config_;
   std::vector<InstanceHealth> states_;
   /// Smoothed drift ratio (EWMA, alpha 0.5) — becomes the de-rate factor
   /// while Degraded.
   std::vector<double> drift_ewma_;
-  /// Consecutive epochs at/above degrade_drift.
+  /// Consecutive epochs at/above kDegradeDrift.
   std::vector<std::size_t> hot_streak_;
-  /// Consecutive epochs at/below promote_drift.
+  /// Consecutive epochs at/below kPromoteDrift.
   std::vector<std::size_t> calm_streak_;
   /// Smoothed queue occupancy per instance (EWMA, alpha 0.5; negative =
   /// no sample yet).

@@ -1,5 +1,7 @@
 #include "core/instance_tracker.hpp"
 
+#include <cmath>
+
 #include "obs/profile.hpp"
 
 namespace posg::core {
@@ -10,7 +12,8 @@ InstanceTracker::InstanceTracker(common::InstanceId id, const PosgConfig& config
       sketch_(config.dims(), config.sketch_seed, config.heavy_hitter_capacity,
               config.conservative_update) {
   common::require(config.window >= 1, "InstanceTracker: window must be >= 1");
-  common::require(config.mu >= 0.0, "InstanceTracker: mu must be non-negative");
+  common::require(std::isfinite(config.mu) && config.mu > 0.0,
+                  "InstanceTracker: mu must be finite and > 0");
   touched_.reserve(config.window * sketch_.dims().rows);
   snapshot_.reset_zero(sketch_.dims());
 }

@@ -7,11 +7,11 @@
 namespace posg::core {
 
 MultiSourceScheduler::MultiSourceScheduler(std::size_t instances, const PosgConfig& config,
-                                          const MultiSourceConfig& multi)
+                                           std::size_t sources)
     : pool_(std::make_shared<InstancePool>(instances)) {
-  common::require(multi.sources >= 1, "MultiSourceScheduler: need at least one source");
-  views_.reserve(multi.sources);
-  for (common::SourceId s = 0; s < multi.sources; ++s) {
+  common::require(sources >= 1, "MultiSourceScheduler: sources must be >= 1");
+  views_.reserve(sources);
+  for (common::SourceId s = 0; s < sources; ++s) {
     auto view = std::make_unique<SourceView>("core::MultiSourceScheduler::view");
     MutexLock lock(view->mutex);
     view->scheduler = std::make_unique<PosgScheduler>(pool_, config, s);

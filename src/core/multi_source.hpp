@@ -57,8 +57,10 @@ void sibling_loads(std::size_t sources, common::SourceId self, ReadLoads&& read_
 /// scheduling streams stay byte-identical.
 class MultiSourceScheduler {
  public:
-  MultiSourceScheduler(std::size_t instances, const PosgConfig& config,
-                       const MultiSourceConfig& multi);
+  /// `sources` is the number S of independent sources routing over the
+  /// shared pool (>= 1). There is one S > 1 policy and it has no knob:
+  /// before each decision a view reads its siblings' Ĉ (sibling_loads).
+  MultiSourceScheduler(std::size_t instances, const PosgConfig& config, std::size_t sources);
 
   std::size_t sources() const noexcept { return views_.size(); }
   std::size_t instances() const noexcept { return pool_->size(); }

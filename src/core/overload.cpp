@@ -9,11 +9,11 @@ namespace posg::core {
 
 OverloadController::OverloadController(const OverloadConfig& config) : config_(config) {
   common::require(config.high_watermark > 0.0 && config.high_watermark <= 1.0,
-                  "OverloadController: high watermark must be in (0, 1]");
+                  "OverloadController: high_watermark must be in (0, 1]");
   common::require(config.low_watermark >= 0.0 && config.low_watermark < config.high_watermark,
-                  "OverloadController: low watermark must sit below the high watermark");
+                  "OverloadController: low_watermark must be in [0, high_watermark)");
   common::require(config.deadline_samples >= 1,
-                  "OverloadController: deadline must be at least one sample");
+                  "OverloadController: deadline_samples must be >= 1");
 }
 
 bool OverloadController::sample(double saturation) {

@@ -33,7 +33,7 @@ PosgScheduler::PosgScheduler(std::shared_ptr<InstancePool> pool, const PosgConfi
       live_count_(k_),
       draining_(k_, false),
       serving_count_(k_),
-      health_(k_, config.health),
+      health_(k_),
       derate_(k_, 1.0),
       marker_estimate_(k_, -1.0),
       ramp_tokens_(k_, 0.0),
@@ -41,6 +41,13 @@ PosgScheduler::PosgScheduler(std::shared_ptr<InstancePool> pool, const PosgConfi
       greedy_scores_scratch_(k_, 0.0),
       greedy_alive_scratch_(k_, true) {
   common::require(k_ >= 1, "PosgScheduler: need at least one instance");
+  const RejoinRampConfig& ramp = config.rejoin_ramp;
+  if (ramp.ramp_tuples > 0) {
+    common::require(std::isfinite(ramp.tokens_per_tuple) && ramp.tokens_per_tuple > 0.0,
+                    "PosgScheduler: rejoin_ramp.tokens_per_tuple must be finite and > 0");
+    common::require(std::isfinite(ramp.burst) && ramp.burst >= 1.0,
+                    "PosgScheduler: rejoin_ramp.burst must be finite and >= 1");
+  }
   if (config.heavy_hitter_capacity > 0) {
     merged_heavy_.emplace(config.heavy_hitter_capacity);
   }

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "engine/arena.hpp"
-#include "engine/posg_grouping.hpp"
 #include "obs/profile.hpp"
 
 namespace posg::engine {
@@ -38,7 +37,7 @@ void OutputCollector::flush() {
 
 Engine::Engine(Topology topology, EngineConfig config)
     : config_(config), topology_(std::move(topology)) {
-  common::require(config_.queue_capacity >= 1, "Engine: queue capacity must be >= 1");
+  common::require(config_.queue_capacity >= 1, "Engine: queue_capacity must be >= 1");
 
   spouts_.reserve(topology_.spouts.size());
   for (const auto& spec : topology_.spouts) {
@@ -414,25 +413,6 @@ void Engine::run() {
   common::require(!ran_, "Engine: run() may be called once");
   ran_ = true;
 
-  // Elastic autoscale (optional): locate the POSG bolt before any spout
-  // routes a tuple and spawn the monitor. All k instances serve at start.
-  std::thread monitor;
-  if (config_.elastic.enabled) {
-    std::optional<std::size_t> posg_bolt;
-    PosgGrouping* grouping = nullptr;
-    for (std::size_t b = 0; b < bolts_.size(); ++b) {
-      if (auto* posg = dynamic_cast<PosgGrouping*>(bolts_[b]->feedback)) {
-        posg_bolt = b;
-        grouping = posg;
-        break;
-      }
-    }
-    common::require(posg_bolt.has_value(),
-                    "Engine: elastic autoscale requires a PosgGrouping input");
-    const std::size_t bolt_index = *posg_bolt;
-    monitor = std::thread([this, bolt_index, grouping] { elastic_monitor(bolt_index, grouping); });
-  }
-
   // Start all bolt executors first so queues have consumers, then spouts.
   for (std::size_t b = 0; b < bolts_.size(); ++b) {
     for (common::InstanceId i = 0; i < bolts_[b]->spec.parallelism; ++i) {
@@ -453,12 +433,6 @@ void Engine::run() {
     for (auto& thread : spout->threads) {
       thread.join();
     }
-  }
-  // Stop the elastic monitor before closing queues: it reads queue sizes
-  // and drives the grouping, neither of which should race the teardown.
-  if (monitor.joinable()) {
-    elastic_stop_.store(true);
-    monitor.join();
   }
   for (auto& bolt : bolts_) {
     for (auto& queue : bolt->queues) {
@@ -483,116 +457,6 @@ void Engine::run() {
   }
   metrics_.counter("posg.engine.ring_full_spins").add(ring_full_spins);
   metrics_.counter("posg.engine.ring_parks").add(ring_parks);
-}
-
-void Engine::elastic_monitor(std::size_t bolt_index, PosgGrouping* grouping) {
-  BoltRuntime& bolt = *bolts_[bolt_index];
-  const std::size_t k = bolt.spec.parallelism;
-  core::ElasticController controller(config_.elastic);
-  std::vector<bool> ramping(k, false);
-  std::size_t ramping_count = 0;
-  std::vector<common::TimeMs> drain_cut(k, 0.0);
-  const auto period =
-      std::chrono::duration<double, std::milli>(config_.elastic_sample_period_ms);
-
-  while (!elastic_stop_.load()) {
-    std::this_thread::sleep_for(period);
-    if (elastic_stop_.load()) {
-      break;
-    }
-    for (const common::InstanceId op : grouping->take_ramp_completions()) {
-      if (ramping[op]) {
-        ramping[op] = false;
-        --ramping_count;
-      }
-    }
-
-    core::ElasticSample sample;
-    sample.serving = grouping->serving_instances();
-    sample.ramping = ramping_count;
-    const auto draining = grouping->draining_instances();
-    sample.draining = draining.size();
-    // Queue occupancy (tuple counts) is the engine's backlog proxy — the
-    // controller only needs a consistent signal, not milliseconds.
-    double total = 0.0;
-    double peak = 0.0;
-    std::size_t counted = 0;
-    for (common::InstanceId op = 0; op < k; ++op) {
-      if (grouping->is_failed(op) || grouping->is_draining(op)) {
-        continue;
-      }
-      const auto occupancy = static_cast<double>(bolt.queues[op]->size());
-      total += occupancy;
-      peak = std::max(peak, occupancy);
-      ++counted;
-    }
-    sample.backlog_ms = total;
-    const double mean = counted > 0 ? total / static_cast<double>(counted) : 0.0;
-    sample.queue_skew = (counted >= 2 && mean > 0.0) ? peak / mean : 1.0;
-    sample.shed = bolt.shed.load(std::memory_order_relaxed);
-    for (const common::InstanceId op : draining) {
-      if (bolt.queues[op]->size() == 0) {
-        sample.drained.push_back(op);
-      }
-    }
-
-    core::ScaleAction action = controller.on_sample(sample);
-    switch (action.kind) {
-      case core::ScaleAction::Kind::kNone:
-        break;
-      case core::ScaleAction::Kind::kScaleUp: {
-        for (common::InstanceId op = 0; op < k; ++op) {
-          if (!grouping->is_failed(op)) {
-            continue;
-          }
-          grouping->scale_up(op);
-          ramping[op] = true;
-          ++ramping_count;
-          action.instance = op;
-          scale_events_.push_back(action);
-          break;
-        }
-        break;
-      }
-      case core::ScaleAction::Kind::kDrain: {
-        std::optional<common::InstanceId> victim;
-        std::size_t least = 0;
-        for (common::InstanceId op = 0; op < k; ++op) {
-          if (grouping->is_failed(op) || grouping->is_draining(op)) {
-            continue;
-          }
-          const std::size_t occupancy = bolt.queues[op]->size();
-          if (!victim.has_value() || occupancy < least) {
-            victim = op;
-            least = occupancy;
-          }
-        }
-        if (victim.has_value()) {
-          drain_cut[*victim] = grouping->begin_drain(*victim);
-          action.instance = *victim;
-          scale_events_.push_back(action);
-        }
-        break;
-      }
-      case core::ScaleAction::Kind::kRetire: {
-        // In-process simplification: the executor owns its tracker, so the
-        // monitor cannot read C_real here. The frozen cut already carries
-        // everything the sync protocol reconciled, and a retired slot's
-        // residual drift is bounded by one epoch — bill Δ = 0.
-        grouping->retire(action.instance, 0.0);
-        scale_events_.push_back(action);
-        break;
-      }
-    }
-  }
-
-  // Counters are pushed (not pull-registered): the controller is confined
-  // to this thread, and pull callbacks would race its updates.
-  metrics_.counter("posg.engine.elastic.scale_ups").add(controller.scale_ups());
-  metrics_.counter("posg.engine.elastic.drains").add(controller.drains());
-  metrics_.counter("posg.engine.elastic.retires").add(controller.retires());
-  metrics_.counter("posg.engine.elastic.skew_vetoes").add(controller.skew_vetoes());
-  metrics_.counter("posg.engine.elastic.samples").add(controller.samples());
 }
 
 Engine::ComponentStats Engine::stats(const std::string& component) const {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/elastic.hpp"
 #include "core/instance_tracker.hpp"
 #include "core/overload.hpp"
 #include "engine/channel.hpp"
@@ -19,12 +18,11 @@
 
 namespace posg::engine {
 
-/// EngineConfig moved into the unified posg::Config tree
-/// (core/config.hpp); this alias keeps pre-tree call sites compiling.
+/// EngineConfig is declared in core/config.hpp beside the other
+/// components' configs; Engine's constructor checks it.
 using EngineConfig = ::posg::EngineConfig;
 
 class Engine;
-class PosgGrouping;
 
 /// Emission interface handed to spouts and bolts. Stages each emitted
 /// tuple per target stream; routing happens at flush time over the whole
@@ -119,11 +117,6 @@ class Engine {
   /// Post-run statistics for one component.
   ComponentStats stats(const std::string& component) const;
 
-  /// Scale actions the elastic monitor executed, in order (valid after
-  /// run(); empty unless EngineConfig::elastic.enabled). The instance
-  /// field carries the executor's target choice.
-  const std::vector<core::ScaleAction>& scale_events() const noexcept { return scale_events_; }
-
   /// The engine's metrics registry. Every component's executed / emitted /
   /// errors / shed counters are registered here as pull callbacks
   /// (`posg.engine.<component>.*`) over the same atomics stats() reads, so
@@ -197,11 +190,6 @@ class Engine {
   void flush_batch(BoltRuntime& bolt, TupleChannel& channel, std::vector<Tuple>& tuples);
   void spout_main(std::size_t index, common::InstanceId instance);
   void bolt_main(std::size_t index, common::InstanceId instance);
-  /// Autoscale loop (EngineConfig::elastic.enabled): samples the POSG
-  /// bolt's queue occupancies every elastic_sample_period_ms, feeds the
-  /// ElasticController, and executes its actions through the grouping's
-  /// elastic hooks. Runs in its own thread for the duration of run().
-  void elastic_monitor(std::size_t bolt_index, PosgGrouping* grouping);
 
   EngineConfig config_;
   Topology topology_;
@@ -211,11 +199,6 @@ class Engine {
   std::atomic<common::SeqNo> next_seq_{0};
   bool ran_ = false;
   obs::MetricsRegistry metrics_;
-  /// Elastic monitor state: the stop flag is the only cross-thread member
-  /// (scale_events_ is written by the monitor and read after run() joined
-  /// it — the join is the happens-before edge).
-  std::atomic<bool> elastic_stop_{false};
-  std::vector<core::ScaleAction> scale_events_;
   /// Queue hand-off latency (flush_batch), ns. Populated only when the
   /// POSG_PROFILE CMake option compiled the scoped timers in.
   obs::Histogram* prof_flush_ = nullptr;

@@ -154,55 +154,4 @@ core::PosgScheduler::State PosgGrouping::scheduler_state() const {
   return scheduler_.state();
 }
 
-std::size_t PosgGrouping::serving_instances() const {
-  MutexLock lock(mutex_);
-  return scheduler_.serving_instances();
-}
-
-std::vector<common::InstanceId> PosgGrouping::draining_instances() const {
-  MutexLock lock(mutex_);
-  return scheduler_.draining_instances();
-}
-
-bool PosgGrouping::is_failed(common::InstanceId op) const {
-  MutexLock lock(mutex_);
-  return scheduler_.is_failed(op);
-}
-
-bool PosgGrouping::is_draining(common::InstanceId op) const {
-  MutexLock lock(mutex_);
-  return scheduler_.is_draining(op);
-}
-
-common::TimeMs PosgGrouping::scale_up(common::InstanceId op) {
-  MutexLock lock(mutex_);
-  scheduler_.rejoin(op);
-  return scheduler_.estimated_loads()[op];
-}
-
-common::TimeMs PosgGrouping::begin_drain(common::InstanceId op) {
-  MutexLock lock(mutex_);
-  return scheduler_.begin_drain(op);
-}
-
-common::TimeMs PosgGrouping::retire(common::InstanceId op, common::TimeMs final_delta) {
-  MutexLock lock(mutex_);
-  return scheduler_.retire(op, final_delta);
-}
-
-std::vector<common::InstanceId> PosgGrouping::take_ramp_completions() {
-  MutexLock lock(mutex_);
-  return scheduler_.take_ramp_completions();
-}
-
-std::uint64_t PosgGrouping::drain_begin_count() const {
-  MutexLock lock(mutex_);
-  return scheduler_.drain_begin_count();
-}
-
-std::uint64_t PosgGrouping::retire_count() const {
-  MutexLock lock(mutex_);
-  return scheduler_.retire_count();
-}
-
 }  // namespace posg::engine

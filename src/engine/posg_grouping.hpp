@@ -69,26 +69,6 @@ class PosgGrouping final : public Grouping {
 
   core::PosgScheduler::State scheduler_state() const;
 
-  /// --- elastic autoscale hooks (Engine's monitor thread) ---
-  /// Each call takes the scheduler mutex, so they interleave safely with
-  /// route() and the feedback path. The monitor is the only caller, so the
-  /// usual "externally synchronized" caveats of the raw scheduler apply
-  /// between these calls only to itself.
-  std::size_t serving_instances() const;
-  std::vector<common::InstanceId> draining_instances() const;
-  bool is_failed(common::InstanceId op) const;
-  bool is_draining(common::InstanceId op) const;
-  /// Revives a retired instance through the rejoin path; returns the
-  /// seeded Ĉ.
-  common::TimeMs scale_up(common::InstanceId op);
-  /// Opens a lossless drain; returns the frozen Ĉ cut.
-  common::TimeMs begin_drain(common::InstanceId op);
-  /// Bills the final Δ and removes the instance without redistribution.
-  common::TimeMs retire(common::InstanceId op, common::TimeMs final_delta);
-  std::vector<common::InstanceId> take_ramp_completions();
-  std::uint64_t drain_begin_count() const;
-  std::uint64_t retire_count() const;
-
  private:
   struct Delivery {
     Clock::time_point due;

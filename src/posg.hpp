@@ -11,7 +11,7 @@
 /// Layers, bottom up:
 ///   common/   types, CLI parsing, error hierarchy (posg::Error)
 ///   obs/      metrics registry, trace ring, profiling hooks
-///   core/     unified posg::Config tree, POSG scheduler + baselines
+///   core/     per-component configs, POSG scheduler + baselines
 ///   engine/   multi-threaded topology runtime with shuffle groupings
 ///   net/      framed Unix-domain sockets + deterministic fault injection
 ///   runtime/  distributed scheduler/instance event loops
@@ -30,7 +30,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace_ring.hpp"
 
-// --- core: configuration tree, messages, schedulers ---
+// --- core: configurations, messages, schedulers ---
 #include "core/config.hpp"
 #include "core/elastic.hpp"
 #include "core/full_knowledge.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -20,7 +21,13 @@ using Clock = std::chrono::steady_clock;
 
 InstanceRuntime::InstanceRuntime(common::InstanceId id, InstanceRuntimeConfig config)
     : id_(id), config_(std::move(config)) {
-  common::require(config_.cost_scale > 0.0, "InstanceRuntime: cost scale must be positive");
+  common::require(config_.recv_deadline.count() > 0, "InstanceRuntime: recv_deadline must be > 0");
+  common::require(std::isfinite(config_.cost_scale) && config_.cost_scale > 0.0,
+                  "InstanceRuntime: cost_scale must be finite and > 0");
+  common::require(std::isfinite(config_.real_sleep_scale) && config_.real_sleep_scale >= 0.0,
+                  "InstanceRuntime: real_sleep_scale must be finite and >= 0");
+  common::require(config_.reconnect_path.empty() || config_.reconnect_attempts >= 1,
+                  "InstanceRuntime: reconnect_attempts must be >= 1 when reconnect_path is set");
   if (!config_.cost_model) {
     config_.cost_model = [](common::Item item) {
       return 1.0 + static_cast<common::TimeMs>(item % 64);

@@ -14,8 +14,8 @@
 
 namespace posg::runtime {
 
-/// InstanceRuntimeConfig moved into the unified posg::Config tree
-/// (core/config.hpp); this alias keeps pre-tree call sites compiling.
+/// InstanceRuntimeConfig is declared in core/config.hpp beside the other
+/// components' configs; InstanceRuntime's constructor checks it.
 using InstanceRuntimeConfig = ::posg::InstanceRuntimeConfig;
 
 /// The operator-instance side of the distributed runtime: one event loop

@@ -13,9 +13,9 @@ SchedulerRuntime::SchedulerRuntime(const SchedulerRuntimeConfig& config,
       k_(config.instances),
       metric_prefix_(config.source_id == 0 ? "posg"
                                            : "posg.s" + std::to_string(config.source_id)),
-      trace_(config.obs.trace_capacity),
+      trace_(kTraceCapacity),
       pool_injected_(pool != nullptr),
-      pool_((common::require(config.instances >= 1, "SchedulerRuntime: need at least one instance"),
+      pool_((common::require(config.instances >= 1, "SchedulerRuntime: instances must be >= 1"),
              common::require(pool == nullptr || pool->size() == config.instances,
                              "SchedulerRuntime: shared pool size disagrees with instances"),
              pool != nullptr ? std::move(pool)
@@ -27,7 +27,9 @@ SchedulerRuntime::SchedulerRuntime(const SchedulerRuntimeConfig& config,
       drain_sent_(config.instances),
       routed_(config.instances),
       pending_reattach_(config.instances, 0) {
-  common::require(k_ >= 1, "SchedulerRuntime: need at least one instance");
+  common::require(config.recv_deadline.count() > 0, "SchedulerRuntime: recv_deadline must be > 0");
+  common::require(config.hello_deadline.count() > 0,
+                  "SchedulerRuntime: hello_deadline must be > 0");
   for (std::size_t op = 0; op < k_; ++op) {
     outboxes_[op] = std::make_unique<Outbox>();
     dead_[op] = std::make_unique<std::atomic<bool>>(false);
@@ -35,7 +37,7 @@ SchedulerRuntime::SchedulerRuntime(const SchedulerRuntimeConfig& config,
   }
   // Binding is unconditional; whether events flow is the ring's armed
   // flag, so tracing can be toggled at runtime via trace().set_enabled().
-  trace_.set_enabled(config.obs.tracing);
+  trace_.set_enabled(config.tracing);
   scheduler_.bind_trace(&trace_);
   if (config_.recover && !config_.checkpoint_path.empty()) {
     // Restore-or-cold-start: a missing, torn, corrupt, or invariant-

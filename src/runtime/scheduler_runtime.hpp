@@ -24,8 +24,8 @@
 
 namespace posg::runtime {
 
-/// SchedulerRuntimeConfig moved into the unified posg::Config tree
-/// (core/config.hpp); this alias keeps pre-tree call sites compiling.
+/// SchedulerRuntimeConfig is declared in core/config.hpp beside the other
+/// components' configs; SchedulerRuntime's constructor checks it.
 using SchedulerRuntimeConfig = ::posg::SchedulerRuntimeConfig;
 
 /// The scheduler side of the distributed runtime, extracted from
@@ -250,6 +250,9 @@ class SchedulerRuntime {
   /// §13).
   static constexpr std::size_t kOutboxBytes = 1u << 10;
 
+  /// Events the drop-oldest trace ring retains.
+  static constexpr std::size_t kTraceCapacity = std::size_t{1} << 14U;
+
   /// The runtime's metrics registry. Scheduler and health counters are
   /// registered at construction as pull callbacks that take mutex_, so
   /// metrics_snapshot() is safe from any thread while the readers and the
@@ -261,7 +264,7 @@ class SchedulerRuntime {
   obs::Snapshot metrics_snapshot() const { return metrics_.snapshot(); }
 
   /// The runtime's trace ring (events flow only when
-  /// SchedulerRuntimeConfig::obs.tracing armed it). The scheduler stages
+  /// SchedulerRuntimeConfig::tracing armed it). The scheduler stages
   /// ScheduleDecision events in a thread-local writer; use trace_events()
   /// to read a snapshot that includes the staged tail.
   obs::TraceRing& trace() noexcept { return trace_; }

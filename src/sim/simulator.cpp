@@ -25,9 +25,9 @@ enum class EventKind : std::uint8_t {
 };
 
 struct Event {
-  common::TimeMs time;
-  std::uint64_t tie_breaker;  // FIFO order among simultaneous events
-  EventKind kind;
+  common::TimeMs time = 0.0;
+  std::uint64_t tie_breaker = 0;  // FIFO order among simultaneous events
+  EventKind kind = EventKind::kArrival;
 
   // kArrival / kFinish payload
   common::SeqNo seq = 0;
@@ -434,7 +434,7 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
                 ++ramping_count;
                 account_running(now, +1);
                 action.instance = op;
-                result.scale_events.push_back({now, action});
+                result.scale_log.push_back({now, action});
                 break;
               }
               break;
@@ -457,7 +457,7 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
               if (victim.has_value()) {
                 drain_cut[*victim] = posg_scheduler->begin_drain(*victim);
                 action.instance = *victim;
-                result.scale_events.push_back({now, action});
+                result.scale_log.push_back({now, action});
               }
               break;
             }
@@ -470,7 +470,7 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
                   trackers[op].cumulated_execution_time() - drain_cut[op];
               posg_scheduler->retire(op, delta);
               account_running(now, -1);
-              result.scale_events.push_back({now, action});
+              result.scale_log.push_back({now, action});
               break;
             }
           }

@@ -105,7 +105,7 @@ class Simulator {
       common::TimeMs time = 0.0;
       core::ScaleAction action;
     };
-    std::vector<ScaleEvent> scale_events;
+    std::vector<ScaleEvent> scale_log;
     /// Integral of the running-instance count over simulated time
     /// (instance·ms) — the resource-cost side of the elasticity trade. A
     /// draining instance still counts until its retirement lands. For a

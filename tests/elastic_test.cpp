@@ -451,7 +451,7 @@ TEST(SimulatorElastic, FlashCrowdAutoscaleMeetsLatencyAtLowerCost) {
 
   // The crowd forced real growth.
   const auto scaled_up = std::count_if(
-      elastic.scale_events.begin(), elastic.scale_events.end(),
+      elastic.scale_log.begin(), elastic.scale_log.end(),
       [](const auto& event) { return event.action.kind == ScaleAction::Kind::kScaleUp; });
   EXPECT_GE(scaled_up, 1);
 }
@@ -483,7 +483,7 @@ TEST(SimulatorElastic, ScaleDownDrainsLosslesslyAndRetires) {
 
   std::size_t drains = 0;
   std::size_t retires = 0;
-  for (const auto& event : result.scale_events) {
+  for (const auto& event : result.scale_log) {
     if (event.action.kind == ScaleAction::Kind::kDrain) {
       ++drains;
     }
@@ -520,7 +520,7 @@ TEST(SimulatorElastic, GrayFaultStutterWithSteadyLoadNeverScales) {
   PosgScheduler scheduler(k, config.posg);
   const auto result = sim.run(stream, scheduler);
   ASSERT_EQ(result.completions.size(), stream.size());
-  EXPECT_TRUE(result.scale_events.empty());
+  EXPECT_TRUE(result.scale_log.empty());
   const auto snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.counters.at("posg.sim.scale_ups"), 0u);
   EXPECT_EQ(snapshot.counters.at("posg.sim.drains"), 0u);
@@ -597,35 +597,35 @@ TEST(ArrivalProfile, ValidatesItsParameters) {
 // ---------------------------------------------------------------------------
 
 TEST(HealthBoundary, RePromotionFiresAtExactlyThePromoteThreshold) {
-  core::HealthConfig config;  // promote_drift 1.2, promote_epochs 2
-  core::HealthMonitor monitor(2, config);
-  // Exactly at degrade_drift counts toward degradation ("at or above").
-  monitor.on_epoch_drift(0, config.degrade_drift);
-  monitor.on_epoch_drift(0, config.degrade_drift);
+  using Monitor = core::HealthMonitor;  // kPromoteEpochs = 2
+  Monitor monitor(2);
+  // Exactly at kDegradeDrift counts toward degradation ("at or above").
+  monitor.on_epoch_drift(0, Monitor::kDegradeDrift);
+  monitor.on_epoch_drift(0, Monitor::kDegradeDrift);
   ASSERT_EQ(monitor.state(0), core::InstanceHealth::kDegraded);
-  // Exactly at promote_drift counts as calm ("at or below") — but one
+  // Exactly at kPromoteDrift counts as calm ("at or below") — but one
   // calm epoch is not enough.
-  monitor.on_epoch_drift(0, config.promote_drift);
+  monitor.on_epoch_drift(0, Monitor::kPromoteDrift);
   EXPECT_EQ(monitor.state(0), core::InstanceHealth::kDegraded);
-  monitor.on_epoch_drift(0, config.promote_drift);
+  monitor.on_epoch_drift(0, Monitor::kPromoteDrift);
   EXPECT_EQ(monitor.state(0), core::InstanceHealth::kLive);
   EXPECT_EQ(monitor.promotions(), 1u);
   EXPECT_DOUBLE_EQ(monitor.derate(0), 1.0);  // full billing restored
 }
 
 TEST(HealthBoundary, AnEpochJustAboveThePromoteThresholdResetsTheCalmStreak) {
-  core::HealthConfig config;
-  core::HealthMonitor monitor(1, config);
-  monitor.on_epoch_drift(0, config.degrade_drift);
-  monitor.on_epoch_drift(0, config.degrade_drift);
+  using Monitor = core::HealthMonitor;
+  Monitor monitor(1);
+  monitor.on_epoch_drift(0, Monitor::kDegradeDrift);
+  monitor.on_epoch_drift(0, Monitor::kDegradeDrift);
   ASSERT_EQ(monitor.state(0), core::InstanceHealth::kDegraded);
-  monitor.on_epoch_drift(0, config.promote_drift);
+  monitor.on_epoch_drift(0, Monitor::kPromoteDrift);
   // Nudge just above promote (still below suspect): ambiguous, streak
   // resets — the two calm epochs must be *consecutive*.
-  monitor.on_epoch_drift(0, config.promote_drift + 1e-9);
-  monitor.on_epoch_drift(0, config.promote_drift);
+  monitor.on_epoch_drift(0, Monitor::kPromoteDrift + 1e-9);
+  monitor.on_epoch_drift(0, Monitor::kPromoteDrift);
   EXPECT_EQ(monitor.state(0), core::InstanceHealth::kDegraded);
-  monitor.on_epoch_drift(0, config.promote_drift);
+  monitor.on_epoch_drift(0, Monitor::kPromoteDrift);
   EXPECT_EQ(monitor.state(0), core::InstanceHealth::kLive);
 }
 

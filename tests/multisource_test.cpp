@@ -69,8 +69,7 @@ std::vector<common::InstanceId> run_golden_stream_via_views(std::size_t k, bool 
   config.epsilon = 0.05;  // 54 columns — the paper's coarse sketch
   config.delta = 0.1;     // 4 rows
 
-  core::MultiSourceConfig multi;  // S = 1
-  core::MultiSourceScheduler scheduler(k, config, multi);
+  core::MultiSourceScheduler scheduler(k, config, /*sources=*/1);
   const auto dims = config.dims();
   common::Xoshiro256StarStar rng(42);
 
@@ -173,8 +172,7 @@ TEST(MultiSourceSim, SingleSourceRunMultiMatchesClassicRun) {
   core::PosgScheduler classic(config.instances, config.posg);
   const auto classic_result = sim::Simulator(config, cost).run(stream, classic);
 
-  core::MultiSourceConfig multi;  // S = 1
-  core::MultiSourceScheduler views(config.instances, config.posg, multi);
+  core::MultiSourceScheduler views(config.instances, config.posg, /*sources=*/1);
   const auto multi_result = sim::Simulator(config, cost).run_multi(stream, views);
 
   EXPECT_EQ(multi_result.instance_tuples, classic_result.instance_tuples);
@@ -190,9 +188,7 @@ TEST(MultiSourceSim, FourSourceConservation) {
   sim::Simulator::Config config;
   config.instances = 6;
   config.inter_arrival = 0.5;
-  core::MultiSourceConfig multi;
-  multi.sources = 4;
-  core::MultiSourceScheduler scheduler(config.instances, config.posg, multi);
+  core::MultiSourceScheduler scheduler(config.instances, config.posg, 4);
 
   std::vector<common::Item> stream(8000);
   common::Xoshiro256StarStar rng(11);
@@ -238,9 +234,7 @@ TEST(MultiSourceSim, FourSourceConservation) {
 TEST(MultiSourcePolicy, ViewReadsSiblingLoadBeforeItDecides) {
   core::PosgConfig config;
   config.sync_enabled = false;
-  core::MultiSourceConfig multi;
-  multi.sources = 2;
-  core::MultiSourceScheduler scheduler(2, config, multi);
+  core::MultiSourceScheduler scheduler(2, config, 2);
   const common::Item item = 7;
   for (common::SourceId s = 0; s < 2; ++s) {
     for (common::InstanceId op = 0; op < 2; ++op) {
@@ -265,9 +259,7 @@ TEST(MultiSourcePolicy, ViewReadsSiblingLoadBeforeItDecides) {
 /// routing.
 TEST(MultiSourcePolicy, NoLiveInstanceStaysTypedWhileViewsReadSiblings) {
   core::PosgConfig config;
-  core::MultiSourceConfig multi;
-  multi.sources = 2;
-  core::MultiSourceScheduler scheduler(2, config, multi);
+  core::MultiSourceScheduler scheduler(2, config, 2);
   common::SeqNo seq = 0;
   scheduler.mark_failed(/*source=*/0, 0);
   scheduler.mark_failed(/*source=*/0, 1);
@@ -289,9 +281,7 @@ TEST(MultiSourcePolicy, NoLiveInstanceStaysTypedWhileViewsReadSiblings) {
 TEST(MultiSourcePool, QuarantineAndRejoinPropagateAcrossViews) {
   const std::size_t k = 4;
   core::PosgConfig config;
-  core::MultiSourceConfig multi;
-  multi.sources = 3;
-  core::MultiSourceScheduler scheduler(k, config, multi);
+  core::MultiSourceScheduler scheduler(k, config, 3);
 
   common::SeqNo seq = 0;
   // Warm every view past ROUND_ROBIN so decisions are greedy.
@@ -459,9 +449,7 @@ TEST(MultiSourcePool, ConcurrentMembershipOpsKeepViewsConsistent) {
   constexpr int kTuples = 4000;
   core::PosgConfig config;
   config.sync_enabled = false;
-  core::MultiSourceConfig multi;
-  multi.sources = kSources;
-  core::MultiSourceScheduler scheduler(kInstances, config, multi);
+  core::MultiSourceScheduler scheduler(kInstances, config, kSources);
 
   const auto ship = [&](common::SourceId source, common::InstanceId op) {
     sketch::DualSketch sketch(config.dims(), config.sketch_seed);

@@ -24,7 +24,6 @@ namespace {
 
 using namespace posg;
 using core::Decision;
-using core::HealthConfig;
 using core::HealthMonitor;
 using core::InstanceHealth;
 using core::InstanceTracker;
@@ -58,7 +57,7 @@ core::SketchShipment make_shipment(common::InstanceId op, const PosgConfig& conf
 // ---------------------------------------------------------------------------
 
 TEST(HealthMonitor, DriftLadderDegradesAndRepromotesWithHysteresis) {
-  HealthMonitor monitor(2, HealthConfig{});  // degrade_epochs = promote_epochs = 2
+  HealthMonitor monitor(2);  // kDegradeEpochs = kPromoteEpochs = 2
 
   EXPECT_EQ(monitor.state(0), InstanceHealth::kLive);
   EXPECT_DOUBLE_EQ(monitor.derate(0), 1.0);
@@ -94,8 +93,8 @@ TEST(HealthMonitor, DriftLadderDegradesAndRepromotesWithHysteresis) {
 }
 
 TEST(HealthMonitor, SuspectRecoversWithoutDegrading) {
-  HealthMonitor monitor(1, HealthConfig{});
-  monitor.on_epoch_drift(0, 1.6);  // >= suspect_drift, < degrade_drift
+  HealthMonitor monitor(1);
+  monitor.on_epoch_drift(0, 1.6);  // >= kSuspectDrift, < kDegradeDrift
   EXPECT_EQ(monitor.state(0), InstanceHealth::kSuspect);
   monitor.on_epoch_drift(0, 1.0);  // one calm epoch clears a mere suspicion
   EXPECT_EQ(monitor.state(0), InstanceHealth::kLive);
@@ -105,7 +104,7 @@ TEST(HealthMonitor, SuspectRecoversWithoutDegrading) {
 }
 
 TEST(HealthMonitor, AmbiguousDriftResetsTheCalmStreak) {
-  HealthMonitor monitor(1, HealthConfig{});
+  HealthMonitor monitor(1);
   monitor.on_epoch_drift(0, 2.5);
   monitor.on_epoch_drift(0, 2.5);
   ASSERT_EQ(monitor.state(0), InstanceHealth::kDegraded);
@@ -121,7 +120,7 @@ TEST(HealthMonitor, AmbiguousDriftResetsTheCalmStreak) {
 }
 
 TEST(HealthMonitor, StaleFeedbackAndQueueSkewRaiseSuspicion) {
-  HealthMonitor stale(2, HealthConfig{});
+  HealthMonitor stale(2);
   stale.note_stale_feedback(1);
   EXPECT_EQ(stale.state(1), InstanceHealth::kSuspect);
   EXPECT_EQ(stale.state(0), InstanceHealth::kLive);
@@ -129,32 +128,23 @@ TEST(HealthMonitor, StaleFeedbackAndQueueSkewRaiseSuspicion) {
 
   // Queue skew: one instance at 0.9 occupancy against a 0.1 cluster
   // background exceeds both the skew multiple and the absolute floor.
-  HealthMonitor skew(3, HealthConfig{});
+  HealthMonitor skew(3);
   skew.note_queue_depth(1, 0.1);
   skew.note_queue_depth(2, 0.1);
   skew.note_queue_depth(0, 0.9);
   EXPECT_EQ(skew.state(0), InstanceHealth::kSuspect);
   EXPECT_EQ(skew.state(1), InstanceHealth::kLive);
 
-  // A skewed-but-shallow queue (below queue_floor) is not a signal.
-  HealthMonitor shallow(3, HealthConfig{});
+  // A skewed-but-shallow queue (below kQueueFloor) is not a signal.
+  HealthMonitor shallow(3);
   shallow.note_queue_depth(1, 0.01);
   shallow.note_queue_depth(2, 0.01);
   shallow.note_queue_depth(0, 0.2);
   EXPECT_EQ(shallow.state(0), InstanceHealth::kLive);
-
-  // Master switch off: every signal is inert.
-  HealthConfig off;
-  off.enabled = false;
-  HealthMonitor disabled(2, off);
-  disabled.note_stale_feedback(0);
-  disabled.on_epoch_drift(0, 100.0);
-  EXPECT_EQ(disabled.state(0), InstanceHealth::kLive);
-  EXPECT_DOUBLE_EQ(disabled.derate(0), 1.0);
 }
 
 TEST(HealthMonitor, QuarantineFreezesAndRejoinResets) {
-  HealthMonitor monitor(2, HealthConfig{});
+  HealthMonitor monitor(2);
   monitor.on_epoch_drift(0, 2.5);
   monitor.on_epoch_drift(0, 2.5);
   ASSERT_EQ(monitor.state(0), InstanceHealth::kDegraded);
