@@ -147,10 +147,12 @@ struct SchedulerRuntimeConfig {
   /// deadline.
   std::chrono::milliseconds epoch_deadline{2000};
 
-  /// Wait budget for each Hello during registration. > 0.
+  /// Wait budget for each connection, and then for its Hello, during
+  /// registration. > 0.
   std::chrono::milliseconds hello_deadline{2000};
 
-  /// Registration attempts allowed before giving up (0 = 2k + 8).
+  /// Registration attempts allowed before giving up (0 = 2k + 8): each
+  /// connection, and each hello_deadline that passes with none, is one.
   std::size_t max_registration_attempts = 0;
 
   /// Overload-resilient mode: quarantining the *last* live instance stops
