@@ -94,6 +94,10 @@ inline constexpr int kMetricsRegistry = 10;
 /// one across the scheduler transition (send → scheduler-state), and no
 /// path ever takes a second link's send mutex while holding one.
 inline constexpr int kNetSend = 20;
+/// runtime::SchedulerRuntime::pause_mutex_ — the link writer's pause. A
+/// route() or flush() takes it under a link's send mutex to end the pause;
+/// nothing is acquired under it.
+inline constexpr int kWriterPause = 25;
 /// Scheduler-state locks: SchedulerRuntime::mutex_ and
 /// engine::PosgGrouping::mutex_ / delay_mutex_. Equal rank = the pairs
 /// never nest (PosgGrouping's delay worker drops delay_mutex_ before
