@@ -55,16 +55,6 @@ void ElasticController::bind_trace(obs::TraceRing* trace) {
   }
 }
 
-void ElasticController::register_metrics(obs::MetricsRegistry& registry,
-                                         const std::string& prefix) {
-  registry.counter_fn(prefix + ".elastic.samples", [this] { return samples_; });
-  registry.counter_fn(prefix + ".elastic.scale_ups", [this] { return scale_ups_; });
-  registry.counter_fn(prefix + ".elastic.drains", [this] { return drains_; });
-  registry.counter_fn(prefix + ".elastic.retires", [this] { return retires_; });
-  registry.counter_fn(prefix + ".elastic.skew_vetoes", [this] { return skew_vetoes_; });
-  registry.gauge_fn(prefix + ".elastic.predicted_backlog_ms", [this] { return predicted_; });
-}
-
 ScaleAction ElasticController::act(ScaleAction::Kind kind, common::InstanceId instance) {
   switch (kind) {
     case ScaleAction::Kind::kScaleUp:

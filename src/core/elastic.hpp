@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/metrics_registry.hpp"
 #include "obs/trace_ring.hpp"
 
 /// Predictive autoscaling (extension; DESIGN.md §11 "Elasticity").
@@ -128,10 +126,6 @@ class ElasticController {
   /// value = predicted backlog, a = sample ordinal). Not owned; pass
   /// nullptr to unbind. Externally synchronized, like the scheduler.
   void bind_trace(obs::TraceRing* trace);
-
-  /// Pull-mode metrics (prefix + ".elastic.*"); same synchronization
-  /// contract as PosgScheduler::register_metrics.
-  void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix = "posg");
 
  private:
   ScaleAction act(ScaleAction::Kind kind, common::InstanceId instance);

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "obs/profile.hpp"
-
 namespace posg::core {
 
 InstanceTracker::InstanceTracker(common::InstanceId id, const PosgConfig& config)
@@ -20,7 +18,6 @@ InstanceTracker::InstanceTracker(common::InstanceId id, const PosgConfig& config
 
 std::optional<SketchShipment> InstanceTracker::on_executed(common::Item item,
                                                            common::TimeMs execution_time) {
-  POSG_PROFILE_SCOPE(prof_update_);
   common::require(execution_time >= 0.0, "InstanceTracker: negative execution time");
   // One digest serves the update AND the touched-cell log for the capture
   // fast path (the digest overload is bit-identical to update(item, time)).

@@ -7,7 +7,6 @@
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "obs/metrics_registry.hpp"
 #include "sketch/dual_sketch.hpp"
 #include "sketch/snapshot.hpp"
 
@@ -75,12 +74,6 @@ class InstanceTracker {
   /// the whole stream (thundering herd).
   void rearm(common::TimeMs seeded_cumulated);
 
-  /// Profiling sink for POSG_PROFILE builds (see obs/profile.hpp): each
-  /// on_executed call's duration — the per-tuple sketch update — lands in
-  /// `sink` when the POSG_PROFILE CMake option is ON. Not owned; nullptr
-  /// (default) keeps the timer inert.
-  void bind_profile(obs::Histogram* sink) noexcept { prof_update_ = sink; }
-
  private:
   common::InstanceId id_;
   PosgConfig config_;
@@ -103,7 +96,6 @@ class InstanceTracker {
   common::TimeMs cumulated_ = 0.0;
   double last_eta_ = std::numeric_limits<double>::quiet_NaN();
   std::uint64_t shipments_ = 0;
-  obs::Histogram* prof_update_ = nullptr;
 };
 
 }  // namespace posg::core

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "obs/profile.hpp"
 
 namespace posg::core {
 
@@ -283,13 +282,18 @@ void PosgScheduler::set_external_loads(const std::vector<common::TimeMs>& loads)
 }
 
 void PosgScheduler::bill(common::InstanceId target, common::Item item) {
-  POSG_PROFILE_SCOPE(prof_bill_);
   // UPDATE-Ĉ (Listing III.2), extended with the straggler de-rate: a
   // Degraded instance is billed factor × ŵ, so the greedy argmin hands it
   // proportionally fewer tuples while it stays in rotation. Healthy
   // instances carry factor 1.0, whose multiply is bit-identical — the
-  // golden scheduling streams do not move.
-  c_est_[target] += scheduling_estimate(target, item, hashes_.digest(item)) * derate_[target];
+  // golden scheduling streams do not move. The bill stops at the ceiling
+  // (kMaxFoldedLoad) for an estimate from an absurd shipped sketch; a real
+  // load never reaches it. It never lowers Ĉ, which the greedy index
+  // cannot absorb, even where a quarantine's redistribution already lifted
+  // Ĉ past the ceiling.
+  const common::TimeMs billed =
+      c_est_[target] + scheduling_estimate(target, item, hashes_.digest(item)) * derate_[target];
+  c_est_[target] = std::max(c_est_[target], std::min(billed, kMaxFoldedLoad));
   greedy_.increase(target, greedy_score(target));
 }
 
@@ -341,7 +345,6 @@ common::InstanceId PosgScheduler::ramp_admit(common::InstanceId pick) {
 }
 
 Decision PosgScheduler::schedule(common::Item item, common::SeqNo seq) {
-  POSG_PROFILE_SCOPE(prof_schedule_);
   // Adopt peer membership transitions before picking a target: one
   // relaxed version load in the steady state (and always a no-op for a
   // private pool, whose version never moves without this view moving it).
@@ -1464,45 +1467,52 @@ void PosgScheduler::flush_trace() {
   }
 }
 
-void PosgScheduler::register_metrics(obs::MetricsRegistry& registry, const std::string& prefix) {
-  registry.counter_fn(prefix + ".scheduler.decisions", [this] { return decisions_; });
-  registry.counter_fn(prefix + ".scheduler.epochs_completed",
-                      [this] { return epochs_completed_; });
-  registry.counter_fn(prefix + ".scheduler.epoch", [this] { return epoch_; });
-  registry.counter_fn(prefix + ".scheduler.stale_replies", [this] { return stale_replies_; });
-  registry.counter_fn(prefix + ".scheduler.rejoins", [this] { return rejoin_count_; });
-  registry.counter_fn(prefix + ".scheduler.drains_begun", [this] { return drains_begun_; });
-  registry.counter_fn(prefix + ".scheduler.retires", [this] { return retires_; });
-  registry.counter_fn(prefix + ".scheduler.drain_cancels", [this] { return drain_cancels_; });
-  registry.gauge_fn(prefix + ".scheduler.live_instances",
-                    [this] { return static_cast<double>(live_count_); });
-  registry.gauge_fn(prefix + ".scheduler.serving_instances",
-                    [this] { return static_cast<double>(serving_count_); });
-  registry.gauge_fn(prefix + ".scheduler.state",
-                    [this] { return static_cast<double>(state_); });
-  registry.gauge_fn(prefix + ".scheduler.source_id",
-                    [this] { return static_cast<double>(source_id_); });
-  registry.counter_fn(prefix + ".scheduler.pool_events_applied",
-                      [this] { return pool_events_applied_; });
+void PosgScheduler::register_metrics(obs::MetricsRegistry& registry, const std::string& prefix,
+                                     Mutex* owner_mutex) {
+  // Wraps `read` in the owner's lock. Lock order is registry → owner:
+  // snapshot() holds the registry mutex while it calls back.
+  const auto locked = [owner_mutex](auto read) {
+    return [owner_mutex, read] {
+      if (owner_mutex == nullptr) {
+        return read();
+      }
+      const MutexLock lock(*owner_mutex);
+      return read();
+    };
+  };
+  const auto counter = [&](const std::string& name, auto read) {
+    registry.counter_fn(prefix + name, locked(read));
+  };
+  const auto gauge = [&](const std::string& name, auto read) {
+    registry.gauge_fn(prefix + name, locked([read] { return static_cast<double>(read()); }));
+  };
+  counter(".scheduler.decisions", [this] { return decisions_; });
+  counter(".scheduler.epochs_completed", [this] { return epochs_completed_; });
+  counter(".scheduler.epoch", [this] { return epoch_; });
+  counter(".scheduler.stale_replies", [this] { return stale_replies_; });
+  counter(".scheduler.rejoins", [this] { return rejoin_count_; });
+  counter(".scheduler.drains_begun", [this] { return drains_begun_; });
+  counter(".scheduler.retires", [this] { return retires_; });
+  counter(".scheduler.drain_cancels", [this] { return drain_cancels_; });
+  gauge(".scheduler.live_instances", [this] { return live_count_; });
+  gauge(".scheduler.serving_instances", [this] { return serving_count_; });
+  gauge(".scheduler.state", [this] { return state_; });
+  gauge(".scheduler.source_id", [this] { return source_id_; });
+  counter(".scheduler.pool_events_applied", [this] { return pool_events_applied_; });
   // How many pool membership events this view has not yet replayed. A
   // persistently non-zero lag means the view stopped routing (sync happens
   // on the schedule path) or a peer is churning faster than this source
   // schedules — obs_report.py's reconciliation table keys off this.
-  registry.gauge_fn(prefix + ".scheduler.reconcile_lag", [this] {
-    return static_cast<double>(pool_raw_->version() - pool_cursor_);
-  });
-  registry.counter_fn(prefix + ".health.suspect_transitions",
-                      [this] { return health_.suspect_transitions(); });
-  registry.counter_fn(prefix + ".health.degraded_transitions",
-                      [this] { return health_.degraded_transitions(); });
-  registry.counter_fn(prefix + ".health.promotions", [this] { return health_.promotions(); });
+  gauge(".scheduler.reconcile_lag", [this] { return pool_lag(); });
+  counter(".health.suspect_transitions", [this] { return health_.suspect_transitions(); });
+  counter(".health.degraded_transitions", [this] { return health_.degraded_transitions(); });
+  counter(".health.promotions", [this] { return health_.promotions(); });
   // Per-instance billing de-rate (1.0 = healthy). The registry is the one
   // exposition path for these — metrics::ResilienceStats carries the same
   // values only as a programmatic snapshot / log line, never a second
   // metrics family.
   for (common::InstanceId op = 0; op < k_; ++op) {
-    registry.gauge_fn(prefix + ".health.derate." + std::to_string(op),
-                      [this, op] { return derate(op); });
+    gauge(".health.derate." + std::to_string(op), [this, op] { return derate(op); });
   }
 }
 

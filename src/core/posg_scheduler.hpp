@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/sync.hpp"
 #include "core/checkpoint.hpp"
 #include "core/config.hpp"
 #include "core/greedy_index.hpp"
@@ -295,14 +296,18 @@ class PosgScheduler final : public Scheduler {
   /// Ĉ — estimated cumulated execution time per instance.
   const std::vector<common::TimeMs>& estimated_loads() const noexcept { return c_est_; }
 
-  /// Ceiling of the epoch fold: Ĉ[op] + Δ is clamped to [0, this] (10^15
-  /// ms, ~31 700 years of work, far above any real instance's report). A
-  /// Δ off the wire is only required to be finite; folded unbounded, a Δ
-  /// of DBL_MAX left Ĉ = DBL_MAX, and the next sum over Ĉ (the fold again,
-  /// a quarantine's redistribution, the sibling sum over sources, a greedy
-  /// score) overflowed to +∞. Bounded, such sums stay finite for any k·S
-  /// below 10^293. The instance that sent it carries the highest Ĉ, so the
-  /// greedy argmin passes it over, as it would at DBL_MAX.
+  /// Ceiling of Ĉ (10^15 ms, ~31 700 years of work, far above any real
+  /// instance's load), shared by both writers of Ĉ: the epoch fold clamps
+  /// Ĉ[op] + Δ to [0, this], and the bill, which only raises Ĉ, raises it
+  /// no further than this. Δ and the shipped sketches behind every ŵ
+  /// source (merged W/F, the merged heavy-hitter table, the global mean)
+  /// come off the wire and are only required to be finite. Unbounded, a Δ
+  /// or a W cell of DBL_MAX left Ĉ near DBL_MAX, and the next sum over Ĉ
+  /// (the next fold or bill, a quarantine's redistribution, the sibling
+  /// sum over sources, a greedy score) overflowed to +∞. Bounded, such
+  /// sums stay finite for any k·S below 10^293. An instance the fold holds
+  /// at the ceiling carries the highest Ĉ, so the greedy argmin passes it
+  /// over, as it would at DBL_MAX.
   static constexpr common::TimeMs kMaxFoldedLoad = 1e15;
 
   /// Estimated execution time the scheduler would use for `item` right
@@ -330,22 +335,15 @@ class PosgScheduler final : public Scheduler {
   /// nothing is bound.
   void flush_trace();
 
-  /// Registers pull-mode metrics (posg.scheduler.* and posg.health.*) on
-  /// `registry`. The callbacks read scheduler state without any lock —
-  /// valid whenever snapshot() is serialized with scheduler calls (the
-  /// simulator's single thread, tests). A multi-threaded owner must
-  /// instead register its own callbacks that take its scheduler lock
-  /// (see SchedulerRuntime). The registry must outlive the scheduler.
-  void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix = "posg");
-
-  /// Profiling sinks for POSG_PROFILE builds (see obs/profile.hpp):
-  /// schedule() and bill() durations land in these histograms when the
-  /// POSG_PROFILE CMake option is ON. Nullptr (default) keeps the timers
-  /// inert even in profiling builds.
-  void bind_profile(obs::Histogram* schedule_ns, obs::Histogram* bill_ns) noexcept {
-    prof_schedule_ = schedule_ns;
-    prof_bill_ = bill_ns;
-  }
+  /// Registers the scheduler's metric family (prefix + ".scheduler.*" and
+  /// ".health.*", one ".health.derate.<op>" gauge per instance) as pull
+  /// callbacks on `registry`. Each callback takes `owner_mutex`, the lock
+  /// a multi-threaded owner holds around every scheduler call
+  /// (SchedulerRuntime's mutex_), so any thread may snapshot; nullptr
+  /// serves a single-threaded owner. The callbacks borrow the scheduler:
+  /// snapshot the registry only while it lives.
+  void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix = "posg",
+                        Mutex* owner_mutex = nullptr);
 
   /// Tuples scheduled (every successful schedule() call).
   std::uint64_t decisions() const noexcept { return decisions_; }
@@ -587,8 +585,6 @@ class PosgScheduler final : public Scheduler {
   /// synchronized. unique_ptr because Writer pins its ring by reference
   /// (not movable) while the scheduler itself must stay movable.
   std::unique_ptr<obs::TraceRing::Writer> trace_writer_;
-  obs::Histogram* prof_schedule_ = nullptr;
-  obs::Histogram* prof_bill_ = nullptr;
   std::uint64_t decisions_ = 0;
   std::uint64_t epochs_completed_ = 0;
   /// Incremental greedy argmin over greedy_score(); rebuilt on global

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "engine/arena.hpp"
-#include "obs/profile.hpp"
 
 namespace posg::engine {
 
@@ -91,7 +90,6 @@ Engine::Engine(Topology topology, EngineConfig config)
       metrics_.counter_fn(prefix + ".shed_exits", [raw] { return raw->overload->exits(); });
     }
   }
-  prof_flush_ = &metrics_.histogram("posg.engine.flush_batch_ns");
   batch_fill_ = &metrics_.histogram("posg.engine.batch_fill");
 
   // Wire streams: for every bolt input, register this bolt as a target of
@@ -205,7 +203,6 @@ void Engine::flush_stream(const StreamTarget& target, std::vector<Tuple>& tuples
 }
 
 void Engine::flush_batch(BoltRuntime& bolt, TupleChannel& channel, std::vector<Tuple>& tuples) {
-  POSG_PROFILE_SCOPE(prof_flush_);
   core::OverloadController* controller = bolt.overload.get();
   if (controller == nullptr) {
     channel.push_all(tuples);

@@ -199,9 +199,6 @@ class Engine {
   std::atomic<common::SeqNo> next_seq_{0};
   bool ran_ = false;
   obs::MetricsRegistry metrics_;
-  /// Queue hand-off latency (flush_batch), ns. Populated only when the
-  /// POSG_PROFILE CMake option compiled the scoped timers in.
-  obs::Histogram* prof_flush_ = nullptr;
   /// Tuples per route_batch call (posg.engine.batch_fill): how full the
   /// micro-batches actually run — the knob's effectiveness signal.
   obs::Histogram* batch_fill_ = nullptr;

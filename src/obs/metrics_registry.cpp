@@ -1,11 +1,8 @@
 #include "obs/metrics_registry.hpp"
 
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 namespace posg::obs {
@@ -64,250 +61,7 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-/// Recursive-descent parser for the subset of JSON `to_json` emits:
-/// objects, strings, and numbers. Throws std::invalid_argument with a
-/// byte offset on any deviation.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("metrics snapshot JSON: " + why + " at byte " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume_if(char c) {
-    if (pos_ < text_.size() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) {
-        fail("unterminated string");
-      }
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        fail("unterminated escape");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out.push_back(esc);
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4U;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          if (code > 0x7F) {
-            fail("non-ASCII \\u escape unsupported");
-          }
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-  }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected number");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  std::uint64_t parse_u64() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected unsigned integer");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      fail("malformed unsigned integer");
-    }
-    return static_cast<std::uint64_t>(v);
-  }
-
-  /// Iterates the members of { "k": <value> , ... }, invoking `member`
-  /// with each key positioned just before the value.
-  template <typename Fn>
-  void parse_object(Fn member) {
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      member(key);
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void finish() {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing bytes after document");
-    }
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-/// Exposition-format metric names allow [a-zA-Z0-9_:]; our registry names
-/// use dots as separators, which map to underscores.
-std::string sanitize(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out[0])) != 0) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
 }  // namespace
-
-std::uint64_t HistogramSnapshot::quantile(double q) const noexcept {
-  if (count == 0 || buckets.empty()) {
-    return 0;
-  }
-  if (q < 0.0) {
-    q = 0.0;
-  }
-  if (q > 1.0) {
-    q = 1.0;
-  }
-  const double target = q * static_cast<double>(count);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += buckets[i];
-    if (static_cast<double>(cumulative) >= target && cumulative > 0) {
-      return Histogram::bucket_upper(i);
-    }
-  }
-  return Histogram::bucket_upper(buckets.size() - 1);
-}
-
-void Snapshot::merge_from(const Snapshot& other) {
-  for (const auto& [name, v] : other.counters) {
-    counters[name] += v;
-  }
-  for (const auto& [name, v] : other.gauges) {
-    gauges[name] = v;
-  }
-  for (const auto& [name, h] : other.histograms) {
-    auto& mine = histograms[name];
-    if (mine.buckets.size() < h.buckets.size()) {
-      mine.buckets.resize(h.buckets.size(), 0);
-    }
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      mine.buckets[i] += h.buckets[i];
-    }
-    mine.count += h.count;
-    mine.sum += h.sum;
-  }
-}
 
 std::string Snapshot::to_json() const {
   std::string out;
@@ -365,101 +119,6 @@ std::string Snapshot::to_json() const {
     out += "}}";
   }
   out += "}}";
-  return out;
-}
-
-Snapshot Snapshot::from_json(const std::string& json) {
-  Snapshot snap;
-  JsonParser p(json);
-  bool saw_schema = false;
-  p.parse_object([&](const std::string& section) {
-    if (section == "schema") {
-      if (p.parse_string() != kSchemaTag) {
-        p.fail("unknown schema tag");
-      }
-      saw_schema = true;
-    } else if (section == "counters") {
-      p.parse_object([&](const std::string& name) { snap.counters[name] = p.parse_u64(); });
-    } else if (section == "gauges") {
-      p.parse_object([&](const std::string& name) { snap.gauges[name] = p.parse_number(); });
-    } else if (section == "histograms") {
-      p.parse_object([&](const std::string& name) {
-        HistogramSnapshot h;
-        h.buckets.assign(Histogram::kBuckets, 0);
-        p.parse_object([&](const std::string& field) {
-          if (field == "count") {
-            h.count = p.parse_u64();
-          } else if (field == "sum") {
-            h.sum = p.parse_u64();
-          } else if (field == "buckets") {
-            p.parse_object([&](const std::string& index) {
-              char* end = nullptr;
-              const unsigned long long i = std::strtoull(index.c_str(), &end, 10);
-              if (end == nullptr || *end != '\0' || i >= Histogram::kBuckets) {
-                p.fail("bad bucket index '" + index + "'");
-              }
-              h.buckets[static_cast<std::size_t>(i)] = p.parse_u64();
-            });
-          } else {
-            p.fail("unknown histogram field '" + field + "'");
-          }
-        });
-        snap.histograms[name] = std::move(h);
-      });
-    } else {
-      p.fail("unknown section '" + section + "'");
-    }
-  });
-  p.finish();
-  if (!saw_schema) {
-    throw std::invalid_argument("metrics snapshot JSON: missing schema tag");
-  }
-  return snap;
-}
-
-std::string Snapshot::to_text() const {
-  std::string out;
-  for (const auto& [name, v] : counters) {
-    const std::string id = sanitize(name);
-    out += "# TYPE " + id + " counter\n" + id + " ";
-    append_u64(out, v);
-    out.push_back('\n');
-  }
-  for (const auto& [name, v] : gauges) {
-    const std::string id = sanitize(name);
-    out += "# TYPE " + id + " gauge\n" + id + " ";
-    append_double(out, v);
-    out.push_back('\n');
-  }
-  for (const auto& [name, h] : histograms) {
-    const std::string id = sanitize(name);
-    out += "# TYPE " + id + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) {
-        continue;
-      }
-      cumulative += h.buckets[i];
-      out += id + "_bucket{le=\"";
-      if (i >= Histogram::kBuckets - 1) {
-        out += "+Inf";
-      } else {
-        append_u64(out, Histogram::bucket_upper(i));
-      }
-      out += "\"} ";
-      append_u64(out, cumulative);
-      out.push_back('\n');
-    }
-    out += id + "_bucket{le=\"+Inf\"} ";
-    append_u64(out, h.count);
-    out.push_back('\n');
-    out += id + "_sum ";
-    append_u64(out, h.sum);
-    out.push_back('\n');
-    out += id + "_count ";
-    append_u64(out, h.count);
-    out.push_back('\n');
-  }
   return out;
 }
 

@@ -12,8 +12,8 @@
 #include "common/sync.hpp"
 
 /// Metrics substrate: named counters, gauges, and log-bucketed latency
-/// histograms behind a registry whose `snapshot()` serializes to JSON and
-/// a plain-text exposition format. Hot-path recording is wait-free
+/// histograms behind a registry whose `snapshot()` serializes to JSON
+/// (read by tools/obs_report.py). Hot-path recording is wait-free
 /// (relaxed atomics, O(1)); registration and snapshotting take a mutex
 /// and are meant for startup / reporting cadence, not per-tuple work.
 ///
@@ -46,8 +46,7 @@ class Gauge {
 /// bucket 0 holds exact zeros, bucket i (1 <= i <= 63) holds values in
 /// [2^(i-1), 2^i), and the top bucket 64 is the overflow bucket for
 /// values >= 2^63. `record` is O(1) — a `bit_width` and three relaxed
-/// fetch_adds — and histograms merge bucket-wise, so per-thread or
-/// per-instance histograms can be combined without loss.
+/// fetch_adds.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;
@@ -80,20 +79,6 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
-  /// Bucket-wise accumulate of `other` into this histogram. Concurrent
-  /// writers on either side are tolerated (each cell is read/added
-  /// relaxed); the merge is not an atomic snapshot of `other`.
-  void merge_from(const Histogram& other) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-      if (n != 0) {
-        buckets_[i].fetch_add(n, std::memory_order_relaxed);
-      }
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets]{};
   std::atomic<std::uint64_t> count_{0};
@@ -106,38 +91,18 @@ struct HistogramSnapshot {
   std::uint64_t sum = 0;
   /// Dense per-bucket counts, size `Histogram::kBuckets`.
   std::vector<std::uint64_t> buckets;
-
-  /// Estimated quantile (q in [0, 1]): the exclusive upper bound of the
-  /// bucket where the cumulative count crosses q * count. Returns 0 for
-  /// an empty histogram.
-  std::uint64_t quantile(double q) const noexcept;
-  double mean() const noexcept {
-    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
-  }
 };
 
 /// Point-in-time copy of a whole registry. Plain data: safe to move
-/// across threads, merge, serialize, and parse back.
+/// across threads and serialize.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  /// Accumulate another snapshot: counters and histograms add, gauges
-  /// last-write-wins. Lets per-process snapshots roll up fleet-wide.
-  void merge_from(const Snapshot& other);
-
-  /// Compact single-object JSON (schema tag "posg-metrics/1"); round-trips
-  /// through `from_json`.
+  /// Compact single-object JSON (schema tag "posg-metrics/1"), the format
+  /// tools/obs_report.py renders.
   std::string to_json() const;
-
-  /// Prometheus-style plain-text exposition (metric names sanitized to
-  /// [a-zA-Z0-9_:], histograms as cumulative `_bucket{le=...}` series).
-  std::string to_text() const;
-
-  /// Parses `to_json` output. Throws `std::invalid_argument` on malformed
-  /// input or a wrong schema tag.
-  static Snapshot from_json(const std::string& json);
 };
 
 /// Owner of named metric instruments. Handles returned by

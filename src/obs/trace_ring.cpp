@@ -99,11 +99,6 @@ std::uint64_t TraceRing::dropped() const {
   return next_tick_ > capacity_ ? next_tick_ - capacity_ : 0;
 }
 
-void TraceRing::clear() {
-  const MutexLock lock(mutex_);
-  next_tick_ = 0;
-}
-
 void TraceRing::dump_jsonl(std::ostream& out) const {
   const std::vector<TraceEvent> events = snapshot();
   char buf[64];

@@ -131,8 +131,6 @@ class TraceRing {
   std::uint64_t dropped() const;
   std::size_t capacity() const noexcept { return capacity_; }
 
-  void clear();
-
   /// One JSON object per line, oldest first:
   ///   {"tick":5,"type":"schedule_decision","instance":2,"a":17,...}
   /// Zero-valued optional fields (detail/component/value) are omitted.

@@ -10,7 +10,7 @@
 ///
 /// Layers, bottom up:
 ///   common/   types, CLI parsing, error hierarchy (posg::Error)
-///   obs/      metrics registry, trace ring, profiling hooks
+///   obs/      metrics registry, trace ring
 ///   core/     per-component configs, POSG scheduler + baselines
 ///   engine/   multi-threaded topology runtime with shuffle groupings
 ///   net/      framed Unix-domain sockets + deterministic fault injection
@@ -25,9 +25,8 @@
 #include "common/prng.hpp"
 #include "common/types.hpp"
 
-// --- observability: metrics, tracing, profiling ---
+// --- observability: metrics, tracing ---
 #include "obs/metrics_registry.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace_ring.hpp"
 
 // --- core: configurations, messages, schedulers ---

@@ -328,25 +328,9 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
       std::this_thread::sleep_until(std::min(wake, Clock::now() + tick));
     }
   }
-  // Publish the Stats (see metrics()).
-  const std::string prefix = "posg.instance." + std::to_string(id_);
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    stats.per_source_executed.push_back(sessions[i].executed);
-    metrics_.counter(prefix + ".s" + std::to_string(i) + ".executed").add(sessions[i].executed);
+  for (const Session& session : sessions) {
+    stats.per_source_executed.push_back(session.executed);
   }
-  metrics_.counter(prefix + ".executed").add(stats.executed);
-  metrics_.counter(prefix + ".shipments").add(stats.shipments);
-  metrics_.counter(prefix + ".replies_sent").add(stats.replies_sent);
-  metrics_.counter(prefix + ".peer_failures_seen").add(stats.peer_failures_seen);
-  metrics_.counter(prefix + ".decode_errors").add(stats.decode_errors);
-  metrics_.counter(prefix + ".rejoin_acks").add(stats.rejoin_acks);
-  metrics_.counter(prefix + ".admission_grants").add(stats.admission_grants);
-  metrics_.counter(prefix + ".reconnects").add(stats.reconnects);
-  metrics_.counter(prefix + ".reattach_acks").add(stats.reattach_acks);
-  metrics_.counter(prefix + ".crashes").add(stats.crashed ? 1 : 0);
-  metrics_.counter(prefix + ".drained").add(stats.drained ? 1 : 0);
-  metrics_.gauge(prefix + ".simulated_work_ms").set(stats.simulated_work);
-  metrics_.counter(prefix + ".sources_lost").add(stats.sources_lost);
   return stats;
 }
 

@@ -10,7 +10,6 @@
 #include "common/types.hpp"
 #include "core/config.hpp"
 #include "net/transport.hpp"
-#include "obs/metrics_registry.hpp"
 
 namespace posg::runtime {
 
@@ -116,19 +115,10 @@ class InstanceRuntime {
 
   common::InstanceId id() const noexcept { return id_; }
 
-  /// The instance's metrics registry. run() publishes its Stats here on
-  /// return (`posg.instance.<id>.*`, session i's count as
-  /// `.s<i>.executed`), so an observer thread can snapshot without
-  /// touching the Stats object run() owns; repeated run() calls
-  /// accumulate into the same counters.
-  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
-
  private:
   common::InstanceId id_;
   InstanceRuntimeConfig config_;
   std::atomic<bool> stop_{false};
-  obs::MetricsRegistry metrics_;
 };
 
 }  // namespace posg::runtime

@@ -74,52 +74,11 @@ SchedulerRuntime::SchedulerRuntime(const SchedulerRuntimeConfig& config,
 }
 
 void SchedulerRuntime::register_runtime_metrics() {
-  // Every scheduler-touching callback takes mutex_ — snapshots run
-  // concurrently with the readers and the router. Lock order is
-  // registry → runtime; nothing acquires the registry mutex while holding
-  // mutex_, so the order cannot invert.
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.decisions", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.decisions();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.epochs_completed", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.epochs_completed();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.epoch", [this] {
-    MutexLock lock(mutex_);
-    return static_cast<std::uint64_t>(scheduler_.epoch());
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.stale_replies", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.stale_reply_count();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.rejoins", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.rejoin_count();
-  });
-  metrics_.gauge_fn(metric_prefix_ + ".scheduler.live_instances", [this] {
-    MutexLock lock(mutex_);
-    return static_cast<double>(scheduler_.live_instances());
-  });
-  metrics_.counter_fn(metric_prefix_ + ".health.suspect_transitions", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.health().suspect_transitions();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".health.degraded_transitions", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.health().degraded_transitions();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".health.promotions", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.health().promotions();
-  });
-  for (common::InstanceId op = 0; op < k_; ++op) {
-    metrics_.gauge_fn(metric_prefix_ + ".health.derate." + std::to_string(op), [this, op] {
-      MutexLock lock(mutex_);
-      return scheduler_.derate(op);
-    });
-  }
+  // The scheduler's own family (<prefix>.scheduler.*, .health.*), each
+  // callback under mutex_: snapshots run concurrently with the readers and
+  // the router. Lock order is registry → runtime; nothing acquires the
+  // registry mutex while holding mutex_, so the order cannot invert.
+  scheduler().register_metrics(metrics_, metric_prefix_, &mutex_);
   metrics_.counter_fn(metric_prefix_ + ".runtime.reroutes",
                       [this] { return reroutes_.load(std::memory_order_relaxed); });
   metrics_.counter_fn(metric_prefix_ + ".runtime.routed", [this] {
@@ -138,35 +97,6 @@ void SchedulerRuntime::register_runtime_metrics() {
   metrics_.gauge_fn(metric_prefix_ + ".runtime.quarantined", [this] {
     MutexLock lock(mutex_);
     return static_cast<double>(k_ - scheduler_.live_instances());
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.drains_begun", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.drain_begin_count();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.retires", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.retire_count();
-  });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.drain_cancels", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.drain_cancel_count();
-  });
-  metrics_.gauge_fn(metric_prefix_ + ".scheduler.serving_instances", [this] {
-    MutexLock lock(mutex_);
-    return static_cast<double>(scheduler_.serving_instances());
-  });
-  // Multi-source tier (DESIGN.md §15): which view this is, how many peer
-  // membership events it adopted, and how far behind the shared pool's
-  // event log it currently is (obs_report.py's reconciliation table).
-  metrics_.gauge_fn(metric_prefix_ + ".scheduler.source_id",
-                    [this] { return static_cast<double>(config_.source_id); });
-  metrics_.counter_fn(metric_prefix_ + ".scheduler.pool_events_applied", [this] {
-    MutexLock lock(mutex_);
-    return scheduler_.pool_events_applied();
-  });
-  metrics_.gauge_fn(metric_prefix_ + ".scheduler.reconcile_lag", [this] {
-    MutexLock lock(mutex_);
-    return static_cast<double>(scheduler_.pool_lag());
   });
   // Recovery counters (obs_report.py's recovery section). recovered_ /
   // recovered_epoch_ are constructor-written and immutable, so the

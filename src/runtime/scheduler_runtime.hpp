@@ -277,10 +277,11 @@ class SchedulerRuntime {
   /// Events the drop-oldest trace ring retains.
   static constexpr std::size_t kTraceCapacity = std::size_t{1} << 14U;
 
-  /// The runtime's metrics registry. Scheduler and health counters are
-  /// registered at construction as pull callbacks that take mutex_, so
-  /// metrics_snapshot() is safe from any thread while the readers and the
-  /// router run. Callers may register additional instruments.
+  /// The runtime's metrics registry. The scheduler's family
+  /// (PosgScheduler::register_metrics) is registered at construction as
+  /// pull callbacks that take mutex_, so metrics_snapshot() is safe from
+  /// any thread while the readers and the router run. Callers may
+  /// register additional instruments.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
@@ -315,8 +316,8 @@ class SchedulerRuntime {
  private:
   void reader_loop(common::InstanceId op);
   void rejoin_acceptor_loop(net::Listener* listener);
-  /// Registers the mutex_-taking pull callbacks (constructor only — the
-  /// scheduler's own register_metrics is for single-threaded owners).
+  /// Registers the scheduler's metric family under mutex_ and the
+  /// runtime's own <prefix>.runtime.* callbacks (constructor only).
   void register_runtime_metrics();
 
   /// One link's outbox: the frames queued for its instance and not yet

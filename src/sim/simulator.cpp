@@ -125,19 +125,15 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
   result.source_routed.assign(sources, 0);
   result.per_source_instance_tuples.assign(sources, std::vector<std::uint64_t>(k, 0));
 
-  // Observability wiring (all optional): trace decisions through the
-  // scheduler, profile the trackers' sketch updates. The binding is
-  // scoped to this run — undone before returning so the caller may
-  // destroy the sinks while the scheduler lives on.
+  // Observability wiring (optional): trace decisions through the
+  // scheduler. The binding is scoped to this run — undone before returning
+  // so the caller may destroy the sink while the scheduler lives on.
   if (config_.trace != nullptr && posg_scheduler != nullptr) {
     posg_scheduler->bind_trace(config_.trace);
   }
   const bool autoscale = !kMulti && config_.elastic.enabled;
   common::require(!autoscale || posg_scheduler != nullptr,
                   "Simulator: autoscale requires a PosgScheduler");
-  obs::Histogram* sketch_profile =
-      config_.metrics != nullptr ? &config_.metrics->histogram("posg.sim.sketch_update_ns")
-                                 : nullptr;
 
   // One tracker per (instance, source): tuples routed by source s's view
   // are billed into s's sketches only, mirroring the per-session trackers
@@ -147,7 +143,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
   for (common::InstanceId op = 0; op < k; ++op) {
     for (common::SourceId s = 0; s < sources; ++s) {
       trackers.emplace_back(op, config_.posg);
-      trackers.back().bind_profile(sketch_profile);
     }
   }
 
@@ -522,12 +517,21 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
     registry.counter("posg.sim.sync_markers").add(result.messages.sync_markers);
     registry.counter("posg.sim.sync_replies").add(result.messages.sync_replies);
     if (posg_scheduler != nullptr) {
-      // One truth for the scheduler-side counters: the same pull-mode
-      // family the runtime exposes (posg.scheduler.*, posg.health.*
-      // including the per-instance derate gauges) rather than a parallel
-      // posg.sim.* copy. The callbacks borrow the scheduler — callers own
-      // both it and the registry and snapshot while both are alive.
-      posg_scheduler->register_metrics(registry);
+      // One truth for the scheduler-side counters: the same family the
+      // runtime exposes (posg.scheduler.*, posg.health.* including the
+      // per-instance derate gauges) rather than a parallel posg.sim.* copy.
+      // Published by value: the caller's registry may outlive the
+      // scheduler (Experiment::run frees it on return), so it must not
+      // keep callbacks that borrow it.
+      obs::MetricsRegistry family;
+      posg_scheduler->register_metrics(family);
+      const obs::Snapshot values = family.snapshot();
+      for (const auto& [name, value] : values.counters) {
+        registry.counter(name).add(value);
+      }
+      for (const auto& [name, value] : values.gauges) {
+        registry.gauge(name).set(value);
+      }
     }
     if constexpr (kMulti) {
       for (common::SourceId s = 0; s < sources; ++s) {

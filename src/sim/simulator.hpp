@@ -78,8 +78,10 @@ class Simulator {
     core::PosgConfig posg;
     /// Optional metrics sink (not owned; must outlive run()). The run
     /// publishes its counters (`posg.sim.*`), a completion-latency
-    /// histogram in microseconds, and — under POSG_PROFILE — the trackers'
-    /// sketch-update timings. Repeated runs accumulate.
+    /// histogram in microseconds, and a PosgScheduler's family
+    /// (`posg.scheduler.*`, `posg.health.*`) by value, so the sink keeps
+    /// nothing that borrows the scheduler. Repeated runs accumulate:
+    /// counters add, gauges keep the last run's value.
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional trace sink (not owned; must outlive run()). Bound to the
     /// scheduler for the duration of run() when it is a PosgScheduler;

@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs/): histogram bucket math,
 // TraceRing wraparound and concurrency (the TSan job runs these with
-// multiple writer threads), snapshot JSON round-trips, and registry
+// multiple writer threads), the snapshot's JSON format, and registry
 // handles surviving a scheduler quarantine/rejoin cycle.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 
 #include "core/posg_scheduler.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace_ring.hpp"
 
 namespace posg {
@@ -66,37 +65,6 @@ TEST(Histogram, RecordAccumulatesCountSumAndBuckets) {
   EXPECT_EQ(h.bucket(3), 2u);  // 5 lands in [4, 8)
 }
 
-TEST(Histogram, MergePreservesEveryBucket) {
-  Histogram a;
-  Histogram b;
-  a.record(3);
-  a.record(100);
-  b.record(3);
-  b.record(std::uint64_t{1} << 63);  // overflow bucket
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum(), 3u + 100u + 3u + (std::uint64_t{1} << 63));
-  EXPECT_EQ(a.bucket(2), 2u);  // both 3s
-  EXPECT_EQ(a.bucket(Histogram::kBuckets - 1), 1u);
-}
-
-TEST(Histogram, SnapshotQuantilesAreBucketUpperBounds) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("latency");
-  for (int i = 0; i < 90; ++i) {
-    h.record(3);  // bucket 2, upper bound 4
-  }
-  for (int i = 0; i < 10; ++i) {
-    h.record(1000);  // bucket 10, upper bound 1024
-  }
-  const auto snap = registry.snapshot().histograms.at("latency");
-  EXPECT_EQ(snap.quantile(0.5), 4u);
-  EXPECT_EQ(snap.quantile(0.9), 4u);
-  EXPECT_EQ(snap.quantile(0.99), 1024u);
-  EXPECT_EQ(snap.quantile(1.0), 1024u);
-  EXPECT_NEAR(snap.mean(), (90.0 * 3.0 + 10.0 * 1000.0) / 100.0, 1e-9);
-}
-
 TEST(Histogram, ConcurrentRecordersLoseNothing) {
   Histogram h;
   constexpr int kThreads = 4;
@@ -143,7 +111,9 @@ TEST(MetricsRegistry, PullCallbacksEvaluateAtSnapshotTime) {
   EXPECT_EQ(registry.snapshot().counters.at("pull"), 9u);
 }
 
-TEST(Snapshot, JsonRoundTripsEveryInstrument) {
+// tools/obs_report.py is the one reader of this format: a change here is
+// a change to what it parses.
+TEST(Snapshot, ToJsonWritesThePinnedFormat) {
   MetricsRegistry registry;
   registry.counter("c.one").add(42);
   registry.gauge("g.pi").set(3.25);
@@ -151,48 +121,10 @@ TEST(Snapshot, JsonRoundTripsEveryInstrument) {
   h.record(0);
   h.record(7);
   h.record(std::uint64_t{1} << 63);
-
-  const Snapshot before = registry.snapshot();
-  const Snapshot after = Snapshot::from_json(before.to_json());
-  EXPECT_EQ(after.counters, before.counters);
-  EXPECT_EQ(after.gauges, before.gauges);
-  ASSERT_EQ(after.histograms.size(), 1u);
-  const auto& hb = before.histograms.at("h.lat");
-  const auto& ha = after.histograms.at("h.lat");
-  EXPECT_EQ(ha.count, hb.count);
-  EXPECT_EQ(ha.sum, hb.sum);
-  EXPECT_EQ(ha.buckets, hb.buckets);
-}
-
-TEST(Snapshot, FromJsonRejectsGarbageAndWrongSchema) {
-  EXPECT_THROW(Snapshot::from_json(""), std::invalid_argument);
-  EXPECT_THROW(Snapshot::from_json("{"), std::invalid_argument);
-  EXPECT_THROW(Snapshot::from_json(R"({"schema":"other/9"})"), std::invalid_argument);
-}
-
-TEST(Snapshot, MergeAddsCountersAndHistograms) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.counter("n").add(1);
-  b.counter("n").add(2);
-  a.histogram("h").record(3);
-  b.histogram("h").record(5);
-  b.gauge("g").set(1.5);
-  Snapshot merged = a.snapshot();
-  merged.merge_from(b.snapshot());
-  EXPECT_EQ(merged.counters.at("n"), 3u);
-  EXPECT_EQ(merged.histograms.at("h").count, 2u);
-  EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 1.5);
-}
-
-TEST(Snapshot, TextExpositionListsCumulativeBuckets) {
-  MetricsRegistry registry;
-  registry.counter("posg.tuples").add(5);
-  registry.histogram("lat.ns").record(3);
-  const std::string text = registry.snapshot().to_text();
-  EXPECT_NE(text.find("posg_tuples 5"), std::string::npos);
-  EXPECT_NE(text.find("lat_ns_count 1"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
+  EXPECT_EQ(registry.snapshot().to_json(),
+            R"({"schema":"posg-metrics/1","counters":{"c.one":42},"gauges":{"g.pi":3.25},)"
+            R"("histograms":{"h.lat":{"count":3,"sum":9223372036854775815,)"
+            R"("buckets":{"0":1,"3":1,"64":1}}}})");
 }
 
 TEST(TraceRing, DropOldestWraparoundKeepsNewest) {
@@ -311,15 +243,6 @@ TEST(TraceRing, DumpJsonlEmitsOneObjectPerEvent) {
 
 TEST(TraceRing, ZeroCapacityRejected) {
   EXPECT_THROW(TraceRing ring(0), std::invalid_argument);
-}
-
-TEST(ScopedTimer, NullSinkIsInertAndBoundSinkRecords) {
-  obs::ScopedTimer inert(nullptr);
-  Histogram h;
-  {
-    obs::ScopedTimer timer(&h);
-  }
-  EXPECT_EQ(h.count(), 1u);
 }
 
 // Registry handles must keep publishing through a scheduler's whole

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -785,6 +786,48 @@ TEST(SchedulerRuntime, FlushPutsEveryRoutedFrameInTheKernel) {
   EXPECT_GE(snapshot.counters.at("posg.runtime.send_calls"), k);
   EXPECT_LE(snapshot.counters.at("posg.runtime.send_calls"), m);
   links.finish(rt);
+}
+
+TEST(SchedulerRuntime, PublishesOneSchedulerFamilyUnderItsPrefix) {
+  // The runtime registers the scheduler's own metric family, each
+  // callback under the runtime's lock: a thread snapshotting while the
+  // router runs races nothing (the TSan job runs this), and every name
+  // carries source 1's prefix.
+  const std::size_t k = 3;
+  const common::SeqNo m = 300;
+  auto config = test_runtime_config(k);
+  config.source_id = 1;
+  SchedulerRuntime rt(config);
+  RawLinks links(rt, k);
+  rt.start();
+  std::atomic<bool> routing{true};
+  std::thread observer([&rt, &routing] {
+    do {
+      (void)rt.metrics().snapshot();
+    } while (routing.load());
+  });
+  for (common::SeqNo seq = 0; seq < m; ++seq) {
+    (void)rt.route((seq * 37) % 64, seq);
+  }
+  routing.store(false);
+  observer.join();
+  links.finish(rt);
+
+  const obs::Snapshot snapshot = rt.metrics_snapshot();
+  EXPECT_EQ(snapshot.counters.at("posg.s1.scheduler.decisions"), m);
+  EXPECT_EQ(snapshot.gauges.count("posg.s1.scheduler.state"), 1u);
+  for (common::InstanceId op = 0; op < k; ++op) {
+    EXPECT_EQ(snapshot.gauges.count("posg.s1.health.derate." + std::to_string(op)), 1u) << op;
+  }
+  const auto unprefixed = [](const std::string& name) {
+    return name.rfind("posg.scheduler.", 0) == 0 || name.rfind("posg.health.", 0) == 0;
+  };
+  for (const auto& entry : snapshot.counters) {
+    EXPECT_FALSE(unprefixed(entry.first)) << entry.first;
+  }
+  for (const auto& entry : snapshot.gauges) {
+    EXPECT_FALSE(unprefixed(entry.first)) << entry.first;
+  }
 }
 
 TEST(SchedulerRuntime, DrainRequestFollowsEveryEarlierTupleAndNothingElse) {

@@ -591,6 +591,36 @@ TEST(PosgScheduler, HugeDeltaFoldStaysFiniteThroughAQuarantine) {
   scheduler.debug_validate();
 }
 
+TEST(PosgScheduler, HugeShippedWeightBillsStayFinite) {
+  // The bill is Ĉ's other writer. A shipment off the wire only needs
+  // finite cells, and every estimate reads the merged sketches, so one
+  // instance's W cells at DBL_MAX bill ~DBL_MAX/F per tuple to whichever
+  // instance takes it: unbounded, every Ĉ reached +∞ within a few hundred
+  // tuples and greedy routing stopped reading Ĉ. The bill is clamped to
+  // kMaxFoldedLoad, as the fold is.
+  const auto config = test_config();
+  PosgScheduler scheduler(2, config);
+  const double huge = std::numeric_limits<double>::max();
+  core::SketchShipment absurd = make_shipment(1, config);
+  for (sketch::FWCell& cell : absurd.sketch.cells_mutable()) {
+    if (cell.f != 0) {
+      cell.w = huge;
+    }
+  }
+  absurd.sketch.restore_totals(absurd.sketch.update_count(), huge);
+  scheduler.on_feedback(make_shipment(0, config));
+  scheduler.on_feedback(std::get<core::SketchShipment>(net::decode(net::encode(absurd))));
+  for (common::SeqNo seq = 0; seq < 512; ++seq) {
+    (void)scheduler.schedule(seq % 7, seq);
+  }
+  ASSERT_NE(scheduler.state(), PosgScheduler::State::kRoundRobin);
+  for (const double load : scheduler.estimated_loads()) {
+    EXPECT_TRUE(std::isfinite(load));
+    EXPECT_LE(load, PosgScheduler::kMaxFoldedLoad);
+  }
+  scheduler.debug_validate();
+}
+
 TEST(PosgScheduler, OverflowingDriftRatioFeedsNoSample) {
   // A finite Δ can still overflow (Ĉ_marker + Δ)/Ĉ_marker when Ĉ_marker is
   // below 1: the epoch completes and the health monitor sees no sample.

@@ -8,6 +8,8 @@
 #include "core/reactive_jsq.hpp"
 #include "core/posg_scheduler.hpp"
 #include "core/round_robin.hpp"
+#include "obs/metrics_registry.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -273,6 +275,32 @@ TEST(Simulator, EmptyStreamYieldsEmptyResult) {
   const auto result = sim.run({}, rr);
   EXPECT_EQ(result.completions.size(), 0u);
   EXPECT_DOUBLE_EQ(result.makespan, 0.0);
+}
+
+TEST(Simulator, SchedulerMetricsOutliveTheScheduler) {
+  // Experiment::run frees its PosgScheduler on return, while the caller's
+  // registry lives on: the run must leave values there, not callbacks
+  // into the freed scheduler (ASan: heap-use-after-free in snapshot()).
+  obs::MetricsRegistry registry;
+  sim::ExperimentConfig config;
+  config.n = 512;
+  config.m = 4096;
+  config.k = 4;
+  config.metrics = &registry;
+  const sim::Experiment experiment(config);
+  (void)experiment.run(sim::Policy::kPosg);
+  obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("posg.scheduler.decisions"), config.m);
+  EXPECT_EQ(snap.counters.at("posg.sim.tuples"), config.m);
+  for (common::InstanceId op = 0; op < config.k; ++op) {
+    EXPECT_EQ(snap.gauges.at("posg.health.derate." + std::to_string(op)), 1.0) << op;
+  }
+
+  // A second run adds its counters to the first's, as posg.sim.* does.
+  (void)experiment.run(sim::Policy::kPosg);
+  snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("posg.scheduler.decisions"), 2 * config.m);
+  EXPECT_EQ(snap.counters.at("posg.sim.tuples"), 2 * config.m);
 }
 
 }  // namespace

@@ -6,10 +6,10 @@ Usage:
     tools/obs_report.py metrics.json [--trace trace.jsonl]
 
 The snapshot comes from `--metrics-out` on examples/distributed_posg or
-examples/quickstart, from obs::Snapshot::to_json(), or from a soak
-artifact (SOAK_METRICS_OUT on tools/run_soak.sh). Histogram quantiles are
-bucket upper bounds (log2 buckets), matching
-obs::HistogramSnapshot::quantile in C++.
+examples/quickstart, or from a soak artifact (SOAK_METRICS_OUT on
+tools/run_soak.sh); obs::Snapshot::to_json() writes all of them, and this
+tool is the format's one reader. Histogram quantiles are bucket upper
+bounds (obs::Histogram's log2 buckets).
 
 Multi-source runs (--sources S on examples/distributed_posg, DESIGN.md
 §15) write one snapshot per line — one per scheduler view, JSONL. This
@@ -176,16 +176,14 @@ def report_recovery(counters):
     Scheduler side: posg.runtime.checkpoint_* (epoch-boundary images
     written / failed), posg.runtime.recovery_* (whether this process
     restored or cold-started, and from which epoch), and reattach_count
-    (SchedulerHello handshakes served). Instance side: per-instance
-    reconnects and reattach_acks. Like the sections above, a lens over the
-    generic counters table, not a second bookkeeping path.
+    (SchedulerHello handshakes served). Like the sections above, a lens
+    over the generic counters table, not a second bookkeeping path.
     """
     rows = []
     for name, value in sorted(counters.items()):
         if (
             name.startswith(("posg.runtime.checkpoint_", "posg.runtime.recovery_"))
             or name == "posg.runtime.reattach_count"
-            or name.endswith((".reconnects", ".reattach_acks"))
         ):
             rows.append((name, fmt_value(value)))
     print_table("crash recovery (checkpoints / re-attach)", rows, ("name", "value"))
@@ -218,14 +216,13 @@ def report_data_plane(counters, histograms):
         rows.append((prefix + ".runtime.frames_per_send",
                      f"{fmt_value(per_send)} ({fmt_value(counters[name])} frames / "
                      f"{fmt_value(calls)} sends)"))
-    for name in ("posg.engine.batch_fill", "posg.engine.flush_batch_ns"):
-        hist = histograms.get(name)
-        if not hist:
-            continue
+    hist = histograms.get("posg.engine.batch_fill")
+    if hist:
         count = hist.get("count", 0)
         mean = hist.get("sum", 0) / count if count else 0.0
         p99 = quantile(dense_buckets(hist), count, 0.99)
-        rows.append((name, f"n={fmt_value(count)} mean={fmt_value(mean)} p99={fmt_value(p99)}"))
+        rows.append(("posg.engine.batch_fill",
+                     f"n={fmt_value(count)} mean={fmt_value(mean)} p99={fmt_value(p99)}"))
     print_table("data plane (batching / SPSC back-pressure and parks)", rows, ("name", "value"))
 
 

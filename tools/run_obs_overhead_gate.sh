@@ -26,10 +26,7 @@
 #                        evidence of load, not of a code regression — a
 #                        genuine regression fails every attempt.
 #
-# The build must be Release (-O3 -DNDEBUG, POSG_DCHECKS=OFF) and, for the
-# gate to mean anything, built *without* POSG_PROFILE (the default): the
-# profiling timers are the one obs feature that is allowed to cost, and it
-# is compile-time gated for exactly that reason.
+# The build must be Release (-O3 -DNDEBUG, POSG_DCHECKS=OFF).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
