@@ -99,18 +99,13 @@ inline constexpr int kNetSend = 20;
 /// nothing is acquired under it.
 inline constexpr int kWriterPause = 25;
 /// Scheduler-state locks: SchedulerRuntime::mutex_ and
-/// engine::PosgGrouping::mutex_ / delay_mutex_. Equal rank = the pairs
-/// never nest (PosgGrouping's delay worker drops delay_mutex_ before
-/// delivering into the scheduler).
+/// engine::PosgGrouping::mutex_. Equal rank = the two never nest.
 inline constexpr int kSchedulerState = 30;
 /// core::InstancePool::mutex_ — the shared membership log of the
 /// multi-source tier (DESIGN.md §15). Acquired by scheduler views while
 /// they hold their kSchedulerState lock (transition reports, staleness
 /// sync); a leaf otherwise — nothing posg-owned is acquired under it.
 inline constexpr int kInstancePool = 35;
-/// core::OverloadController::mutex_ — taken on the producer path, may
-/// publish trace events (→ kTraceRing) but never re-enters a scheduler.
-inline constexpr int kOverload = 40;
 /// runtime::SchedulerRuntime::ckpt_mutex_ — the checkpoint hand-off slot.
 /// reader_loop publishes a captured CheckpointState into it while holding
 /// kSchedulerState (rank-increasing); the writer thread holds only this
@@ -123,8 +118,7 @@ inline constexpr int kQueue = 50;
 /// net::FaultInjector's event log — leaf inside send/recv paths.
 inline constexpr int kEventLog = 55;
 /// obs::TraceRing::mutex_ — the global leaf: schedulers flush staged
-/// events under kSchedulerState, the overload controller publishes under
-/// kOverload, so the ring must rank above both.
+/// events under kSchedulerState, so the ring must rank above it.
 inline constexpr int kTraceRing = 60;
 }  // namespace lock_rank
 

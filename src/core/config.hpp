@@ -6,12 +6,7 @@
 #include <string>
 
 #include "common/types.hpp"
-#include "core/overload.hpp"
 #include "sketch/dual_sketch.hpp"
-
-namespace posg::obs {
-class TraceRing;  // obs/trace_ring.hpp; configs only carry a pointer
-}  // namespace posg::obs
 
 /// The configuration structs, one per component. Each is checked once, by
 /// the constructor that reads it: an out-of-domain field throws
@@ -114,18 +109,6 @@ struct EngineConfig {
   /// Capacity of each executor's input queue; producers block when full
   /// (backpressure).
   std::size_t queue_capacity = std::size_t{1} << 16U;
-
-  /// Overload control (core/overload.hpp): when enabled, a sustained
-  /// saturation of *all* of a bolt's input queues flips its producers from
-  /// blocking to shedding — tuples that do not fit are dropped (counted in
-  /// ComponentStats::shed), lowest cost estimate first, and markers are
-  /// never shed. Disabled by default: the stock backpressure semantics and
-  /// the hot path are untouched.
-  core::OverloadConfig overload;
-
-  /// Optional trace sink for ShedWindow events (not owned; must outlive
-  /// the engine). nullptr = no tracing.
-  obs::TraceRing* trace = nullptr;
 };
 
 /// Configuration of the scheduler-side distributed runtime

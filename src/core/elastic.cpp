@@ -111,10 +111,6 @@ ScaleAction ElasticController::on_sample(const ElasticSample& sample) {
   predicted_ =
       std::max(0.0, backlog_ewma_ + derivative_ewma_ * config_.horizon_samples);
 
-  const std::uint64_t shed_delta = sample.shed - std::min(sample.shed, last_shed_);
-  last_shed_ = sample.shed;
-  const bool shedding = shed_delta > 0;
-
   // Retirement first: a drained instance is dead weight — billing its
   // final Δ and removing it is the tail of an already-made decision, so it
   // bypasses cooldown and holds.
@@ -148,9 +144,9 @@ ScaleAction ElasticController::on_sample(const ElasticSample& sample) {
     return ScaleAction{};
   }
 
-  const bool over = shedding || per_instance >= config_.up_backlog_per_instance;
-  const bool under = !shedding && derivative_ewma_ <= 0.0 &&
-                     per_instance <= config_.down_backlog_per_instance;
+  const bool over = per_instance >= config_.up_backlog_per_instance;
+  const bool under =
+      derivative_ewma_ <= 0.0 && per_instance <= config_.down_backlog_per_instance;
 
   up_streak_ = over ? up_streak_ + 1 : 0;
   down_streak_ = under ? down_streak_ + 1 : 0;

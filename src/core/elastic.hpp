@@ -11,7 +11,7 @@
 ///
 /// The paper fixes k up front; production load curves do not cooperate. The
 /// ElasticController closes the loop: it consumes periodic load samples
-/// (total backlog, shed counters, per-instance queue skew) and issues typed
+/// (total backlog, per-instance queue skew) and issues typed
 /// ScaleUp / Drain / Retire actions that the surrounding runtime executes
 /// through the machinery PR 4 built for *unplanned* churn — a scale-up is a
 /// rejoin (Ĉ seeded from the live minimum, token-bucket admission ramp), a
@@ -49,11 +49,10 @@ struct ElasticConfig {
   /// backlog + derivative × horizon rather than the current level.
   double horizon_samples = 3.0;
   /// Scale up when predicted backlog per serving instance reaches this
-  /// (milliseconds of queued work per instance), or when tuples are being
-  /// shed (shedding is a strictly stronger overload signal).
+  /// (milliseconds of queued work per instance).
   double up_backlog_per_instance = 4.0;
   /// Scale down when predicted backlog per serving instance falls to this
-  /// *and* the trend is flat-or-falling *and* nothing is being shed.
+  /// *and* the trend is flat-or-falling.
   double down_backlog_per_instance = 0.5;
   /// Consecutive breaching samples required before acting (hysteresis).
   std::size_t up_hold = 2;
@@ -69,14 +68,13 @@ struct ElasticConfig {
 
 /// One controller input. `backlog_ms` is the total outstanding work across
 /// serving instances (milliseconds of queued execution time, or any
-/// consistent proxy); `shed` is a cumulative counter; `queue_skew` is
+/// consistent proxy); `queue_skew` is
 /// max/mean per-instance backlog (1.0 = perfectly balanced; pass 1.0 when
 /// fewer than two instances serve). `drained` lists draining instances
 /// whose queues have run dry and now await retirement.
 struct ElasticSample {
   double backlog_ms = 0.0;
   double queue_skew = 1.0;
-  std::uint64_t shed = 0;
   std::size_t serving = 0;
   std::size_t ramping = 0;
   std::size_t draining = 0;
@@ -136,7 +134,6 @@ class ElasticController {
   double backlog_ewma_ = 0.0;
   double derivative_ewma_ = 0.0;
   double predicted_ = 0.0;
-  std::uint64_t last_shed_ = 0;
   std::size_t up_streak_ = 0;
   std::size_t down_streak_ = 0;
   std::size_t cooldown_ = 0;

@@ -61,28 +61,12 @@ class TupleChannel {
     }
   }
 
-  bool push(Tuple tuple) {
-    if (spsc_) {
-      spsc_->producer_role().assert_held();
-      return spsc_->push(std::move(tuple));
-    }
-    return mpmc_->push(std::move(tuple));
-  }
-
   std::size_t push_all(std::vector<Tuple>& tuples) {
     if (spsc_) {
       spsc_->producer_role().assert_held();
       return spsc_->push_all(tuples);
     }
     return mpmc_->push_all(tuples);
-  }
-
-  std::size_t try_push_all(std::vector<Tuple>& tuples) {
-    if (spsc_) {
-      spsc_->producer_role().assert_held();
-      return spsc_->try_push_all(tuples);
-    }
-    return mpmc_->try_push_all(tuples);
   }
 
   std::size_t pop_all(std::vector<Tuple>& out) {
@@ -101,7 +85,6 @@ class TupleChannel {
     }
   }
 
-  std::size_t size() const { return spsc_ ? spsc_->size() : mpmc_->size(); }
   std::size_t capacity() const { return spsc_ ? spsc_->capacity() : mpmc_->capacity(); }
   std::uint64_t pushed() const { return spsc_ ? spsc_->pushed() : mpmc_->pushed(); }
   std::uint64_t popped() const { return spsc_ ? spsc_->popped() : mpmc_->popped(); }

@@ -51,16 +51,6 @@ Engine::Engine(Topology topology, EngineConfig config)
     runtime->per_instance_executed.assign(spec.parallelism, 0);
     runtime->per_instance_busy_ms.assign(spec.parallelism, 0.0);
     runtime->per_instance_queue_peak.assign(spec.parallelism, 0);
-    if (config_.overload.enabled) {
-      runtime->overload = std::make_unique<core::OverloadController>(config_.overload);
-      if (config_.trace != nullptr) {
-        // ShedWindow events tag the bolt by topology index so a trace dump
-        // can tell which stage shed (safe here: the controller is not yet
-        // shared with producer threads).
-        runtime->overload->bind_trace(config_.trace,
-                                      static_cast<std::uint16_t>(bolts_.size()));
-      }
-    }
     bolts_.push_back(std::move(runtime));
   }
 
@@ -83,12 +73,6 @@ Engine::Engine(Topology topology, EngineConfig config)
                         [raw] { return raw->emitted.load(std::memory_order_relaxed); });
     metrics_.counter_fn(prefix + ".errors",
                         [raw] { return raw->errors.load(std::memory_order_relaxed); });
-    if (raw->overload) {
-      metrics_.counter_fn(prefix + ".shed",
-                          [raw] { return raw->shed.load(std::memory_order_relaxed); });
-      metrics_.counter_fn(prefix + ".shed_entries", [raw] { return raw->overload->entries(); });
-      metrics_.counter_fn(prefix + ".shed_exits", [raw] { return raw->overload->exits(); });
-    }
   }
   batch_fill_ = &metrics_.histogram("posg.engine.batch_fill");
 
@@ -194,77 +178,12 @@ void Engine::flush_stream(const StreamTarget& target, std::vector<Tuple>& tuples
   }
   tuples.clear();
   // Per-instance runs keep emission order within each destination — the
-  // same per-channel FIFO the per-tuple path produced.
+  // same per-channel FIFO the per-tuple path produced. push_all blocks
+  // while the channel is full (backpressure) and clears the run.
   for (std::size_t op = 0; op < k; ++op) {
     if (!collector.scatter_[op].empty()) {
-      flush_batch(bolt, *bolt.queues[op], collector.scatter_[op]);
+      bolt.queues[op]->push_all(collector.scatter_[op]);
     }
-  }
-}
-
-void Engine::flush_batch(BoltRuntime& bolt, TupleChannel& channel, std::vector<Tuple>& tuples) {
-  core::OverloadController* controller = bolt.overload.get();
-  if (controller == nullptr) {
-    channel.push_all(tuples);
-    return;
-  }
-  // Shed mode requires *every* queue of the stage past the high watermark
-  // for the configured deadline — a single hot instance is the straggler
-  // detector's problem, not overload.
-  double saturation = 1.0;
-  for (const auto& queue : bolt.queues) {
-    saturation = std::min(saturation, static_cast<double>(queue->size()) /
-                                          static_cast<double>(queue->capacity()));
-  }
-  if (!controller->sample(saturation)) {
-    channel.push_all(tuples);
-    return;
-  }
-
-  // Shed path: stop blocking the producer. Markers are never shed — a
-  // dropped marker would sever the epoch's consistent cut and hang
-  // WAIT_ALL — so they are pushed blocking at their original sequence
-  // position, after the non-marker segment before them is disposed of.
-  std::uint64_t dropped = 0;
-  std::vector<Tuple> segment;
-  const auto drain_segment = [&] {
-    if (segment.empty()) {
-      return;
-    }
-    if (bolt.feedback != nullptr && segment.size() > 1) {
-      // Keep the most expensive tuples (losing them would skew the load
-      // estimates the most); the cheapest spill over and are dropped.
-      std::vector<std::pair<double, std::size_t>> keyed;
-      keyed.reserve(segment.size());
-      for (std::size_t i = 0; i < segment.size(); ++i) {
-        keyed.emplace_back(bolt.feedback->cost_estimate(segment[i]).value_or(0.0), i);
-      }
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [](const auto& a, const auto& b) { return a.first > b.first; });
-      std::vector<Tuple> ordered;
-      ordered.reserve(segment.size());
-      for (const auto& [cost, i] : keyed) {
-        ordered.push_back(std::move(segment[i]));
-      }
-      segment.swap(ordered);
-    }
-    channel.try_push_all(segment);  // erases the admitted prefix
-    dropped += segment.size();
-    segment.clear();
-  };
-  for (Tuple& tuple : tuples) {
-    if (tuple.marker.has_value()) {
-      drain_segment();
-      channel.push(std::move(tuple));
-    } else {
-      segment.push_back(std::move(tuple));
-    }
-  }
-  drain_segment();
-  tuples.clear();
-  if (dropped > 0) {
-    bolt.shed.fetch_add(dropped, std::memory_order_relaxed);
-    controller->note_shed(dropped);
   }
 }
 
@@ -473,11 +392,6 @@ Engine::ComponentStats Engine::stats(const std::string& component) const {
       stats.per_instance = bolt->per_instance_executed;
       stats.busy_ms = bolt->per_instance_busy_ms;
       stats.queue_peak = bolt->per_instance_queue_peak;
-      stats.shed = bolt->shed.load();
-      if (bolt->overload) {
-        stats.shed_entries = bolt->overload->entries();
-        stats.shed_exits = bolt->overload->exits();
-      }
       return stats;
     }
   }

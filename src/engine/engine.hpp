@@ -9,7 +9,6 @@
 
 #include "core/config.hpp"
 #include "core/instance_tracker.hpp"
-#include "core/overload.hpp"
 #include "engine/channel.hpp"
 #include "engine/completion_recorder.hpp"
 #include "engine/queue.hpp"
@@ -99,11 +98,10 @@ class Engine {
     /// Per-instance input-queue high-watermark (max occupancy observed at
     /// dequeue time).
     std::vector<std::size_t> queue_peak;
-    /// Load shedding (EngineConfig::overload): tuples dropped on the way
-    /// into this bolt's queues, and the shed-mode entry/exit transitions.
+    /// Always 0: producers block on a full queue, so no tuple is dropped.
+    /// Kept only because perfbench's engine workload reads it in its
+    /// output check; delete it with that check.
     std::uint64_t shed = 0;
-    std::uint64_t shed_entries = 0;
-    std::uint64_t shed_exits = 0;
   };
 
   Engine(Topology topology, EngineConfig config = {});
@@ -118,7 +116,7 @@ class Engine {
   ComponentStats stats(const std::string& component) const;
 
   /// The engine's metrics registry. Every component's executed / emitted /
-  /// errors / shed counters are registered here as pull callbacks
+  /// errors counters are registered here as pull callbacks
   /// (`posg.engine.<component>.*`) over the same atomics stats() reads, so
   /// snapshots are safe at any time — including mid-run from another
   /// thread. Callers may add their own instruments; handles stay valid for
@@ -155,15 +153,9 @@ class Engine {
     /// (nullptr when none). Executors then run instance trackers.
     Grouping* feedback = nullptr;
     bool terminal = false;
-    /// Overload controller for this bolt's input queues (nullptr when
-    /// shedding is disabled — producers then always block). Internally
-    /// synchronized; shared by every producer thread.
-    std::unique_ptr<core::OverloadController> overload;
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> emitted{0};
     std::atomic<std::uint64_t> errors{0};
-    /// Tuples shed by producers while this bolt was overloaded.
-    std::atomic<std::uint64_t> shed{0};
     std::vector<std::uint64_t> per_instance_executed;  // written by owner thread
     std::vector<common::TimeMs> per_instance_busy_ms;  // written by owner thread
     std::vector<std::size_t> per_instance_queue_peak;  // written by owner thread
@@ -181,13 +173,10 @@ class Engine {
   void route_emit(const std::vector<StreamTarget>& targets, Tuple tuple,
                   OutputCollector& collector);
   /// Routes one staged stream batch (one Grouping::route_batch call),
-  /// scatters by instance, and delivers each run via flush_batch.
+  /// scatters by instance, and hands each per-instance run to its channel
+  /// with one blocking push_all.
   void flush_stream(const StreamTarget& target, std::vector<Tuple>& tuples,
                     OutputCollector& collector);
-  /// Delivers one per-instance run: blocking push_all normally; under
-  /// overload, sheds what does not fit (cheapest tuples first, markers
-  /// always delivered).
-  void flush_batch(BoltRuntime& bolt, TupleChannel& channel, std::vector<Tuple>& tuples);
   void spout_main(std::size_t index, common::InstanceId instance);
   void bolt_main(std::size_t index, common::InstanceId instance);
 

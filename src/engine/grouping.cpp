@@ -9,18 +9,4 @@ Route ShuffleGrouping::route(const Tuple& tuple, std::size_t k) {
                std::nullopt};
 }
 
-Route FieldsGrouping::route(const Tuple& tuple, std::size_t k) {
-  common::require(k >= 1, "FieldsGrouping: need at least one instance");
-  // Fibonacci hashing spreads consecutive item ids well enough for a
-  // partitioner (this is routing, not a sketch — no 2-universality needed).
-  const std::uint64_t mixed = tuple.item * 0x9E3779B97F4A7C15ULL;
-  return Route{static_cast<common::InstanceId>(mixed % k), std::nullopt};
-}
-
-Route GlobalGrouping::route(const Tuple& tuple, std::size_t k) {
-  (void)tuple;
-  common::require(k >= 1, "GlobalGrouping: need at least one instance");
-  return Route{0, std::nullopt};
-}
-
 }  // namespace posg::engine

@@ -58,10 +58,10 @@ class Grouping {
   /// exactly when wants_feedback().
   virtual const core::PosgConfig* feedback_config() const { return nullptr; }
 
-  /// Estimated execution cost of `tuple` on its scheduled instance, when
-  /// the grouping can provide one (POSG's sketches can). The engine's load
-  /// shedder uses it to drop the cheapest tuples first; std::nullopt means
-  /// "no estimate" and sorts as cheapest.
+  /// Estimated execution cost of `tuple`. Nothing in the engine calls it,
+  /// and no grouping in src/ overrides it. It stays only because
+  /// perfbench's tracing grouping overrides it; delete it with that
+  /// override.
   virtual std::optional<double> cost_estimate(const Tuple& tuple) const {
     (void)tuple;
     return std::nullopt;
@@ -87,22 +87,6 @@ class ShuffleGrouping final : public Grouping {
 
  private:
   std::atomic<std::uint64_t> next_{0};
-};
-
-/// Key grouping: hash of the tuple's item — same item always reaches the
-/// same instance (Storm's fields grouping). Included for completeness of
-/// the engine substrate; not used by POSG itself.
-class FieldsGrouping final : public Grouping {
- public:
-  Route route(const Tuple& tuple, std::size_t k) override;
-  std::string name() const override { return "fields"; }
-};
-
-/// Everything to instance 0 (Storm's global grouping).
-class GlobalGrouping final : public Grouping {
- public:
-  Route route(const Tuple& tuple, std::size_t k) override;
-  std::string name() const override { return "global"; }
 };
 
 }  // namespace posg::engine

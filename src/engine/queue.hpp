@@ -116,36 +116,6 @@ class BoundedQueue {
     return accepted;
   }
 
-  /// Non-blocking batched push for load shedding: admits the longest
-  /// prefix of `values` that fits the current free space, erases exactly
-  /// that prefix from `values` (the leftover suffix is the caller's to
-  /// shed and count), and returns the admitted count. Never waits; a
-  /// closed queue admits nothing and leaves `values` untouched. Does NOT
-  /// count the leftover as rejected_ — shedding is the caller's policy,
-  /// and the queue's conservation invariant (rejections only when closed)
-  /// must keep holding.
-  std::size_t try_push_all(std::vector<T>& values) {
-    std::size_t accepted = 0;
-    {
-      MutexLock lock(mutex_);
-      if (closed_) {
-        return 0;
-      }
-      const std::size_t room = capacity_ - items_.size();
-      accepted = std::min(room, values.size());
-      for (std::size_t i = 0; i < accepted; ++i) {
-        items_.push_back(std::move(values[i]));
-      }
-      pushed_ += accepted;
-    }
-    if (accepted > 0) {
-      not_empty_.notify_all();
-      values.erase(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(accepted));
-    }
-    return accepted;
-  }
-
   /// Capacity the queue was constructed with.
   std::size_t capacity() const noexcept { return capacity_; }
 

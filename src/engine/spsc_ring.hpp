@@ -166,30 +166,6 @@ class SpscRing {
     return accepted;
   }
 
-  /// Non-blocking batched push for load shedding: admits the longest
-  /// prefix that fits right now, erases it from `values` (the suffix is
-  /// the caller's to shed), returns the admitted count. Never waits; a
-  /// closed ring admits nothing and leaves `values` untouched.
-  std::size_t try_push_all(std::vector<T>& values) REQUIRES(producer_role_) {
-    if (closed_.load(std::memory_order_acquire)) {
-      return 0;
-    }
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    cached_head_ = head_.load(std::memory_order_acquire);
-    const std::size_t room = capacity_ - static_cast<std::size_t>(tail - cached_head_);
-    const std::size_t accepted = std::min(room, values.size());
-    if (accepted == 0) {
-      return 0;
-    }
-    for (std::size_t i = 0; i < accepted; ++i) {
-      slots_[(tail + i) & mask_] = std::move(values[i]);
-    }
-    publish(tail_, tail + accepted, consumer_park_);
-    pushed_.fetch_add(accepted, std::memory_order_relaxed);
-    values.erase(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(accepted));
-    return accepted;
-  }
-
   /// Batched pop: blocks until at least one element is available (or the
   /// ring is closed and drained), then hands over everything currently
   /// visible, appending to `out` in FIFO order. Returns the number

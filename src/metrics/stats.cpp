@@ -10,8 +10,7 @@ namespace posg::metrics {
 
 std::string ResilienceStats::summary() const {
   std::ostringstream out;
-  out << "shed=" << tuples_shed << " (entries=" << shed_entries << " exits=" << shed_exits
-      << ") rejoins=" << rejoins << " health[suspect=" << suspect_transitions
+  out << "rejoins=" << rejoins << " health[suspect=" << suspect_transitions
       << " degraded=" << degraded_transitions << " promoted=" << promotions << "] derate=[";
   for (std::size_t op = 0; op < derate.size(); ++op) {
     if (op > 0) {

@@ -9,25 +9,18 @@
 namespace posg::metrics {
 
 /// Counters of the graceful-degradation layer (DESIGN.md "Fault model and
-/// degradation ladder"): overload shedding, straggler de-rating, and
-/// instance rejoin. Assembled by the runtime/simulator from the scheduler
-/// and overload-controller accessors — the core library does not depend on
-/// metrics.
+/// degradation ladder"): straggler de-rating and instance rejoin.
+/// Assembled by the runtime/simulator from the scheduler accessors — the
+/// core library does not depend on metrics.
 ///
 /// This struct is a programmatic snapshot for tests and the summary() log
 /// line, NOT a metrics exposition path. The obs::MetricsRegistry carries
-/// the one queryable truth for the same values: shed counts under
-/// `posg.engine.<bolt>.shed{,_entries,_exits}`, rejoin/health transitions
+/// the one queryable truth for the same values: rejoin/health transitions
 /// under `posg.scheduler.rejoins` / `posg.health.*`, and per-instance
 /// de-rates under `posg.health.derate.<op>` (all registered pull-mode by
 /// their owners). Do not push these fields into a registry under new
 /// names — that recreates the double bookkeeping this comment retires.
 struct ResilienceStats {
-  /// Tuples dropped (and counted) while shed mode was active.
-  std::uint64_t tuples_shed = 0;
-  /// Shed-mode entries and hysteresis exits.
-  std::uint64_t shed_entries = 0;
-  std::uint64_t shed_exits = 0;
   /// Quarantined instances re-admitted through the rejoin handshake.
   std::uint64_t rejoins = 0;
   /// Health-monitor lifecycle transitions (Live → Suspect, * → Degraded,

@@ -19,8 +19,6 @@ const char* trace_event_name(TraceEventType type) noexcept {
       return "sync_delta";
     case TraceEventType::kHealthTransition:
       return "health_transition";
-    case TraceEventType::kShedWindow:
-      return "shed_window";
     case TraceEventType::kRejoin:
       return "rejoin";
     case TraceEventType::kDrainBegin:

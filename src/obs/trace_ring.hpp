@@ -34,9 +34,8 @@ enum class TraceEventType : std::uint8_t {
   /// HealthMonitor FSM edge: instance, detail = (from << 4) | to,
   /// value = drift EWMA at the transition.
   kHealthTransition = 4,
-  /// Overload shed window edge: detail = 1 enter / 0 exit,
-  /// value = saturation at the edge, a = tuples shed so far.
-  kShedWindow = 5,
+  // 5 is unused: it named the engine's load-shedding window, which is
+  // gone; the later values keep their numbers.
   /// Instance re-admitted after quarantine: instance, a = epoch.
   kRejoin = 6,
   /// Lossless drain opened: instance leaves rotation, a = epoch,

@@ -177,43 +177,49 @@ void SchedulerRuntime::accept_registrations(net::Listener& listener) {
     if (!accepted.has_value()) {
       continue;
     }
-    net::Socket socket = std::move(*accepted);
-    // The opening frame's instance id is an unvalidated wire value:
-    // bound-check it and reject duplicates before it ever indexes the
-    // link table. Hello = fresh registration; SchedulerHello = a survivor
-    // of a scheduler restart, reconciled in start().
-    try {
-      net::RecvResult first = socket.recv_frame(config_.hello_deadline);
-      if (first.status != net::RecvStatus::kFrame) {
-        continue;  // silent or instantly-dead peer
-      }
-      const auto message = net::decode(first.payload);
-      common::InstanceId op = k_;
-      bool reattaching = false;
-      // A Hello addressed to another source's view is a crossed wire —
-      // attaching it would bind the wrong tracker to the wrong Ĉ. Reject
-      // it like any other malformed registration.
-      if (const auto* hello = std::get_if<net::Hello>(&message)) {
-        if (hello->source == config_.source_id) {
-          op = hello->instance;
-        }
-      } else if (const auto* survivor = std::get_if<net::SchedulerHello>(&message)) {
-        if (survivor->source == config_.source_id) {
-          op = survivor->instance;
-          reattaching = true;
-        }
-      }
-      if (op >= k_ || links_[op] != nullptr) {
-        continue;  // wrong message kind, out-of-range id, or duplicate id
-      }
-      links_[op] = std::make_unique<net::SocketTransport>(std::move(socket));
-      pending_reattach_[op] = reattaching ? 1 : 0;
-      if (expected[op] != 0) {
-        ++attached;
-      }
-    } catch (const std::exception&) {
-      continue;  // malformed first frame / transport error — reject peer
+    // Hello = fresh registration; SchedulerHello = a survivor of a
+    // scheduler restart, reconciled in start(). Registration wants an id
+    // that has no link yet.
+    const std::optional<Registration> peer = read_registration(*accepted);
+    if (!peer.has_value() || links_[peer->instance] != nullptr) {
+      continue;  // refused or a duplicate id: the socket closes here
     }
+    const common::InstanceId op = peer->instance;
+    links_[op] = std::make_unique<net::SocketTransport>(std::move(*accepted));
+    pending_reattach_[op] = peer->reattaching ? 1 : 0;
+    if (expected[op] != 0) {
+      ++attached;
+    }
+  }
+}
+
+std::optional<SchedulerRuntime::Registration> SchedulerRuntime::read_registration(
+    net::Socket& socket) const {
+  try {
+    const net::RecvResult first = socket.recv_frame(config_.hello_deadline);
+    if (first.status != net::RecvStatus::kFrame) {
+      return std::nullopt;  // silent or instantly-dead peer
+    }
+    const net::Message message = net::decode(first.payload);
+    Registration peer{};
+    common::SourceId source = 0;
+    if (const auto* hello = std::get_if<net::Hello>(&message)) {
+      peer = Registration{hello->instance, false};
+      source = hello->source;
+    } else if (const auto* survivor = std::get_if<net::SchedulerHello>(&message)) {
+      peer = Registration{survivor->instance, true};
+      source = survivor->source;
+    } else {
+      return std::nullopt;  // wrong message kind
+    }
+    // A frame addressed to another source's view is a crossed wire:
+    // attaching it would bind the wrong tracker to the wrong Ĉ.
+    if (source != config_.source_id || peer.instance >= k_) {
+      return std::nullopt;
+    }
+    return peer;
+  } catch (const std::exception&) {
+    return std::nullopt;  // malformed frame or transport error
   }
 }
 
@@ -719,26 +725,13 @@ void SchedulerRuntime::rejoin_acceptor_loop(net::Listener* listener) {
     if (!socket.has_value()) {
       continue;  // deadline tick: re-check the stop flag
     }
+    const std::optional<Registration> peer = read_registration(*socket);
+    if (!peer.has_value()) {
+      continue;  // refused: the socket closes here
+    }
+    const common::InstanceId op = peer->instance;
     try {
-      net::RecvResult first = socket->recv_frame(config_.hello_deadline);
-      if (first.status != net::RecvStatus::kFrame) {
-        continue;
-      }
-      const auto message = net::decode(first.payload);
-      const auto* hello = std::get_if<net::Hello>(&message);
-      const auto* survivor = std::get_if<net::SchedulerHello>(&message);
-      if (hello == nullptr && survivor == nullptr) {
-        continue;  // wrong message kind — reject peer
-      }
-      const common::SourceId source = hello != nullptr ? hello->source : survivor->source;
-      if (source != config_.source_id) {
-        continue;  // addressed to another source's view — reject peer
-      }
-      const common::InstanceId op = hello != nullptr ? hello->instance : survivor->instance;
-      if (op >= k_) {
-        continue;  // out-of-range id — reject peer
-      }
-      if (hello != nullptr) {
+      if (!peer->reattaching) {
         MutexLock lock(mutex_);
         if (!scheduler_.is_failed(op)) {
           continue;  // only a quarantined id may rejoin with a plain Hello
@@ -774,7 +767,7 @@ void SchedulerRuntime::rejoin_acceptor_loop(net::Listener* listener) {
         drain_sent_[op]->store(false);
       }
       box.changed.notify_all();
-      if (survivor != nullptr) {
+      if (peer->reattaching) {
         // complete_reattach reconciles against current state: live →
         // reattach (checkpointed-cut seed), quarantined → rejoin (mean
         // seed) — either way the ReattachAck rebases the survivor.
@@ -795,7 +788,7 @@ void SchedulerRuntime::rejoin_acceptor_loop(net::Listener* listener) {
       dead_[op]->store(false);
       readers_[op] = std::thread([this, op] { reader_loop(op); });
     } catch (const std::exception&) {
-      continue;  // malformed handshake or the rejoiner died mid-accept
+      continue;  // the rejoiner died mid-accept
     }
   }
 }

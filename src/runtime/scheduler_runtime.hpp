@@ -227,8 +227,7 @@ class SchedulerRuntime {
   /// Instances currently serving (live and not draining).
   std::size_t serving_instances() const;
   /// Snapshot of the degradation-layer counters (de-rates, health
-  /// transitions, rejoins). Shedding counters stay 0 here — the engine's
-  /// OverloadController owns those.
+  /// transitions, rejoins).
   metrics::ResilienceStats resilience() const;
 
   // --- crash recovery observers (DESIGN.md §14) ---
@@ -316,6 +315,21 @@ class SchedulerRuntime {
  private:
   void reader_loop(common::InstanceId op);
   void rejoin_acceptor_loop(net::Listener* listener);
+
+  /// What a peer's opening frame claims: its instance id, and whether it
+  /// re-attaches after a scheduler restart (SchedulerHello) rather than
+  /// joins (Hello).
+  struct Registration {
+    common::InstanceId instance;
+    bool reattaching;
+  };
+  /// Reads and checks a new peer's opening frame within hello_deadline.
+  /// std::nullopt when the peer sent nothing, an undecodable frame, a
+  /// message other than Hello/SchedulerHello, a frame for another source,
+  /// or an id >= k; the caller then drops (closes) the socket. The id is
+  /// an unvalidated wire value until this returns it. Reads only
+  /// immutable members, so both registration paths may call it.
+  std::optional<Registration> read_registration(net::Socket& socket) const;
   /// Registers the scheduler's metric family under mutex_ and the
   /// runtime's own <prefix>.runtime.* callbacks (constructor only).
   void register_runtime_metrics();

@@ -401,7 +401,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
           sample.backlog_ms = total;
           const common::TimeMs mean = counted > 0 ? total / static_cast<double>(counted) : 0.0;
           sample.queue_skew = (counted >= 2 && mean > 0.0) ? peak / mean : 1.0;
-          sample.shed = 0;  // the simulator's queues are unbounded
           for (const common::InstanceId op : draining_ops) {
             // Strictly earlier: every kFinish at time < now has already been
             // folded into the tracker, so the final Δ is complete.

@@ -20,7 +20,6 @@
 #include "core/elastic.hpp"
 #include "core/instance_tracker.hpp"
 #include "core/multi_source.hpp"
-#include "core/overload.hpp"
 #include "core/posg_scheduler.hpp"
 #include "engine/engine.hpp"
 #include "runtime/instance_runtime.hpp"
@@ -88,10 +87,6 @@ void construct_elastic(const core::ElasticConfig& config) {
   core::ElasticController controller(config);
 }
 
-void construct_overload(const core::OverloadConfig& config) {
-  core::OverloadController controller(config);
-}
-
 void construct_engine(const EngineConfig& config) {
   // The factories are never called: only run() instantiates components.
   engine::TopologyBuilder builder;
@@ -111,7 +106,6 @@ TEST(Config, DefaultsAreValid) {
   EXPECT_NO_THROW(construct_scheduler_runtime({}));
   EXPECT_NO_THROW(construct_instance_runtime({}));
   EXPECT_NO_THROW(construct_elastic({}));
-  EXPECT_NO_THROW(construct_overload({}));
   EXPECT_NO_THROW(construct_engine({}));
 }
 
@@ -284,37 +278,6 @@ TEST(Config, RejectsElasticThresholdAndBoundOrderingViolations) {
           {"max_instances = 0 is unbounded", [](auto& c) { c.max_instances = 0; }},
           {"down_backlog_per_instance = 0", [](auto& c) { c.down_backlog_per_instance = 0.0; }},
       });
-}
-
-// -- OverloadConfig: OverloadController, Engine -----------------------------
-
-TEST(Config, RejectsBadOverloadWatermarks) {
-  check_table<core::OverloadConfig>(
-      construct_overload,
-      {
-          {"high_watermark", [](auto& c) { c.high_watermark = 0.0; }},
-          {"high_watermark", [](auto& c) { c.high_watermark = 1.5; }},
-          {"high_watermark", [](auto& c) { c.high_watermark = kNaN; }},
-          {"low_watermark", [](auto& c) { c.low_watermark = c.high_watermark; }},
-          {"low_watermark", [](auto& c) { c.low_watermark = -0.1; }},
-      },
-      {
-          {"enabled", [](auto& c) { c.enabled = true; }},
-          {"high_watermark = 1", [](auto& c) { c.high_watermark = 1.0; }},
-      });
-  check_table<EngineConfig>(construct_engine,
-                            {{"high_watermark",
-                              [](auto& c) {
-                                c.overload.enabled = true;
-                                c.overload.high_watermark = 1.5;
-                              }}},
-                            {{"a disabled overload config is never read",
-                              [](auto& c) { c.overload.high_watermark = 1.5; }}});
-}
-
-TEST(Config, RejectsZeroDeadlineSamples) {
-  check_table<core::OverloadConfig>(
-      construct_overload, {{"deadline_samples", [](auto& c) { c.deadline_samples = 0; }}});
 }
 
 // -- EngineConfig -----------------------------------------------------------

@@ -3,8 +3,8 @@
 // skew veto), the PosgScheduler's lossless drain/retire protocol, the
 // simulator's autoscale mode (flash crowd vs. static provisioning,
 // conservation, no flapping under gray faults), and the exact-threshold
-// boundaries of the neighbors elasticity leans on (HealthMonitor
-// re-promotion, OverloadController shed re-entry).
+// boundary of the neighbor elasticity leans on (HealthMonitor
+// re-promotion).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "core/elastic.hpp"
 #include "core/instance_health.hpp"
 #include "core/instance_tracker.hpp"
-#include "core/overload.hpp"
 #include "core/posg_scheduler.hpp"
 #include "core/round_robin.hpp"
 #include "metrics/stats.hpp"
@@ -147,17 +146,6 @@ TEST(ElasticController, SkewVetoHoldsWhenOneInstanceIsSick) {
   // The veto also resets the streak: one balanced sample is not enough.
   EXPECT_EQ(controller.on_sample(make_sample(900.0, 3)).kind, ScaleAction::Kind::kNone);
   EXPECT_EQ(controller.on_sample(make_sample(900.0, 3)).kind, ScaleAction::Kind::kScaleUp);
-}
-
-TEST(ElasticController, SheddingIsAScaleUpSignalOnItsOwn) {
-  ElasticController controller(controller_config());
-  // Zero backlog but a climbing shed counter: tuples are being dropped, a
-  // strictly stronger overload signal than any queue depth.
-  ElasticSample sample = make_sample(0.0, 2);
-  sample.shed = 10;
-  EXPECT_EQ(controller.on_sample(sample).kind, ScaleAction::Kind::kNone);
-  sample.shed = 25;
-  EXPECT_EQ(controller.on_sample(sample).kind, ScaleAction::Kind::kScaleUp);
 }
 
 TEST(ElasticController, RetireBypassesCooldownAndHolds) {
@@ -627,41 +615,6 @@ TEST(HealthBoundary, AnEpochJustAboveThePromoteThresholdResetsTheCalmStreak) {
   EXPECT_EQ(monitor.state(0), core::InstanceHealth::kDegraded);
   monitor.on_epoch_drift(0, Monitor::kPromoteDrift);
   EXPECT_EQ(monitor.state(0), core::InstanceHealth::kLive);
-}
-
-TEST(OverloadBoundary, ShedReentersAfterADrainToTheLowWatermark) {
-  core::OverloadConfig config;
-  config.enabled = true;
-  config.high_watermark = 0.9;
-  config.low_watermark = 0.5;
-  config.deadline_samples = 3;
-  core::OverloadController controller(config);
-  // Enter: three consecutive saturated samples.
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_TRUE(controller.sample(0.95));
-  EXPECT_EQ(controller.entries(), 1u);
-  // Above the low watermark: still shedding (hysteresis).
-  EXPECT_TRUE(controller.sample(0.6));
-  // Exactly at the low watermark: the drain completes, shed mode exits.
-  EXPECT_FALSE(controller.sample(0.5));
-  EXPECT_EQ(controller.exits(), 1u);
-  // Re-entry needs the full deadline streak again — the drain reset it.
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_TRUE(controller.sample(0.95));
-  EXPECT_EQ(controller.entries(), 2u);
-  EXPECT_EQ(controller.exits(), 1u);
-  controller.debug_validate();
-}
-
-TEST(OverloadBoundary, ExactlyAtTheHighWatermarkCountsAsSaturated) {
-  core::OverloadConfig config;
-  config.enabled = true;
-  config.deadline_samples = 2;
-  core::OverloadController controller(config);
-  EXPECT_FALSE(controller.sample(config.high_watermark));
-  EXPECT_TRUE(controller.sample(config.high_watermark));
 }
 
 }  // namespace

@@ -308,18 +308,4 @@ TEST(BoundedQueue, BatchedPathNeverCopiesPayloads) {
   EXPECT_EQ(CopyProbe::copies.load(), 0);
 }
 
-TEST(BoundedQueue, TryPushAllNeverCopiesPayloads) {
-  BoundedQueue<CopyProbe> queue(4);
-  CopyProbe::copies = 0;
-  std::vector<CopyProbe> batch;
-  for (int i = 0; i < 10; ++i) {
-    batch.emplace_back(i);
-  }
-  EXPECT_EQ(queue.try_push_all(batch), 4u);  // admitted prefix moved out
-  EXPECT_EQ(batch.size(), 6u);               // suffix compacted by move
-  std::vector<CopyProbe> out;
-  EXPECT_EQ(queue.pop_all(out), 4u);
-  EXPECT_EQ(CopyProbe::copies.load(), 0);
-}
-
 }  // namespace

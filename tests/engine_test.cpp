@@ -1,10 +1,12 @@
 // Tests for the mini stream-processing engine: topology validation,
-// groupings, end-to-end tuple flow, POSG feedback wiring, error
-// containment, and the completion recorder.
+// groupings, end-to-end tuple flow, backpressure, POSG feedback wiring,
+// error containment, and the completion recorder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 
 #include "engine/builtin.hpp"
 #include "engine/engine.hpp"
@@ -72,32 +74,6 @@ TEST(Groupings, ShuffleIsRoundRobin) {
   Tuple t;
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(grouping.route(t, 4).instance, i % 4);
-  }
-}
-
-TEST(Groupings, FieldsIsConsistentPerItem) {
-  FieldsGrouping grouping;
-  Tuple a;
-  a.item = 7;
-  const auto first = grouping.route(a, 5).instance;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(grouping.route(a, 5).instance, first);
-  }
-  // Different items spread over instances.
-  std::set<common::InstanceId> targets;
-  for (common::Item item = 0; item < 50; ++item) {
-    Tuple t;
-    t.item = item;
-    targets.insert(grouping.route(t, 5).instance);
-  }
-  EXPECT_EQ(targets.size(), 5u);
-}
-
-TEST(Groupings, GlobalAlwaysZero) {
-  GlobalGrouping grouping;
-  Tuple t;
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(grouping.route(t, 3).instance, 0u);
   }
 }
 
@@ -301,6 +277,44 @@ TEST(Engine, ReportsBusyTimeAndQueuePeaks) {
   // The spout emits as fast as possible while the bolt sleeps: queues must
   // have backed up beyond a single tuple.
   EXPECT_GT(stats.queue_peak[0] + stats.queue_peak[1], 2u);
+}
+
+TEST(Engine, FullQueuesBlockProducersAndLoseNothing) {
+  // A flood against two 0.1 ms/tuple bolts behind depth-8 queues keeps the
+  // queues full: producers must block, never drop, and POSG's sync markers
+  // ride the full queues. One spout instance makes every edge an SPSC
+  // ring; two make them MPMC queues.
+  core::PosgConfig config;
+  config.window = 64;
+  config.mu = 0.5;
+  config.max_windows_per_epoch = 2;
+  const std::size_t per_spout = 2000;
+  for (const std::size_t spouts : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("spout instances: " + std::to_string(spouts));
+    const std::size_t m = spouts * per_spout;
+    auto grouping = std::make_shared<PosgGrouping>(2, config);
+    TopologyBuilder builder;
+    builder.add_spout("src", counting_spout(per_spout), spouts);
+    builder.add_bolt("slow",
+                     [](const ComponentContext&) {
+                       return std::make_unique<SleepBolt>(
+                           [](common::Item, common::InstanceId, common::SeqNo) { return 0.1; });
+                     },
+                     2, {{"src", grouping}});
+    EngineConfig engine_config;
+    engine_config.queue_capacity = 8;
+    Engine engine(builder.build(), engine_config);
+    engine.run();
+
+    const auto stats = engine.stats("slow");
+    EXPECT_EQ(engine.stats("src").emitted, m);
+    EXPECT_EQ(stats.executed, m);
+    EXPECT_EQ(engine.completions().count(), m);
+    EXPECT_EQ(stats.errors, 0u);
+    ASSERT_EQ(stats.queue_peak.size(), 2u);
+    EXPECT_EQ(std::max(stats.queue_peak[0], stats.queue_peak[1]), 8u);
+    EXPECT_NE(grouping->scheduler_state(), core::PosgScheduler::State::kRoundRobin);
+  }
 }
 
 TEST(Engine, ExportsSpscEdgeSignals) {

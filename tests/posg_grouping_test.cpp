@@ -1,9 +1,8 @@
-// Tests for the engine-side POSG grouping wrapper: thread safety and the
-// optional control-path delay.
+// Tests for the engine-side POSG grouping wrapper: routing, feedback
+// delivery, and thread safety.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "core/instance_tracker.hpp"
@@ -61,32 +60,6 @@ TEST(PosgGrouping, ImmediateDeliveryAdvancesProtocol) {
   EXPECT_EQ(grouping.scheduler_state(), core::PosgScheduler::State::kSendAll);
 }
 
-TEST(PosgGrouping, ControlDelayPostponesDelivery) {
-  const auto config = small_config();
-  PosgGrouping grouping(2, config, std::chrono::microseconds(60'000));
-  grouping.on_sketches({0, make_shipment(0, config).sketch});
-  grouping.on_sketches({1, make_shipment(1, config).sketch});
-  // Delivery is delayed: still in ROUND_ROBIN right after the calls.
-  EXPECT_EQ(grouping.scheduler_state(), core::PosgScheduler::State::kRoundRobin);
-  // ...and applied once the delay elapses.
-  const auto deadline = engine::Clock::now() + std::chrono::seconds(5);
-  while (grouping.scheduler_state() == core::PosgScheduler::State::kRoundRobin &&
-         engine::Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(grouping.scheduler_state(), core::PosgScheduler::State::kSendAll);
-}
-
-TEST(PosgGrouping, DestructorFlushesPendingDeliveries) {
-  const auto config = small_config();
-  auto grouping =
-      std::make_unique<PosgGrouping>(2, config, std::chrono::microseconds(200'000));
-  grouping->on_sketches({0, make_shipment(0, config).sketch});
-  // Destroying the grouping with a delivery still queued must not hang or
-  // drop the message silently (it is flushed synchronously).
-  EXPECT_NO_THROW(grouping.reset());
-}
-
 TEST(PosgGrouping, ConcurrentRouteAndFeedbackAreSafe) {
   const auto config = small_config();
   PosgGrouping grouping(3, config);
@@ -100,7 +73,7 @@ TEST(PosgGrouping, ConcurrentRouteAndFeedbackAreSafe) {
       tuple.seq = seq++;
       tuple.item = seq % 16;
       const auto route = grouping.route(tuple, 3);
-      ASSERT_LT(route.instance, 3u);
+      EXPECT_LT(route.instance, 3u);  // an ASSERT would end the loop and hang the wait below
       routed.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -114,7 +87,12 @@ TEST(PosgGrouping, ConcurrentRouteAndFeedbackAreSafe) {
     }
   });
   feeder.join();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Keep the router running past the last feedback: wait for 100 more
+  // routes instead of a fixed time.
+  const std::uint64_t at_join = routed.load();
+  while (routed.load() < at_join + 100) {
+    std::this_thread::yield();
+  }
   stop = true;
   router.join();
   EXPECT_GT(routed.load(), 100u);

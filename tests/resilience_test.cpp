@@ -1,7 +1,6 @@
 // Tests of the graceful-degradation layer: the HealthMonitor straggler
-// state machine, the OverloadController watermark hysteresis, de-rated
-// billing shares, the rejoin admission ramp, stale-Δ isolation after a
-// rejoin, and load-shedding conservation in the engine. The deterministic
+// state machine, de-rated billing shares, the rejoin admission ramp, and
+// stale-Δ isolation after a rejoin. The deterministic
 // full-arc test (slowed → de-rated → quarantined → rejoined → ramped back
 // to fair share) is the core-level counterpart of runtime_test.cpp's
 // wire-level rejoin arc.
@@ -14,10 +13,7 @@
 
 #include "core/instance_health.hpp"
 #include "core/instance_tracker.hpp"
-#include "core/overload.hpp"
 #include "core/posg_scheduler.hpp"
-#include "engine/builtin.hpp"
-#include "engine/engine.hpp"
 #include "metrics/stats.hpp"
 
 namespace {
@@ -27,8 +23,6 @@ using core::Decision;
 using core::HealthMonitor;
 using core::InstanceHealth;
 using core::InstanceTracker;
-using core::OverloadConfig;
-using core::OverloadController;
 using core::PosgConfig;
 using core::PosgScheduler;
 using core::SyncRequest;
@@ -160,81 +154,6 @@ TEST(HealthMonitor, QuarantineFreezesAndRejoinResets) {
   EXPECT_EQ(monitor.state(0), InstanceHealth::kLive);
   EXPECT_DOUBLE_EQ(monitor.derate(0), 1.0);
   monitor.debug_validate();
-}
-
-// ---------------------------------------------------------------------------
-// OverloadController: watermark hysteresis over scripted samples.
-// ---------------------------------------------------------------------------
-
-std::vector<bool> run_overload_script(OverloadController& controller,
-                                      const std::vector<double>& samples) {
-  std::vector<bool> states;
-  states.reserve(samples.size());
-  for (double s : samples) {
-    states.push_back(controller.sample(s));
-  }
-  return states;
-}
-
-TEST(OverloadController, WatermarkHysteresisOverScriptedSamples) {
-  OverloadConfig config;
-  config.enabled = true;
-  config.high_watermark = 0.9;
-  config.low_watermark = 0.5;
-  config.deadline_samples = 3;
-  OverloadController controller(config);
-
-  // Two saturated samples then relief: the streak resets, no entry.
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_FALSE(controller.sample(0.3));
-  EXPECT_EQ(controller.entries(), 0u);
-
-  // Three consecutive saturated samples: shed mode engages.
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_FALSE(controller.sample(1.0));
-  EXPECT_TRUE(controller.sample(0.92));
-  EXPECT_TRUE(controller.shedding());
-  EXPECT_EQ(controller.entries(), 1u);
-
-  // Hysteresis: dropping below high but above low keeps shedding.
-  EXPECT_TRUE(controller.sample(0.7));
-  // At or below low: exit.
-  EXPECT_FALSE(controller.sample(0.5));
-  EXPECT_EQ(controller.exits(), 1u);
-
-  // Re-entry requires a fresh full streak.
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_FALSE(controller.sample(0.95));
-  EXPECT_TRUE(controller.sample(0.95));
-  EXPECT_EQ(controller.entries(), 2u);
-
-  controller.note_shed(5);
-  controller.note_shed(3);
-  EXPECT_EQ(controller.shed(), 8u);
-  controller.debug_validate();
-}
-
-TEST(OverloadController, ScriptedSequenceIsReproducible) {
-  OverloadConfig config;
-  config.enabled = true;
-  config.high_watermark = 0.8;
-  config.low_watermark = 0.4;
-  config.deadline_samples = 2;
-  const std::vector<double> script{0.9, 0.85, 0.6, 0.3, 0.9, 0.9, 0.95, 0.4, 0.81, 0.81};
-
-  OverloadController a(config);
-  OverloadController b(config);
-  EXPECT_EQ(run_overload_script(a, script), run_overload_script(b, script));
-  EXPECT_EQ(a.entries(), b.entries());
-  EXPECT_EQ(a.exits(), b.exits());
-  EXPECT_EQ(a.entries(), 3u);
-  EXPECT_EQ(a.exits(), 2u);
-
-  OverloadConfig off;  // disabled: always Normal, regardless of saturation
-  OverloadController inert(off);
-  EXPECT_FALSE(inert.sample(1.0));
-  EXPECT_FALSE(inert.shedding());
 }
 
 // ---------------------------------------------------------------------------
@@ -523,90 +442,14 @@ TEST(Rejoin, StaleDeltaFromBeforeQuarantineCannotCorruptSeededLoad) {
   scheduler.debug_validate();
 }
 
-// ---------------------------------------------------------------------------
-// Engine load shedding: sustained overload drops (and counts) tuples
-// instead of stalling the spout; every emitted tuple is either executed or
-// counted as shed.
-// ---------------------------------------------------------------------------
-
-/// Spout emitting `count` tuples as fast as possible (sustained overload
-/// against a slow bolt).
-class FloodSpout final : public engine::Spout {
- public:
-  explicit FloodSpout(std::size_t count) : count_(count) {}
-  bool next(engine::OutputCollector& collector) override {
-    if (emitted_ >= count_) {
-      return false;
-    }
-    engine::Tuple tuple;
-    tuple.item = emitted_ % 8;
-    collector.emit(std::move(tuple));
-    ++emitted_;
-    return true;
-  }
-
- private:
-  std::size_t count_;
-  std::size_t emitted_ = 0;
-};
-
-TEST(EngineOverload, SustainedOverloadShedsAndConservesEveryTuple) {
-  const std::size_t m = 4000;
-  engine::TopologyBuilder builder;
-  builder.add_spout("src", [m](const engine::ComponentContext&) {
-    return std::make_unique<FloodSpout>(m);
-  });
-  builder.add_bolt("slow",
-                   [](const engine::ComponentContext&) {
-                     return std::make_unique<engine::SleepBolt>(
-                         [](common::Item, common::InstanceId, common::SeqNo) { return 0.1; });
-                   },
-                   2, {{"src", std::make_shared<engine::ShuffleGrouping>()}});
-
-  engine::EngineConfig config;
-  config.queue_capacity = 8;
-  config.overload.enabled = true;
-  config.overload.high_watermark = 0.75;
-  config.overload.low_watermark = 0.25;
-  config.overload.deadline_samples = 2;
-
-  engine::Engine eng(builder.build(), config);
-  eng.run();
-  const auto stats = eng.stats("slow");
-
-  // A flood against a 0.1 ms/tuple bolt behind depth-8 queues must shed.
-  EXPECT_GT(stats.shed, 0u);
-  EXPECT_GE(stats.shed_entries, 1u);
-  EXPECT_GE(stats.shed_entries, stats.shed_exits);
-  // Conservation: every spout emission was either executed or counted shed.
-  EXPECT_EQ(stats.executed + stats.shed, m);
-  EXPECT_EQ(stats.errors, 0u);
-  // Completions are recorded for executed tuples only.
-  EXPECT_EQ(eng.completions().count(), stats.executed);
-
-  // The counters surface through the shared resilience report.
-  metrics::ResilienceStats report;
-  report.tuples_shed = stats.shed;
-  report.shed_entries = stats.shed_entries;
-  report.shed_exits = stats.shed_exits;
-  report.derate = {1.0, 1.0};
-  const std::string line = report.summary();
-  EXPECT_NE(line.find("shed=" + std::to_string(stats.shed)), std::string::npos);
-  EXPECT_NE(line.find("derate=[1 1]"), std::string::npos);
-}
-
 TEST(ResilienceStats, SummaryMentionsEveryCounter) {
   metrics::ResilienceStats stats;
-  stats.tuples_shed = 12;
-  stats.shed_entries = 3;
-  stats.shed_exits = 2;
   stats.rejoins = 1;
   stats.suspect_transitions = 4;
   stats.degraded_transitions = 2;
   stats.promotions = 2;
   stats.derate = {1.0, 2.5};
   const std::string line = stats.summary();
-  EXPECT_NE(line.find("shed=12 (entries=3 exits=2)"), std::string::npos);
   EXPECT_NE(line.find("rejoins=1"), std::string::npos);
   EXPECT_NE(line.find("suspect=4"), std::string::npos);
   EXPECT_NE(line.find("degraded=2"), std::string::npos);

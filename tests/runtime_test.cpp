@@ -412,6 +412,52 @@ TEST(SchedulerRuntime, StalledRejoinClientDoesNotHangFinish) {
   EXPECT_TRUE(rt.rejoin_log().empty());
 }
 
+/// The rejoin acceptor admits a plain Hello only from a quarantined id.
+/// A Hello for a live id, an id >= k, a Hello for another source and a
+/// garbled frame are each refused: the peer sees its connection closed,
+/// nothing rejoins, and no instance is quarantined.
+TEST(SchedulerRuntime, RejoinAcceptorRefusesBadHellos) {
+  const std::size_t k = 2;
+  auto config = test_runtime_config(k);
+  config.allow_rejoin = true;
+  SchedulerRuntime rt(config);
+  std::vector<std::unique_ptr<TestInstance>> instances;
+  for (common::InstanceId op = 0; op < k; ++op) {
+    InstanceRuntimeConfig instance_config;
+    instance_config.posg = config.posg;
+    auto [sched_end, inst_end] = net::socket_pair();
+    rt.attach(op, std::make_unique<net::SocketTransport>(std::move(sched_end)));
+    instances.push_back(spawn_instance(op, instance_config, std::move(inst_end)));
+  }
+  rt.start();
+  const auto path =
+      (std::filesystem::temp_directory_path() / "posg_runtime_rejoin_refusal_test.sock").string();
+  net::Listener listener(path);
+  rt.enable_rejoin(listener);
+
+  net::Socket live = net::connect(path);
+  live.send_frame(net::encode(net::Hello{0}));
+  net::Socket out_of_range = net::connect(path);
+  out_of_range.send_frame(net::encode(net::Hello{static_cast<common::InstanceId>(k)}));
+  net::Socket other_source = net::connect(path);
+  other_source.send_frame(net::encode(net::Hello{1, 7}));
+  net::Socket garbled = net::connect(path);
+  garbled.send_frame(std::vector<std::byte>{std::byte{0x7F}, std::byte{0x01}});
+  // A refused peer reads EOF; a deadline turns a peer left open into a
+  // failure instead of a hang.
+  for (net::Socket* peer : {&live, &out_of_range, &other_source, &garbled}) {
+    EXPECT_EQ(peer->recv_frame(std::chrono::milliseconds(5000)).status, net::RecvStatus::kEof);
+  }
+
+  route_stream(rt, 0, 256);
+  rt.finish();
+  for (auto& instance : instances) {
+    instance->join();
+  }
+  EXPECT_TRUE(rt.rejoin_log().empty());
+  EXPECT_TRUE(rt.quarantined().empty());
+}
+
 /// Rejoin end-to-end, in process: instance 2 crashes mid-run and is
 /// quarantined; a fresh incarnation then registers over the rejoin
 /// listener, receives the RejoinAck (tracker re-armed to the seeded C-hat),

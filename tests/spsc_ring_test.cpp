@@ -46,15 +46,36 @@ TEST(SpscRing, FifoOrder) {
 
 TEST(SpscRing, CapacityIsLogicalNotStorage) {
   // Storage rounds up to a power of two (5 -> 8) but the blocking
-  // contract must honour the requested capacity.
+  // contract must honour the requested capacity: five elements fit, and a
+  // sixth push parks the producer until a pop frees room.
   SpscRing<int> ring(5);
   EXPECT_EQ(ring.capacity(), 5u);
-  SpscBind produce(ring.producer_role());
-  std::vector<int> batch{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(ring.try_push_all(batch), 5u);
-  EXPECT_EQ(batch.size(), 5u);  // admitted prefix erased, suffix kept
-  EXPECT_EQ(batch.front(), 5);
+  std::atomic<bool> sixth{false};
+  std::thread producer([&] {
+    SpscBind produce(ring.producer_role());
+    std::vector<int> batch{0, 1, 2, 3, 4};
+    EXPECT_EQ(ring.push_all(batch), 5u);
+    EXPECT_TRUE(ring.push(5));
+    sixth = true;
+  });
+  // Either the producer parks, or (were the ring bounded by its 8 slots)
+  // the sixth push returns: wait for whichever comes first.
+  while (ring.producer_parks() == 0 && !sixth.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(sixth.load());
   EXPECT_EQ(ring.size(), 5u);
+  {
+    SpscBind consume(ring.consumer_role());
+    std::vector<int> out;
+    EXPECT_EQ(ring.pop_all(out), 5u);
+    producer.join();
+    EXPECT_TRUE(sixth.load());
+    ring.close();  // a failed expectation above then ends in 0, not a hang
+    EXPECT_EQ(ring.pop_all(out), 1u);
+    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  }
+  ring.debug_validate();
 }
 
 TEST(SpscRing, IndexWrapAroundKeepsFifo) {

@@ -2,10 +2,9 @@
 // (src/common/sync.hpp): MutexLock / TryMutexLock semantics, CondVar
 // wait/timeout behavior, the POSG_DCHECKS runtime layers (assert_held
 // owner tracking, relock detection, lock-rank ordering — each driven into
-// its abort path), and TSan regression locks for races the annotation
-// migration surfaced (OverloadController::bind_trace). The *static* half
-// of the discipline is locked by the negative-compilation harness
-// (tests/thread_safety/, ctest entry thread_safety_negative_compile).
+// its abort path). The *static* half of the discipline is locked by the
+// negative-compilation harness (tests/thread_safety/, ctest entry
+// thread_safety_negative_compile).
 
 #include <atomic>
 #include <chrono>
@@ -16,8 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/sync.hpp"
-#include "core/overload.hpp"
-#include "obs/trace_ring.hpp"
 
 namespace {
 
@@ -199,41 +196,6 @@ TEST(SyncStress, ConcurrentGuardedIncrementsConserve) {
   }
   MutexLock lock(mutex);
   EXPECT_EQ(counter, static_cast<std::int64_t>(kThreads) * kIncrements);
-}
-
-// TSan regression lock for the race the annotation migration surfaced:
-// OverloadController::bind_trace used to write trace_/trace_component_
-// without the controller mutex, racing sample()'s trace_edge reads when a
-// sink was bound late. bind_trace now takes the lock; this test binds and
-// unbinds concurrently with a sampling thread so TSan would flag any
-// regression to the unlocked write.
-TEST(SyncRegression, LateBindTraceRacesSampling) {
-  posg::core::OverloadConfig config;
-  config.enabled = true;
-  config.high_watermark = 0.9;
-  config.low_watermark = 0.5;
-  config.deadline_samples = 1;  // every saturated sample toggles shed mode
-  posg::core::OverloadController controller(config);
-  posg::obs::TraceRing ring(64);
-  ring.set_enabled(true);
-
-  std::atomic<bool> stop{false};
-  std::thread sampler([&] {
-    bool high = true;
-    while (!stop.load(std::memory_order_relaxed)) {
-      // Alternate across the watermarks so shed entry/exit edges — the
-      // paths that read trace_ under the lock — keep firing.
-      controller.sample(high ? 1.0 : 0.0);
-      high = !high;
-    }
-  });
-  for (int i = 0; i < 500; ++i) {
-    controller.bind_trace(&ring, static_cast<std::uint16_t>(i % 4));
-    controller.bind_trace(nullptr);
-  }
-  stop.store(true);
-  sampler.join();
-  controller.debug_validate();
 }
 
 // ------------------------------------------- POSG_DCHECKS runtime layers

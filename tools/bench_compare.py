@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark regression gate for the hot-path micro-benchmarks.
 
-Two subcommands:
+Subcommands:
 
   emit     Normalize a raw google-benchmark JSON dump (--benchmark_out)
            into the checked-in BENCH_hotpath.json format, optionally
@@ -16,6 +16,21 @@ Two subcommands:
            inflated by preemption, while CPU time stays attributable to
            the benchmarked code. Run with --benchmark_repetitions=N for
            extra robustness — repeated entries are folded to their min.
+
+  ab       Alternate two builds' bench/micro_benchmarks binaries for N
+           rounds, so a drift in host load falls on both sides alike:
+
+             bench_compare.py ab PARENT_BUILD CHANGE_BUILD --filter REGEX \
+                 --rounds N [--min-time S]
+
+           Each round runs both binaries with --benchmark_filter=REGEX and
+           --benchmark_format=json (plus --benchmark_min_time=S when given);
+           the parent runs first in even rounds, the change in odd ones.
+           Per benchmark it prints both medians of cpu_time_ns, the
+           parent's q1-q3, the median over rounds of the change/parent
+           ratio, and the rounds the change won (lower CPU time; a tie
+           counts for neither side). It gates nothing: exit 0 once every
+           run succeeded, 2 when a run fails or prints no benchmark.
 
 The emitted schema (validated by `compare` and by the CI bench job):
 
@@ -42,6 +57,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 
@@ -197,6 +213,65 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_micro(build: str, pattern: str, min_time: str | None) -> dict:
+    """One run of BUILD/bench/micro_benchmarks, normalized."""
+    binary = os.path.join(build, "bench", "micro_benchmarks")
+    command = [binary, f"--benchmark_filter={pattern}", "--benchmark_format=json"]
+    if min_time is not None:
+        command.append(f"--benchmark_min_time={min_time}")
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+    except OSError as exc:
+        fail(f"cannot run {binary}: {exc}")
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        fail(f"{binary} exited {done.returncode}")
+    try:
+        raw = json.loads(done.stdout)
+    except json.JSONDecodeError as exc:
+        fail(f"{binary}: output is not JSON: {exc}")
+    return normalize(raw, binary)
+
+
+def cmd_ab(args: argparse.Namespace) -> int:
+    if args.rounds < 2:
+        fail("--rounds must be at least 2 (the parent's quartiles need two runs)")
+    builds = {"parent": args.parent_build, "change": args.change_build}
+    runs: dict = {"parent": [], "change": []}
+    for round_index in range(args.rounds):
+        order = ("parent", "change") if round_index % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_micro(builds[side], args.filter, args.min_time))
+        print(f"round {round_index + 1}/{args.rounds} done", file=sys.stderr, flush=True)
+
+    seen = {side: set().union(*runs[side]) for side in runs}
+    common = sorted(name for name in seen["parent"] & seen["change"]
+                    if all(name in run for side in runs for run in runs[side]))
+    partial = sorted((seen["parent"] | seen["change"]) - set(common))
+    if not common:
+        fail(f"--filter {args.filter!r} matched no benchmark on both sides")
+    width = max(len(name) for name in common)
+    print(f"{args.rounds} alternating rounds, cpu_time_ns per iteration")
+    print(f"{'benchmark'.ljust(width)}  {'parent':>10}  {'q1':>10}  {'q3':>10}  "
+          f"{'change':>10}  {'ratio':>6}  wins")
+    for name in common:
+        parent = [run[name]["cpu_time_ns"] for run in runs["parent"]]
+        change = [run[name]["cpu_time_ns"] for run in runs["change"]]
+        q1, parent_median, q3 = statistics.quantiles(parent, n=4)
+        ratio = statistics.median(c / p for p, c in zip(parent, change))
+        wins = sum(1 for p, c in zip(parent, change) if c < p)
+        print(f"{name.ljust(width)}  {parent_median:10.1f}  {q1:10.1f}  {q3:10.1f}  "
+              f"{statistics.median(change):10.1f}  {ratio:6.3f}  {wins}/{args.rounds}")
+    for name in partial:
+        if name not in seen["change"]:
+            print(f"{name}: only in the parent build")
+        elif name not in seen["parent"]:
+            print(f"{name}: only in the change build")
+        else:
+            print(f"{name}: not in every run")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,6 +303,16 @@ def main() -> int:
         "(the obs overhead gate uses this to pin down the per-tuple paths)",
     )
     compare.set_defaults(func=cmd_compare)
+
+    ab = sub.add_parser("ab", help="alternate two builds' micro-benchmarks for N rounds")
+    ab.add_argument("parent_build", help="build directory of the parent commit")
+    ab.add_argument("change_build", help="build directory of the change")
+    ab.add_argument("--filter", required=True, metavar="REGEX",
+                    help="forwarded as --benchmark_filter")
+    ab.add_argument("--rounds", type=int, required=True, help="alternating rounds (>= 2)")
+    ab.add_argument("--min-time", metavar="S",
+                    help="forwarded as --benchmark_min_time (seconds per benchmark)")
+    ab.set_defaults(func=cmd_ab)
 
     args = parser.parse_args()
     return args.func(args)

@@ -152,16 +152,11 @@ def report_resilience(counters, gauges):
     """
     rows = []
     for name, value in sorted(counters.items()):
-        if (
-            name.endswith((".shed", ".shed_entries", ".shed_exits"))
-            or name.startswith("posg.health.")
-            or name
-            in (
-                "posg.scheduler.rejoins",
-                "posg.scheduler.drains_begun",
-                "posg.scheduler.retires",
-                "posg.scheduler.drain_cancels",
-            )
+        if name.startswith("posg.health.") or name in (
+            "posg.scheduler.rejoins",
+            "posg.scheduler.drains_begun",
+            "posg.scheduler.retires",
+            "posg.scheduler.drain_cancels",
         ):
             rows.append((name, fmt_value(value)))
     for name, value in sorted(gauges.items()):
