@@ -4,7 +4,7 @@
 
 #include "bench_common.hpp"
 #include "common/csv.hpp"
-#include "sketch/count_min.hpp"
+#include "sketch/dual_sketch.hpp"
 
 using namespace posg;
 

@@ -872,9 +872,9 @@ int run(const common::CliArgs& args) {
     }
     return static_cast<std::size_t>(value);
   };
-  // So is a rate or scale an instance or the arrival profile would reject:
-  // an instance whose constructor throws never dials, and registration
-  // waits for it.
+  // So is a rate or scale outside its domain: an instance whose
+  // constructor throws never dials, and registration waits for it; the
+  // arrival profile checks nothing itself.
   const auto positive_real = [&args](const char* flag, double fallback, bool zero_ok) {
     const double value = args.get_double(flag, fallback);
     if (zero_ok ? value < 0.0 : value <= 0.0) {
@@ -1135,9 +1135,8 @@ int run(const common::CliArgs& args) {
     const double mean =
         sample.serving > 0 ? sample.backlog_ms / static_cast<double>(sample.serving) : 0.0;
     sample.queue_skew = (sample.serving >= 2 && mean > 0.0) ? peak / mean : 1.0;
-    // `drained` stays empty: retirement is automatic in this runtime (the
-    // reader that receives DrainComplete bills the final Δ), so the
-    // controller never needs to issue kRetire here.
+    // Retirement is not the controller's: the reader that receives
+    // DrainComplete bills the final Δ and retires the slot.
     const core::ScaleAction action = controller.on_sample(sample);
     if (action.kind == core::ScaleAction::Kind::kScaleUp) {
       // Revive a retired slot: it must be quarantined (the rejoin acceptor

@@ -15,8 +15,6 @@ const char* scale_action_name(ScaleAction::Kind kind) noexcept {
       return "scale_up";
     case ScaleAction::Kind::kDrain:
       return "drain";
-    case ScaleAction::Kind::kRetire:
-      return "retire";
   }
   return "?";
 }
@@ -55,36 +53,23 @@ void ElasticController::bind_trace(obs::TraceRing* trace) {
   }
 }
 
-ScaleAction ElasticController::act(ScaleAction::Kind kind, common::InstanceId instance) {
-  switch (kind) {
-    case ScaleAction::Kind::kScaleUp:
-      ++scale_ups_;
-      break;
-    case ScaleAction::Kind::kDrain:
-      ++drains_;
-      break;
-    case ScaleAction::Kind::kRetire:
-      ++retires_;
-      break;
-    case ScaleAction::Kind::kNone:
-      break;
-  }
-  if (kind == ScaleAction::Kind::kScaleUp || kind == ScaleAction::Kind::kDrain) {
-    cooldown_ = config_.cooldown_samples;
-    up_streak_ = 0;
-    down_streak_ = 0;
-  }
-  if (trace_writer_ && kind != ScaleAction::Kind::kNone) {
-    trace_writer_->record(obs::TraceEvent{.type = obs::TraceEventType::kScaleDecision,
-                                          .detail = static_cast<std::uint8_t>(kind),
-                                          .component = 0,
-                                          .instance = static_cast<std::uint32_t>(instance),
-                                          .a = samples_,
-                                          .value = predicted_,
-                                          .tick = 0});
+ScaleAction ElasticController::act(ScaleAction::Kind kind) {
+  ++(kind == ScaleAction::Kind::kScaleUp ? scale_ups_ : drains_);
+  cooldown_ = config_.cooldown_samples;
+  up_streak_ = 0;
+  down_streak_ = 0;
+  if (trace_writer_) {
+    trace_writer_->record(
+        obs::TraceEvent{.type = obs::TraceEventType::kScaleDecision,
+                        .detail = static_cast<std::uint8_t>(kind),
+                        .component = 0,
+                        .instance = static_cast<std::uint32_t>(common::kNoInstance),
+                        .a = samples_,
+                        .value = predicted_,
+                        .tick = 0});
     trace_writer_->flush();  // scale events are rare; keep the ring fresh
   }
-  return ScaleAction{kind, instance, predicted_};
+  return ScaleAction{kind, common::kNoInstance, predicted_};
 }
 
 ScaleAction ElasticController::on_sample(const ElasticSample& sample) {
@@ -110,15 +95,6 @@ ScaleAction ElasticController::on_sample(const ElasticSample& sample) {
   last_backlog_ = sample.backlog_ms;
   predicted_ =
       std::max(0.0, backlog_ewma_ + derivative_ewma_ * config_.horizon_samples);
-
-  // Retirement first: a drained instance is dead weight — billing its
-  // final Δ and removing it is the tail of an already-made decision, so it
-  // bypasses cooldown and holds.
-  if (!sample.drained.empty()) {
-    const common::InstanceId op =
-        *std::min_element(sample.drained.begin(), sample.drained.end());
-    return act(ScaleAction::Kind::kRetire, op);
-  }
 
   if (cooldown_ > 0) {
     --cooldown_;
@@ -156,11 +132,11 @@ ScaleAction ElasticController::on_sample(const ElasticSample& sample) {
   if (up_streak_ >= config_.up_hold && room_up && sample.ramping == 0) {
     // One step at a time: while the previous newcomer is still ramping its
     // capacity has not landed yet, so acting again would overshoot.
-    return act(ScaleAction::Kind::kScaleUp, common::kNoInstance);
+    return act(ScaleAction::Kind::kScaleUp);
   }
   if (down_streak_ >= config_.down_hold && sample.draining == 0 &&
       sample.serving > config_.min_instances) {
-    return act(ScaleAction::Kind::kDrain, common::kNoInstance);
+    return act(ScaleAction::Kind::kDrain);
   }
   return ScaleAction{};
 }

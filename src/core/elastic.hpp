@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/types.hpp"
 #include "obs/trace_ring.hpp"
@@ -12,10 +11,12 @@
 /// The paper fixes k up front; production load curves do not cooperate. The
 /// ElasticController closes the loop: it consumes periodic load samples
 /// (total backlog, per-instance queue skew) and issues typed
-/// ScaleUp / Drain / Retire actions that the surrounding runtime executes
-/// through the machinery PR 4 built for *unplanned* churn — a scale-up is a
-/// rejoin (Ĉ seeded from the live minimum, token-bucket admission ramp), a
+/// ScaleUp / Drain actions that the surrounding runtime executes through
+/// the machinery built for *unplanned* churn — a scale-up is a rejoin (Ĉ
+/// seeded from the live minimum, token-bucket admission ramp), a
 /// scale-down is a lossless drain (PosgScheduler::begin_drain / retire).
+/// The runtime retires a drained instance itself, when its DrainComplete
+/// arrives; that is not a decision, so the controller never issues it.
 ///
 /// The decision rule is POTUS-style (PAPERS.md): distribution-free and
 /// backlog-derivative-based. Instead of reacting to the instantaneous
@@ -70,23 +71,21 @@ struct ElasticConfig {
 /// serving instances (milliseconds of queued execution time, or any
 /// consistent proxy); `queue_skew` is
 /// max/mean per-instance backlog (1.0 = perfectly balanced; pass 1.0 when
-/// fewer than two instances serve). `drained` lists draining instances
-/// whose queues have run dry and now await retirement.
+/// fewer than two instances serve).
 struct ElasticSample {
   double backlog_ms = 0.0;
   double queue_skew = 1.0;
   std::size_t serving = 0;
   std::size_t ramping = 0;
   std::size_t draining = 0;
-  std::vector<common::InstanceId> drained;
 };
 
-/// One controller output. kScaleUp and kDrain leave the target choice to
-/// the executor (it knows which spare slot to revive / which serving
-/// instance empties fastest); kRetire names the drained instance to bill
-/// and remove.
+/// One controller output. Both actions leave the target choice to the
+/// executor (it knows which spare slot to revive / which serving instance
+/// empties fastest). Value 3 is unused: it was a retirement issued by the
+/// controller, and trace `detail` values keep their meaning.
 struct ScaleAction {
-  enum class Kind : std::uint8_t { kNone = 0, kScaleUp = 1, kDrain = 2, kRetire = 3 };
+  enum class Kind : std::uint8_t { kNone = 0, kScaleUp = 1, kDrain = 2 };
   Kind kind = Kind::kNone;
   common::InstanceId instance = common::kNoInstance;
   /// Predicted backlog (ms, cluster total) that drove the decision.
@@ -102,9 +101,7 @@ class ElasticController {
  public:
   explicit ElasticController(const ElasticConfig& config);
 
-  /// Feeds one sample and returns at most one action. Retirement of a
-  /// drained instance takes priority over new decisions (finishing a
-  /// planned drain is not itself a scale decision and ignores cooldown).
+  /// Feeds one sample and returns at most one action.
   ScaleAction on_sample(const ElasticSample& sample);
 
   const ElasticConfig& config() const noexcept { return config_; }
@@ -116,7 +113,6 @@ class ElasticController {
   std::uint64_t samples() const noexcept { return samples_; }
   std::uint64_t scale_ups() const noexcept { return scale_ups_; }
   std::uint64_t drains() const noexcept { return drains_; }
-  std::uint64_t retires() const noexcept { return retires_; }
   /// Samples where the queue-skew veto suppressed a pending decision.
   std::uint64_t skew_vetoes() const noexcept { return skew_vetoes_; }
 
@@ -126,7 +122,8 @@ class ElasticController {
   void bind_trace(obs::TraceRing* trace);
 
  private:
-  ScaleAction act(ScaleAction::Kind kind, common::InstanceId instance);
+  /// Counts, traces and returns a kScaleUp or kDrain decision.
+  ScaleAction act(ScaleAction::Kind kind);
 
   ElasticConfig config_;
   bool primed_ = false;       // first sample seeds the EWMAs
@@ -140,7 +137,6 @@ class ElasticController {
   std::uint64_t samples_ = 0;
   std::uint64_t scale_ups_ = 0;
   std::uint64_t drains_ = 0;
-  std::uint64_t retires_ = 0;
   std::uint64_t skew_vetoes_ = 0;
   std::unique_ptr<obs::TraceRing::Writer> trace_writer_;
 };

@@ -128,59 +128,13 @@ void PosgScheduler::refresh_global_mean() noexcept {
 
 std::optional<common::TimeMs> PosgScheduler::merged_estimate(
     const hash::BucketDigest& digest) const noexcept {
-  // Mirrors DualSketch::estimate's cell walk over a virtual merged cell: f
-  // and w are summed across the shipped sketches in ascending op order —
-  // the same additions, in the same order, a materialized merge performs
-  // (seeding from the first shipped sketch and merge_from-ing the rest),
-  // so every per-row (f, w) pair is bit-identical to the merged cell. The
-  // accumulators start at (0, 0.0): 0.0 + x is exact for the non-negative
-  // weights these cells hold, and uint64 addition is associative, so
-  // starting from zero instead of the seed copy changes nothing. The
+  // DualSketch::estimate's walk over a virtual merged cell: f and w are
+  // summed across the shipped sketches in ascending op order — the same
+  // additions, in the same order, a materialized merge performs (seeding
+  // from the first shipped sketch and merge_from-ing the rest), so every
+  // per-row (f, w) pair is bit-identical to the merged cell. The
   // heavy-hitter shortcut is scheduling_estimate's merged_heavy_ probe.
-  const std::size_t rows = digest.rows();
-
-  if (config_.estimator == sketch::EstimatorVariant::kArgMinFrequency) {
-    std::uint64_t best_freq = std::numeric_limits<std::uint64_t>::max();
-    double best_weight = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::size_t offset = digest.offset(i);
-      std::uint64_t freq = 0;
-      double weight = 0.0;
-      for (const sketch::FWCell* cells : shipped_cells_) {
-        const sketch::FWCell& cell = cells[offset];
-        freq += cell.f;
-        weight += cell.w;
-      }
-      if (freq < best_freq) {
-        best_freq = freq;
-        best_weight = weight;
-      }
-    }
-    if (best_freq == 0) {
-      return std::nullopt;
-    }
-    return best_weight / static_cast<double>(best_freq);
-  }
-
-  std::optional<common::TimeMs> best;
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::size_t offset = digest.offset(i);
-    std::uint64_t freq = 0;
-    double weight = 0.0;
-    for (const sketch::FWCell* cells : shipped_cells_) {
-      const sketch::FWCell& cell = cells[offset];
-      freq += cell.f;
-      weight += cell.w;
-    }
-    if (freq == 0) {
-      continue;
-    }
-    const double ratio = weight / static_cast<double>(freq);
-    if (!best || ratio < *best) {
-      best = ratio;
-    }
-  }
-  return best;
+  return sketch::estimate_cells(shipped_cells_, digest, config_.estimator);
 }
 
 std::optional<sketch::DualSketch> PosgScheduler::build_merged() const {
@@ -939,16 +893,6 @@ void PosgScheduler::retire_local(common::InstanceId op, common::TimeMs final_del
 bool PosgScheduler::is_draining(common::InstanceId op) const {
   common::require(op < k_, "PosgScheduler: unknown instance");
   return draining_[op];
-}
-
-std::vector<common::InstanceId> PosgScheduler::draining_instances() const {
-  std::vector<common::InstanceId> out;
-  for (common::InstanceId op = 0; op < k_; ++op) {
-    if (draining_[op]) {
-      out.push_back(op);
-    }
-  }
-  return out;
 }
 
 void PosgScheduler::rejoin(common::InstanceId op) {

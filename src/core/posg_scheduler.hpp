@@ -200,8 +200,6 @@ class PosgScheduler final : public Scheduler {
   bool is_draining(common::InstanceId op) const;
   /// Instances receiving new tuples: live and not draining.
   std::size_t serving_instances() const noexcept { return serving_count_; }
-  /// Draining instances in increasing id order.
-  std::vector<common::InstanceId> draining_instances() const;
   std::uint64_t drain_begin_count() const noexcept { return drains_begun_; }
   std::uint64_t retire_count() const noexcept { return retires_; }
   /// Drains abandoned instead of completed: the drainee died mid-drain, or
@@ -424,10 +422,10 @@ class PosgScheduler final : public Scheduler {
   /// Records a Δ reply for the current epoch (stale and duplicate replies
   /// are counted and dropped) and completes the epoch when it was the last.
   void ingest_reply(const SyncReply& reply);
-  /// Merged-view estimate without a materialized merged sketch: sums the
-  /// digest's r cells across the shipped sketches in ascending op order,
-  /// so each per-row (f, w) pair is bit-identical to the cell a
-  /// materialized merge (build_merged) would hold.
+  /// Merged-view estimate without a materialized merged sketch:
+  /// sketch::estimate_cells over shipped_cells_, so each per-row (f, w)
+  /// pair is bit-identical to the cell a materialized merge (build_merged)
+  /// would hold.
   std::optional<common::TimeMs> merged_estimate(const hash::BucketDigest& digest) const noexcept;
   /// True when at least one instance bills a sketch.
   bool has_billed_sketch() const noexcept { return !shipped_ops_.empty(); }

@@ -35,8 +35,6 @@ class TupleChannel {
     return channel;
   }
 
-  bool spsc() const noexcept { return spsc_ != nullptr; }
-
   /// Role claims (SPSC only; no-ops on MPMC edges). The claim aborts on a
   /// second claimant — the engine's wiring guarantees a single producer
   /// thread, and this is the runtime proof.
@@ -86,23 +84,12 @@ class TupleChannel {
   }
 
   std::size_t capacity() const { return spsc_ ? spsc_->capacity() : mpmc_->capacity(); }
-  std::uint64_t pushed() const { return spsc_ ? spsc_->pushed() : mpmc_->pushed(); }
-  std::uint64_t popped() const { return spsc_ ? spsc_->popped() : mpmc_->popped(); }
-  std::uint64_t rejected() const { return spsc_ ? spsc_->rejected() : mpmc_->rejected(); }
   /// Failed producer room checks (0 on MPMC edges, which block on a
   /// condvar instead) — aggregated into posg.engine.ring_full_spins.
   std::uint64_t full_spins() const { return spsc_ ? spsc_->full_spins() : 0; }
   /// Consumer parks on an empty ring (0 on MPMC edges) — aggregated into
   /// posg.engine.ring_parks.
   std::uint64_t consumer_parks() const { return spsc_ ? spsc_->consumer_parks() : 0; }
-
-  void debug_validate() const {
-    if (spsc_) {
-      spsc_->debug_validate();
-    } else {
-      mpmc_->debug_validate();
-    }
-  }
 
  private:
   TupleChannel() = default;

@@ -44,8 +44,8 @@ enum class TraceEventType : std::uint8_t {
   /// Drain finished and the instance retired: instance, a = epoch,
   /// value = final billed Ĉ (cut + final Δ).
   kDrainComplete = 8,
-  /// ElasticController action: detail = ScaleAction::Kind,
-  /// instance (kRetire only), a = controller sample ordinal,
+  /// ElasticController action: detail = ScaleAction::Kind (1 = scale-up,
+  /// 2 = drain; 3 is unused), a = controller sample ordinal,
   /// value = predicted backlog (ms) at the decision.
   kScaleDecision = 9,
   /// A control-state checkpoint hit disk (core/checkpoint.hpp):

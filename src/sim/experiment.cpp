@@ -125,7 +125,6 @@ ExperimentResult Experiment::run(Policy policy) const {
   sim_config.load_report_period = config_.load_report_period;
   sim_config.posg = config_.posg;
   sim_config.metrics = config_.metrics;
-  sim_config.trace = config_.trace;
 
   Simulator simulator(sim_config,
                       [this](common::Item item, common::InstanceId op, common::SeqNo seq) {

@@ -72,9 +72,8 @@ struct ExperimentConfig {
   core::PosgConfig posg;
 
   // Observability (not owned; must outlive run()). Threaded into
-  // Simulator::Config — see the field docs there.
+  // Simulator::Config — see the field doc there.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRing* trace = nullptr;
 };
 
 /// One policy's outcome on one experiment.

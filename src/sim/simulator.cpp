@@ -21,7 +21,6 @@ enum class EventKind : std::uint8_t {
   kExecutedNotice,
   kLoadReportSample,  // instance samples its queue state
   kLoadReportDeliver,  // the sample reaches the scheduler
-  kElasticSample,  // the autoscale controller observes backlog
 };
 
 struct Event {
@@ -72,13 +71,6 @@ Simulator::Simulator(Config config, CostFunction cost)
     common::require(latency >= 0.0, "Simulator: latencies must be non-negative");
   }
   common::require(static_cast<bool>(cost_), "Simulator: cost function must be callable");
-  config_.arrival_profile.validate();
-  if (config_.elastic.enabled) {
-    common::require(config_.elastic_sample_period > 0.0,
-                    "Simulator: elastic sample period must be positive");
-    common::require(config_.initial_instances <= config_.instances,
-                    "Simulator: initial instances exceed the instance count");
-  }
 }
 
 template <typename SchedulerT>
@@ -86,8 +78,8 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
                                     SchedulerT& scheduler) {
   // The two scheduler shapes, told apart at compile time. A plain
   // core::Scheduler is the S = 1 case; the single-source features below
-  // (autoscale, load reports, executed notices, trace binding, resilience
-  // stats) drive or read that one scheduler, so only it gets them.
+  // (load reports, executed notices, resilience stats) drive or read that
+  // one scheduler, so only it gets them.
   constexpr bool kMulti = std::is_same_v<SchedulerT, core::MultiSourceScheduler>;
   const auto schedule = [&](common::SourceId source, common::Item item, common::SeqNo seq) {
     if constexpr (kMulti) {
@@ -111,8 +103,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
   core::PosgScheduler* posg_scheduler = nullptr;
   if constexpr (kMulti) {
     sources = scheduler.sources();
-    common::require(!config_.elastic.enabled,
-                    "Simulator: autoscale is a single-source feature (run())");
     common::require(config_.load_report_period <= 0.0,
                     "Simulator: load reports are a single-source feature (run())");
   } else {
@@ -124,16 +114,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
   result.instance_tuples.assign(k, 0);
   result.source_routed.assign(sources, 0);
   result.per_source_instance_tuples.assign(sources, std::vector<std::uint64_t>(k, 0));
-
-  // Observability wiring (optional): trace decisions through the
-  // scheduler. The binding is scoped to this run — undone before returning
-  // so the caller may destroy the sink while the scheduler lives on.
-  if (config_.trace != nullptr && posg_scheduler != nullptr) {
-    posg_scheduler->bind_trace(config_.trace);
-  }
-  const bool autoscale = !kMulti && config_.elastic.enabled;
-  common::require(!autoscale || posg_scheduler != nullptr,
-                  "Simulator: autoscale requires a PosgScheduler");
 
   // One tracker per (instance, source): tuples routed by source s's view
   // are billed into s's sketches only, mirroring the per-session trackers
@@ -151,35 +131,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
   // sources' routed tuples.
   std::vector<common::TimeMs> instance_free(k, 0.0);
 
-  // --- elastic autoscale state (inert unless config_.elastic.enabled) ---
-  core::ElasticController controller(config_.elastic);
-  if (autoscale && config_.trace != nullptr) {
-    controller.bind_trace(config_.trace);
-  }
-  // Ĉ frozen at begin_drain, per instance — the baseline retirement bills
-  // the final Δ against.
-  std::vector<common::TimeMs> drain_cut(k, 0.0);
-  // Instances inside the post-rejoin admission ramp (the sim's stand-in
-  // for not-yet-delivered AdmissionGrants).
-  std::vector<bool> ramping(k, false);
-  std::size_t ramping_count = 0;
-  // instance·ms accounting: `running` counts not-failed instances
-  // (serving + draining — a drainee still occupies its slot).
-  std::size_t running = k;
-  common::TimeMs last_running_change = 0.0;
-  auto account_running = [&](common::TimeMs now, int delta) {
-    result.instance_ms += static_cast<double>(running) * (now - last_running_change);
-    last_running_change = now;
-    running = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(running) + delta);
-  };
-  if (autoscale) {
-    const std::size_t initial =
-        config_.initial_instances == 0 ? k : config_.initial_instances;
-    for (common::InstanceId op = initial; op < k; ++op) {
-      posg_scheduler->mark_failed(op);  // parked spare; scale-up rejoins it
-    }
-    running = initial;
-  }
   // Injection time per in-flight tuple, for completion-time accounting.
   std::vector<common::TimeMs> injection_time(stream.size(), 0.0);
 
@@ -212,13 +163,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
       sample.instance = op;
       push(std::move(sample));
     }
-  }
-
-  if (autoscale) {
-    Event sample;
-    sample.time = config_.elastic_sample_period;
-    sample.kind = EventKind::kElasticSample;
-    push(std::move(sample));
   }
 
   while (!events.empty()) {
@@ -269,8 +213,7 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
         const common::SeqNo next = event.seq + 1;
         if (next < stream.size()) {
           Event arrival;
-          arrival.time = event.time + config_.inter_arrival /
-                                          config_.arrival_profile.rate_multiplier(event.time);
+          arrival.time = event.time + config_.inter_arrival;
           arrival.kind = EventKind::kArrival;
           arrival.seq = next;
           arrival.item = stream[next];
@@ -368,126 +311,7 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
         feed(0, core::FeedbackEvent{
                     core::LoadReport{event.instance, event.backlog, event.mean_execution}});
         break;
-
-      case EventKind::kElasticSample:
-        // Autoscale drives one plain PosgScheduler: S = 1 only.
-        if constexpr (!kMulti) {
-          const common::TimeMs now = event.time;
-          // Fold finished admission ramps (the sim's AdmissionGrant).
-          for (const common::InstanceId op : posg_scheduler->take_ramp_completions()) {
-            if (ramping[op]) {
-              ramping[op] = false;
-              --ramping_count;
-            }
-          }
-
-          core::ElasticSample sample;
-          sample.serving = posg_scheduler->serving_instances();
-          sample.ramping = ramping_count;
-          const auto draining_ops = posg_scheduler->draining_instances();
-          sample.draining = draining_ops.size();
-          common::TimeMs total = 0.0;
-          common::TimeMs peak = 0.0;
-          std::size_t counted = 0;
-          for (common::InstanceId op = 0; op < k; ++op) {
-            if (posg_scheduler->is_failed(op) || posg_scheduler->is_draining(op)) {
-              continue;
-            }
-            const common::TimeMs backlog = std::max(0.0, instance_free[op] - now);
-            total += backlog;
-            peak = std::max(peak, backlog);
-            ++counted;
-          }
-          sample.backlog_ms = total;
-          const common::TimeMs mean = counted > 0 ? total / static_cast<double>(counted) : 0.0;
-          sample.queue_skew = (counted >= 2 && mean > 0.0) ? peak / mean : 1.0;
-          for (const common::InstanceId op : draining_ops) {
-            // Strictly earlier: every kFinish at time < now has already been
-            // folded into the tracker, so the final Δ is complete.
-            if (instance_free[op] < now) {
-              sample.drained.push_back(op);
-            }
-          }
-
-          core::ScaleAction action = controller.on_sample(sample);
-          switch (action.kind) {
-            case core::ScaleAction::Kind::kNone:
-              break;
-            case core::ScaleAction::Kind::kScaleUp: {
-              // Wake the lowest parked spare through the rejoin path: Ĉ
-              // seeded from the live minimum, tracker rebased to the seed,
-              // admission ramp throttling its first routed tuples.
-              for (common::InstanceId op = 0; op < k; ++op) {
-                if (!posg_scheduler->is_failed(op)) {
-                  continue;
-                }
-                posg_scheduler->rejoin(op);
-                trackers[op].rearm(posg_scheduler->estimated_loads()[op]);
-                instance_free[op] = std::max(instance_free[op], now);
-                ramping[op] = true;
-                ++ramping_count;
-                account_running(now, +1);
-                action.instance = op;
-                result.scale_log.push_back({now, action});
-                break;
-              }
-              break;
-            }
-            case core::ScaleAction::Kind::kDrain: {
-              // Drain the serving instance with the least outstanding work —
-              // its queue dries soonest, so capacity leaves gracefully.
-              std::optional<common::InstanceId> victim;
-              common::TimeMs least = 0.0;
-              for (common::InstanceId op = 0; op < k; ++op) {
-                if (posg_scheduler->is_failed(op) || posg_scheduler->is_draining(op)) {
-                  continue;
-                }
-                const common::TimeMs backlog = std::max(0.0, instance_free[op] - now);
-                if (!victim.has_value() || backlog < least) {
-                  victim = op;
-                  least = backlog;
-                }
-              }
-              if (victim.has_value()) {
-                drain_cut[*victim] = posg_scheduler->begin_drain(*victim);
-                action.instance = *victim;
-                result.scale_log.push_back({now, action});
-              }
-              break;
-            }
-            case core::ScaleAction::Kind::kRetire: {
-              // The drain's conservation close: the final Δ is the true
-              // work executed against the frozen cut — billed exactly once,
-              // never redistributed.
-              const common::InstanceId op = action.instance;
-              const common::TimeMs delta =
-                  trackers[op].cumulated_execution_time() - drain_cut[op];
-              posg_scheduler->retire(op, delta);
-              account_running(now, -1);
-              result.scale_log.push_back({now, action});
-              break;
-            }
-          }
-
-          // Keep sampling while the run is alive — or while a drain is
-          // still open (its retirement needs a future sample to land).
-          const bool stream_done = arrivals_done == stream.size();
-          const bool drain_open = !posg_scheduler->draining_instances().empty();
-          if (!stream_done || outstanding > 0 || drain_open) {
-            Event next;
-            next.time = now + config_.elastic_sample_period;
-            next.kind = EventKind::kElasticSample;
-            push(std::move(next));
-          }
-        }
-        break;
     }
-  }
-
-  // Close the instance·ms integral at the later of the last finish and
-  // the last scale action (retires can land after the final completion).
-  if (result.makespan > last_running_change) {
-    result.instance_ms += static_cast<double>(running) * (result.makespan - last_running_change);
   }
 
   // Resilience counters are a POSG-specific feature; other schedulers
@@ -503,12 +327,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
     }
   }
 
-  if (posg_scheduler != nullptr && config_.trace != nullptr) {
-    posg_scheduler->bind_trace(nullptr);  // flushes the staged tail first
-  }
-  if (autoscale && config_.trace != nullptr) {
-    controller.bind_trace(nullptr);
-  }
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *config_.metrics;
     registry.counter("posg.sim.tuples").add(stream.size());
@@ -538,13 +356,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
             .add(result.source_routed[s]);
       }
     }
-    if (autoscale) {
-      registry.counter("posg.sim.scale_ups").add(controller.scale_ups());
-      registry.counter("posg.sim.drains").add(controller.drains());
-      registry.counter("posg.sim.retires").add(controller.retires());
-      registry.counter("posg.sim.skew_vetoes").add(controller.skew_vetoes());
-    }
-    registry.gauge("posg.sim.instance_ms").set(result.instance_ms);
     registry.gauge("posg.sim.makespan_ms").set(result.makespan);
     registry.gauge("posg.sim.mean_completion_ms").set(result.completions.average());
     // Simulated-time completion latencies, log-bucketed in microseconds so

@@ -5,15 +5,12 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/elastic.hpp"
 #include "core/instance_tracker.hpp"
 #include "core/multi_source.hpp"
 #include "core/scheduler.hpp"
 #include "metrics/completion.hpp"
 #include "metrics/stats.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/trace_ring.hpp"
-#include "workload/arrival.hpp"
 
 /// Discrete-event simulator of the paper's system model (Sec. II): a
 /// source injecting tuples at a fixed rate into a scheduler S that routes
@@ -44,21 +41,6 @@ class Simulator {
     std::size_t instances = 5;
     /// Fixed inter-tuple arrival delay at the source.
     common::TimeMs inter_arrival = 1.0;
-    /// Time-varying arrival rate: the spacing before the tuple injected at
-    /// time t is inter_arrival / arrival_profile.rate_multiplier(t).
-    /// Default kConstant reproduces the fixed-rate source exactly.
-    workload::ArrivalProfile arrival_profile;
-    /// Elastic autoscaling (requires the scheduler to be a PosgScheduler
-    /// when enabled): the run starts with `initial_instances` serving (the
-    /// remaining slots pre-quarantined spares), samples total backlog
-    /// every `elastic_sample_period`, and executes the controller's
-    /// actions — scale-up via the rejoin/admission-ramp path, lossless
-    /// drain (Ĉ cut frozen, queue runs dry), retire (final Δ billed, never
-    /// redistributed).
-    core::ElasticConfig elastic;
-    common::TimeMs elastic_sample_period = 20.0;
-    /// Serving instances at t = 0 when elastic.enabled (0 means all).
-    std::size_t initial_instances = 0;
     /// One-way latency on the data path (scheduler -> instance).
     common::TimeMs data_latency = 0.0;
     /// Optional per-instance data-path latencies (heterogeneous
@@ -83,10 +65,6 @@ class Simulator {
     /// nothing that borrows the scheduler. Repeated runs accumulate:
     /// counters add, gauges keep the last run's value.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional trace sink (not owned; must outlive run()). Bound to the
-    /// scheduler for the duration of run() when it is a PosgScheduler;
-    /// arm it with TraceRing::set_enabled before running.
-    obs::TraceRing* trace = nullptr;
   };
 
   struct Result {
@@ -102,17 +80,6 @@ class Simulator {
     /// per-instance de-rates). Filled when the scheduler is a
     /// PosgScheduler; zeroed otherwise.
     metrics::ResilienceStats resilience;
-    /// One executed elastic action (autoscale runs only), in time order.
-    struct ScaleEvent {
-      common::TimeMs time = 0.0;
-      core::ScaleAction action;
-    };
-    std::vector<ScaleEvent> scale_log;
-    /// Integral of the running-instance count over simulated time
-    /// (instance·ms) — the resource-cost side of the elasticity trade. A
-    /// draining instance still counts until its retirement lands. For a
-    /// static run this is simply k × makespan.
-    double instance_ms = 0.0;
     /// Tuples routed by each source's view (one entry when S = 1).
     /// Conservation over the shared pool:
     /// Σ_s source_routed[s] == Σ_op instance_tuples[op] == |stream|.
@@ -136,9 +103,9 @@ class Simulator {
   /// instance pool, and every instance keeps one tracker PER SOURCE —
   /// exactly the per-session billing InstanceRuntime performs — so
   /// sketches and sync replies flow back to the view that routed the
-  /// work. With S = 1 this is run()'s decision stream. Elastic autoscaling
-  /// and load reports are single-source features and must be disabled;
-  /// trace binding, executed notices and resilience stats are run()-only.
+  /// work. With S = 1 this is run()'s decision stream. Load reports are a
+  /// single-source feature and must be disabled; executed notices and
+  /// resilience stats are run()-only.
   Result run_multi(const std::vector<common::Item>& stream,
                    core::MultiSourceScheduler& scheduler);
 

@@ -102,40 +102,8 @@ std::optional<common::TimeMs> DualSketch::estimate(common::Item t, const hash::B
       return exact;
     }
   }
-  const std::size_t rows = dims_.rows;
   const FWCell* cells = cells_.data();
-
-  if (variant == EstimatorVariant::kArgMinFrequency) {
-    // Listing III.2: i* = argmin_i F[i, h_i(t)], return W[i*]/F[i*]. The
-    // fused cell delivers both halves of the winning pair in one load.
-    std::uint64_t best_freq = std::numeric_limits<std::uint64_t>::max();
-    double best_weight = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const FWCell& cell = cells[d.offset(i)];
-      if (cell.f < best_freq) {
-        best_freq = cell.f;
-        best_weight = cell.w;
-      }
-    }
-    if (best_freq == 0) {
-      return std::nullopt;
-    }
-    return best_weight / static_cast<double>(best_freq);
-  }
-
-  // kMinRatio: min over rows of W[i]/F[i], skipping empty cells.
-  std::optional<common::TimeMs> best;
-  for (std::size_t i = 0; i < rows; ++i) {
-    const FWCell& cell = cells[d.offset(i)];
-    if (cell.f == 0) {
-      continue;
-    }
-    const double ratio = cell.w / static_cast<double>(cell.f);
-    if (!best || ratio < *best) {
-      best = ratio;
-    }
-  }
-  return best;
+  return estimate_cells(std::span<const FWCell* const>(&cells, 1), d, variant);
 }
 
 std::optional<common::TimeMs> DualSketch::mean_execution_time() const noexcept {
@@ -152,24 +120,6 @@ void DualSketch::reset() noexcept {
   }
   updates_ = 0;
   total_time_ = 0.0;
-}
-
-FrequencySketch DualSketch::frequencies() const {
-  FrequencySketch out(dims_, hashes_.seed());
-  std::uint64_t* raw = out.raw_cells().data();
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    raw[i] = cells_[i].f;
-  }
-  return out;
-}
-
-WeightSketch DualSketch::weights() const {
-  WeightSketch out(dims_, hashes_.seed());
-  double* raw = out.raw_cells().data();
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    raw[i] = cells_[i].w;
-  }
-  return out;
 }
 
 void DualSketch::merge_from(const DualSketch& other) {

@@ -1,14 +1,43 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
-#include "sketch/count_min.hpp"
+#include "hash/two_universal.hpp"
 #include "sketch/space_saving.hpp"
 
+/// The Count-Min sketch [Cormode & Muthukrishnan, J. Algorithms 2005] as
+/// POSG uses it: an r x c matrix, one 2-universal hash per row, whose
+/// frequency point query (min over rows) is an (eps, delta)-additive
+/// approximation of the true frequency:
+///   Pr{ f̂_t - f_t >= eps * (m - f_t) } <= delta,    f̂_t >= f_t always.
 namespace posg::sketch {
+
+/// Matrix dimensions, optionally derived from the (eps, delta) accuracy
+/// target exactly the way the paper sizes its examples:
+///   rows r = ceil(log2(1/delta))   (delta = 0.25 -> 2, delta = 0.1 -> 4)
+///   cols c = round(e / eps)        (eps = 0.7 -> 4,  eps = 0.05 -> 54)
+struct SketchDims {
+  std::size_t rows;
+  std::size_t cols;
+
+  static SketchDims from_accuracy(double epsilon, double delta) {
+    common::require(epsilon > 0.0 && epsilon <= 1.0, "SketchDims: need 0 < epsilon <= 1");
+    common::require(delta > 0.0 && delta < 1.0, "SketchDims: need 0 < delta < 1");
+    const auto rows = static_cast<std::size_t>(std::ceil(std::log2(1.0 / delta)));
+    const auto cols = static_cast<std::size_t>(std::llround(std::exp(1.0) / epsilon));
+    return SketchDims{std::max<std::size_t>(rows, 1), std::max<std::size_t>(cols, 1)};
+  }
+
+  friend bool operator==(const SketchDims&, const SketchDims&) = default;
+};
 
 /// How the scheduler turns the (F, W) cell pair into a per-tuple execution
 /// time estimate ŵ_t = W/F.
@@ -30,6 +59,61 @@ struct FWCell {
   double w = 0.0;
 };
 
+/// The one estimator walk (Listing III.2 and its Sec. IV-B variant) over
+/// the cell-wise sum of `arrays`, each a fused row-major cell array of the
+/// digest's layout. Per row, the (f, w) pairs at the digest's offset are
+/// summed across the arrays in order, then `variant` picks the estimate.
+/// One array is one sketch's own estimate (0 + f and 0.0 + w are exact for
+/// the non-negative cells the invariant allows); the shipped sketches'
+/// arrays in ascending op order are the scheduler's merged view, with the
+/// additions, in the order, that DualSketch::merge_from would perform.
+/// std::nullopt when the digest maps only to empty cells.
+inline std::optional<common::TimeMs> estimate_cells(std::span<const FWCell* const> arrays,
+                                                    const hash::BucketDigest& d,
+                                                    EstimatorVariant variant) noexcept {
+  const std::size_t rows = d.rows();
+  const auto row_sum = [&](std::size_t row) noexcept {
+    const std::size_t offset = d.offset(row);
+    FWCell sum;
+    for (const FWCell* cells : arrays) {
+      sum.f += cells[offset].f;
+      sum.w += cells[offset].w;
+    }
+    return sum;
+  };
+
+  if (variant == EstimatorVariant::kArgMinFrequency) {
+    // i* = argmin_i F[i, h_i(t)], return W[i*]/F[i*].
+    std::uint64_t best_freq = std::numeric_limits<std::uint64_t>::max();
+    double best_weight = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const FWCell cell = row_sum(i);
+      if (cell.f < best_freq) {
+        best_freq = cell.f;
+        best_weight = cell.w;
+      }
+    }
+    if (best_freq == 0) {
+      return std::nullopt;
+    }
+    return best_weight / static_cast<double>(best_freq);
+  }
+
+  // kMinRatio: min over rows of W[i]/F[i], skipping empty cells.
+  std::optional<common::TimeMs> best;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const FWCell cell = row_sum(i);
+    if (cell.f == 0) {
+      continue;
+    }
+    const double ratio = cell.w / static_cast<double>(cell.f);
+    if (!best || ratio < *best) {
+      best = ratio;
+    }
+  }
+  return best;
+}
+
 /// The pair of Count-Min matrices every operator instance maintains
 /// (Fig. 1.A): F tracks tuple frequencies, W tracks cumulated execution
 /// times W_t = w_t * f_t. Both share dimensions and hash functions, so a
@@ -39,8 +123,7 @@ struct FWCell {
 /// r-row update/estimate walk touches r contiguous 16-byte stripes — one
 /// cache line each — instead of r lines in F plus r lines in W. The wire
 /// format (serialize.cpp) still writes the F block then the W block, so
-/// shipped frames are unchanged; linear scans that want a split view
-/// materialize one via frequencies()/weights().
+/// shipped frames are unchanged.
 class DualSketch {
  public:
   /// `heavy_capacity` > 0 enables the hybrid estimator (extension, see
@@ -98,12 +181,6 @@ class DualSketch {
   /// corrupt cells on purpose) — regular clients must go through
   /// update()/reset() so the totals stay consistent.
   std::vector<FWCell>& cells_mutable() noexcept { return cells_; }
-
-  /// Materialized split-matrix views (by value): linear consumers that
-  /// want a plain row-major F or W array. The fused layout is the source
-  /// of truth; these are copies, so mutation does not write back.
-  FrequencySketch frequencies() const;
-  WeightSketch weights() const;
 
   /// Restores the totals bookkeeping after raw cells were rebuilt from a
   /// wire buffer (deserializer only).

@@ -1,38 +1,11 @@
 #include "workload/arrival.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace posg::workload {
-
-void ArrivalProfile::validate() const {
-  switch (kind) {
-    case Kind::kConstant:
-      return;
-    case Kind::kDiurnal:
-      common::require(std::isfinite(amplitude) && amplitude >= 0.0 && amplitude < 1.0,
-                      "ArrivalProfile: diurnal amplitude must be in [0, 1)");
-      common::require(std::isfinite(period) && period > 0.0,
-                      "ArrivalProfile: diurnal period must be positive");
-      return;
-    case Kind::kFlashCrowd:
-      common::require(std::isfinite(spike_factor) && spike_factor > 0.0,
-                      "ArrivalProfile: spike factor must be positive");
-      common::require(std::isfinite(spike_start) && spike_start >= 0.0,
-                      "ArrivalProfile: spike start must be non-negative");
-      common::require(std::isfinite(spike_duration) && spike_duration >= 0.0,
-                      "ArrivalProfile: spike duration must be non-negative");
-      return;
-  }
-  common::require(false, "ArrivalProfile: unknown kind");
-}
 
 double ArrivalProfile::rate_multiplier(common::TimeMs now) const {
   switch (kind) {
     case Kind::kConstant:
       return 1.0;
-    case Kind::kDiurnal:
-      return 1.0 + amplitude * std::sin(2.0 * std::numbers::pi * now / period);
     case Kind::kFlashCrowd:
       return (now >= spike_start && now < spike_start + spike_duration) ? spike_factor : 1.0;
   }

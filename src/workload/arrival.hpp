@@ -7,33 +7,28 @@
 /// Time-varying arrival-rate profiles for elasticity experiments.
 namespace posg::workload {
 
-/// Multiplies a base arrival rate as a function of simulated time. The
-/// source's inter-arrival spacing at time t is
+/// Multiplies a base arrival rate as a function of time. The source's
+/// inter-arrival spacing at time t is
 ///
 ///     inter_arrival / profile.rate_multiplier(t)
 ///
-/// so a multiplier of 20 packs tuples twenty times closer together. Three
-/// shapes cover the elasticity literature's standard stimuli:
+/// so a multiplier of 20 packs tuples twenty times closer together. Two
+/// shapes:
 ///
 ///   kConstant   — the fixed-rate source every steady-state experiment
 ///                 uses (multiplier ≡ 1).
-///   kDiurnal    — a smooth day/night sinusoid, 1 + amplitude·sin(2πt/T):
-///                 the slow swell a predictive controller should track
-///                 without ever panicking.
 ///   kFlashCrowd — a rectangular ×spike_factor burst over
 ///                 [spike_start, spike_start + spike_duration): the
 ///                 pathological step change that separates predictive
 ///                 scale-up from reactive too-late scale-up.
+///
+/// `distributed_posg --spike-*` builds one over wall-clock milliseconds
+/// and refuses each flag outside its domain, so the fields here are not
+/// checked again.
 struct ArrivalProfile {
-  enum class Kind : std::uint8_t { kConstant = 0, kDiurnal = 1, kFlashCrowd = 2 };
+  enum class Kind : std::uint8_t { kConstant, kFlashCrowd };
 
   Kind kind = Kind::kConstant;
-
-  /// kDiurnal: oscillation depth in [0, 1). amplitude 0.5 swings the rate
-  /// between 0.5× and 1.5× base.
-  double amplitude = 0.5;
-  /// kDiurnal: full oscillation period in simulated milliseconds.
-  common::TimeMs period = 10'000.0;
 
   /// kFlashCrowd: rate multiplier inside the spike window (×20 is the
   /// canonical flash crowd).
@@ -42,13 +37,9 @@ struct ArrivalProfile {
   common::TimeMs spike_start = 0.0;
   common::TimeMs spike_duration = 0.0;
 
-  /// The instantaneous rate multiplier at simulated time `now`. Always
-  /// strictly positive (validated bounds guarantee it).
+  /// The instantaneous rate multiplier at time `now`; positive whenever
+  /// spike_factor is.
   double rate_multiplier(common::TimeMs now) const;
-
-  /// Throws std::invalid_argument when the shape parameters are outside
-  /// their documented domains.
-  void validate() const;
 };
 
 }  // namespace posg::workload

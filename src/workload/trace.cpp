@@ -68,49 +68,4 @@ std::vector<common::Item> load_trace(const std::string& path) {
   return stream;
 }
 
-void save_trace_csv(const std::string& path, const std::vector<common::Item>& stream) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("save_trace_csv: cannot open " + path);
-  }
-  out << "item\n";
-  for (common::Item item : stream) {
-    out << item << '\n';
-  }
-  if (!out) {
-    throw std::runtime_error("save_trace_csv: write failed for " + path);
-  }
-}
-
-std::vector<common::Item> load_trace_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("load_trace_csv: cannot open " + path);
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::invalid_argument("load_trace_csv: empty file " + path);
-  }
-  std::vector<common::Item> stream;
-  std::size_t line_number = 1;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long value = std::stoull(line, &consumed);
-      if (consumed != line.size()) {
-        throw std::invalid_argument("trailing characters");
-      }
-      stream.push_back(static_cast<common::Item>(value));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("load_trace_csv: bad value at " + path + ":" +
-                                  std::to_string(line_number));
-    }
-  }
-  return stream;
-}
-
 }  // namespace posg::workload

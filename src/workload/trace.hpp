@@ -10,12 +10,9 @@
 /// Lets users capture an item stream once (their production trace, a
 /// synthetic draw, the tweet synthesizer's output) and replay it through
 /// the simulator, the engine, or any scheduler — the "bring your own
-/// trace" path. Two formats:
-///
-///   * binary (`.trace`): magic 'PTRC' | u32 version | u64 count | items;
-///     compact and exact.
-///   * CSV (`.csv`): header `item` then one value per line; greppable and
-///     spreadsheet-friendly.
+/// trace" path (`scheduler_zoo --save-trace` / `--trace`,
+/// `ExperimentConfig::trace_path`). One binary format (`.trace`): magic
+/// 'PTRC' | u32 version | u64 count | items; compact and exact.
 namespace posg::workload {
 
 /// Writes the stream in the compact binary format. Throws
@@ -25,12 +22,5 @@ void save_trace(const std::string& path, const std::vector<common::Item>& stream
 /// Reads a binary trace. Throws std::invalid_argument on a corrupt or
 /// truncated file, std::runtime_error when the file cannot be opened.
 std::vector<common::Item> load_trace(const std::string& path);
-
-/// Writes the stream as CSV with an `item` header.
-void save_trace_csv(const std::string& path, const std::vector<common::Item>& stream);
-
-/// Reads a CSV trace written by save_trace_csv (or any single-column CSV
-/// of non-negative integers with an arbitrary one-line header).
-std::vector<common::Item> load_trace_csv(const std::string& path);
 
 }  // namespace posg::workload

@@ -70,25 +70,6 @@ TEST_F(TraceTest, BinaryRejectsTrailingBytes) {
   EXPECT_THROW(workload::load_trace(path("t.trace")), std::invalid_argument);
 }
 
-TEST_F(TraceTest, CsvRoundTrip) {
-  const std::vector<common::Item> stream{9, 0, 123456789};
-  workload::save_trace_csv(path("a.csv"), stream);
-  EXPECT_EQ(workload::load_trace_csv(path("a.csv")), stream);
-}
-
-TEST_F(TraceTest, CsvRejectsGarbage) {
-  {
-    std::ofstream out(path("bad.csv"));
-    out << "item\n12\nnot-a-number\n";
-  }
-  EXPECT_THROW(workload::load_trace_csv(path("bad.csv")), std::invalid_argument);
-  {
-    std::ofstream out(path("neg.csv"));
-    out << "item\n12x\n";
-  }
-  EXPECT_THROW(workload::load_trace_csv(path("neg.csv")), std::invalid_argument);
-}
-
 TEST_F(TraceTest, ExperimentReplaysTrace) {
   // Capture a synthetic draw, replay it: the experiment must use exactly
   // the captured stream and derive the provisioning from its empirical

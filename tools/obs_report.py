@@ -269,7 +269,7 @@ def report_metrics(snapshot):
 # final bill / predicted backlog; scale_decision's `detail` is the
 # core::ScaleAction::Kind enumerator.
 SCALE_TIMELINE_TYPES = ("rejoin", "drain_begin", "drain_complete", "scale_decision")
-SCALE_ACTION_NAMES = {0: "none", 1: "scale_up", 2: "drain", 3: "retire"}
+SCALE_ACTION_NAMES = {0: "none", 1: "scale_up", 2: "drain"}
 
 # Recovery events (src/obs/trace_ring.hpp, DESIGN.md §14): checkpoint_write
 # carries the completed epoch in `a` and the image size in `value`;
