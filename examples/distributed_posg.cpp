@@ -300,9 +300,8 @@ struct Sockets {
                 stats.crashed ? " (scripted)" : "", static_cast<unsigned long long>(stats.executed));
     std::exit(2);
   }
-  std::printf("  [instance %zu, pid %d] executed %llu tuples, simulated work %.0f units%s%s%s\n",
+  std::printf("  [instance %zu, pid %d] executed %llu tuples, simulated work %.0f units%s%s\n",
               id, getpid(), static_cast<unsigned long long>(stats.executed), stats.simulated_work,
-              stats.peer_failures_seen > 0 ? " (saw peer failure)" : "",
               stats.rejoin_acks > 0 ? " (rejoined)" : "",
               stats.sources_lost > 0 ? " (lost a source)" : "");
   std::exit(0);
@@ -1259,16 +1258,26 @@ int run(const common::CliArgs& args) {
 
   // Machine-readable summary. `conservation` is the at-most-once
   // invariant: no tuple executes that was never routed, across drops,
-  // crashes, reroutes, and rejoins.
-  const metrics::ResilienceStats resilience = scheduler.resilience();
+  // crashes, reroutes, and rejoins. finish() has joined every runtime
+  // thread, so the scheduler is read directly.
+  const core::PosgScheduler& posg_scheduler = scheduler.scheduler();
+  const auto rejoins = static_cast<unsigned long long>(posg_scheduler.rejoin_count());
   std::printf("CHAOS seed=%lld rejoins=%llu reforks=%llu quarantines=%zu reroutes=%llu "
               "stale_replies=%llu\n",
-              fault_seed ? static_cast<long long>(*fault_seed) : -1LL,
-              static_cast<unsigned long long>(resilience.rejoins),
+              fault_seed ? static_cast<long long>(*fault_seed) : -1LL, rejoins,
               static_cast<unsigned long long>(reforks), scheduler.quarantine_log().size(),
               static_cast<unsigned long long>(scheduler.reroutes()),
               static_cast<unsigned long long>(scheduler.stale_replies()));
-  std::printf("CHAOS resilience: %s\n", resilience.summary().c_str());
+  const core::HealthMonitor& health = posg_scheduler.health();
+  std::printf("CHAOS resilience: rejoins=%llu health[suspect=%llu degraded=%llu promoted=%llu] "
+              "derate=[",
+              rejoins, static_cast<unsigned long long>(health.suspect_transitions()),
+              static_cast<unsigned long long>(health.degraded_transitions()),
+              static_cast<unsigned long long>(health.promotions()));
+  for (common::InstanceId op = 0; op < k; ++op) {
+    std::printf("%s%g", op == 0 ? "" : " ", posg_scheduler.derate(op));
+  }
+  std::printf("]\n");
   if (!stats_dir.empty()) {
     const std::uint64_t executed_total = sum_stat(stats_dir, "executed");
     const bool conserved = executed_total <= routed_total;

@@ -3,78 +3,23 @@
 #include <array>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 
 #include <unistd.h>
 
+#include "common/bytes.hpp"
 #include "sketch/serialize.hpp"
 
 namespace posg::core {
 
 namespace {
 
-class Writer {
- public:
-  explicit Writer(std::vector<std::byte>& out) : out_(out) {}
-
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto offset = out_.size();
-    out_.resize(offset + sizeof(T));
-    std::memcpy(out_.data() + offset, &value, sizeof(T));
-  }
-
-  void put_bytes(std::span<const std::byte> bytes) {
-    const auto offset = out_.size();
-    out_.resize(offset + bytes.size());
-    std::memcpy(out_.data() + offset, bytes.data(), bytes.size());
-  }
-
- private:
-  std::vector<std::byte>& out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (offset_ + sizeof(T) > bytes_.size()) {
-      throw std::invalid_argument("checkpoint::decode: truncated payload");
-    }
-    T value;
-    std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return value;
-  }
-
-  std::span<const std::byte> take_bytes(std::size_t n) {
-    if (offset_ + n > bytes_.size()) {
-      throw std::invalid_argument("checkpoint::decode: truncated payload");
-    }
-    const auto view = bytes_.subspan(offset_, n);
-    offset_ += n;
-    return view;
-  }
-
-  void expect_exhausted() const {
-    if (offset_ != bytes_.size()) {
-      throw std::invalid_argument("checkpoint::decode: trailing bytes");
-    }
-  }
-
- private:
-  std::span<const std::byte> bytes_;
-  std::size_t offset_ = 0;
-};
+constexpr const char* kTruncated = "checkpoint::decode: truncated payload";
 
 template <typename T>
-void put_vector(Writer& writer, const std::vector<T>& values) {
+void put_vector(common::ByteWriter& writer, const std::vector<T>& values) {
   writer.put(static_cast<std::uint64_t>(values.size()));
   for (const T& value : values) {
     writer.put(value);
@@ -82,7 +27,7 @@ void put_vector(Writer& writer, const std::vector<T>& values) {
 }
 
 template <typename T>
-std::vector<T> take_vector(Reader& reader, std::uint64_t expected, const char* what) {
+std::vector<T> take_vector(common::ByteReader& reader, std::uint64_t expected, const char* what) {
   const auto n = reader.take<std::uint64_t>();
   if (n != expected) {
     throw std::invalid_argument(std::string("checkpoint::decode: ") + what +
@@ -147,7 +92,7 @@ std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
 
 std::vector<std::byte> encode(const CheckpointState& state) {
   std::vector<std::byte> payload;
-  Writer writer(payload);
+  common::ByteWriter writer(payload);
   writer.put(state.k);
   writer.put(state.source_id);  // version 2 field
   writer.put(state.scheduler_state);
@@ -194,7 +139,7 @@ std::vector<std::byte> encode(const CheckpointState& state) {
 
   std::vector<std::byte> out;
   out.reserve(kCheckpointHeaderBytes + payload.size());
-  Writer header(out);
+  common::ByteWriter header(out);
   header.put(kCheckpointMagic);
   header.put(kCheckpointVersion);
   header.put(static_cast<std::uint64_t>(payload.size()));
@@ -207,7 +152,7 @@ CheckpointState decode(std::span<const std::byte> bytes) {
   if (bytes.size() < kCheckpointHeaderBytes) {
     throw std::invalid_argument("checkpoint::decode: shorter than the fixed header");
   }
-  Reader header(bytes.subspan(0, kCheckpointHeaderBytes));
+  common::ByteReader header(bytes.subspan(0, kCheckpointHeaderBytes), kTruncated);
   if (header.take<std::uint32_t>() != kCheckpointMagic) {
     throw std::invalid_argument("checkpoint::decode: bad magic (not a checkpoint file)");
   }
@@ -226,7 +171,7 @@ CheckpointState decode(std::span<const std::byte> bytes) {
     throw std::invalid_argument("checkpoint::decode: payload CRC mismatch (corrupt file)");
   }
 
-  Reader reader(payload);
+  common::ByteReader reader(payload, kTruncated);
   CheckpointState state;
   state.k = reader.take<std::uint64_t>();
   if (state.k == 0 || state.k > (std::uint64_t{1} << 20U)) {
@@ -301,7 +246,9 @@ CheckpointState decode(std::span<const std::byte> bytes) {
     state.sketches.emplace_back(
         sketch::deserialize(reader.take_bytes(static_cast<std::size_t>(blob_size))));
   }
-  reader.expect_exhausted();
+  if (!reader.exhausted()) {
+    throw std::invalid_argument("checkpoint::decode: trailing bytes");
+  }
   return state;
 }
 

@@ -13,25 +13,6 @@
 /// std::invalid_argument whose message names that field.
 namespace posg::core {
 
-/// Token-bucket admission ramp for rejoining instances (extension; see
-/// PosgScheduler::rejoin). A rejoiner's Ĉ is seeded from the live minimum,
-/// which still leaves it the greedy favourite until it accumulates billing;
-/// the ramp caps how fast tuples may flow to it so it warms up (fresh
-/// sketches, caches, JITs in a real deployment) without a thundering herd.
-/// All quantities are tuple counts, so the ramp is deterministic. While
-/// ramping is on, PosgScheduler requires a finite tokens_per_tuple > 0
-/// and a finite burst >= 1 (a ramping instance must hold one token).
-struct RejoinRampConfig {
-  /// Tokens granted to each ramping instance per scheduled tuple
-  /// (cluster-wide). 0.25 ≈ one tuple in four of its greedy wins.
-  double tokens_per_tuple = 0.25;
-  /// Bucket depth: bounds the burst a ramping instance can absorb.
-  double burst = 4.0;
-  /// Tuples admitted to the rejoiner before the ramp ends and full
-  /// rotation resumes (an AdmissionGrant is sent). 0 disables ramping.
-  std::uint64_t ramp_tuples = 256;
-};
-
 /// All tunables of POSG, with the paper's defaults (Sec. V-A).
 ///
 /// The sketch seed must be identical on the scheduler and every operator
@@ -94,8 +75,6 @@ struct PosgConfig {
   /// synchronization protocol and jumps straight from ROUND_ROBIN to RUN
   /// once all sketches arrived (estimation drift is never corrected).
   bool sync_enabled = true;
-  /// Admission ramp applied by rejoin() (see above).
-  RejoinRampConfig rejoin_ramp;
 
   sketch::SketchDims dims() const { return sketch::SketchDims::from_accuracy(epsilon, delta); }
 };

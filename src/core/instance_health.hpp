@@ -88,7 +88,7 @@ class HealthMonitor {
   /// drift ratio (clamped to [1, kDerateCap]) while Degraded.
   double derate(common::InstanceId op) const;
 
-  // Transition counters (metrics::ResilienceStats surfaces these).
+  // Transition counters (the scheduler registers them as posg.health.*).
   std::uint64_t suspect_transitions() const noexcept { return suspect_transitions_; }
   std::uint64_t degraded_transitions() const noexcept { return degraded_transitions_; }
   std::uint64_t promotions() const noexcept { return promotions_; }

@@ -66,12 +66,13 @@ class InstanceTracker {
   /// Number of shipments produced so far.
   std::uint64_t shipments() const noexcept { return shipments_; }
 
-  /// Rejoin handshake (RejoinAck): restart the sketch FSM with fresh
-  /// matrices and rebase C_op to the scheduler's seeded Ĉ. Without the
-  /// rebase, the first post-rejoin marker would measure Δ ≈ −seed — the
-  /// instance's true clock restarted at 0 while the scheduler billed from
-  /// the seed — and the correction would zero the rejoiner's Ĉ, handing it
-  /// the whole stream (thundering herd).
+  /// Re-admission handshake (ReattachAck, after a rejoin or a re-attach):
+  /// restart the sketch FSM with fresh matrices and rebase C_op to the
+  /// scheduler's seeded Ĉ. Without the rebase, the first post-rejoin
+  /// marker would measure Δ ≈ −seed — the instance's true clock restarted
+  /// at 0 while the scheduler billed from the seed — and the correction
+  /// would zero the rejoiner's Ĉ, handing it the whole stream (thundering
+  /// herd).
   void rearm(common::TimeMs seeded_cumulated);
 
  private:

@@ -40,13 +40,6 @@ PosgScheduler::PosgScheduler(std::shared_ptr<InstancePool> pool, const PosgConfi
       greedy_scores_scratch_(k_, 0.0),
       greedy_alive_scratch_(k_, true) {
   common::require(k_ >= 1, "PosgScheduler: need at least one instance");
-  const RejoinRampConfig& ramp = config.rejoin_ramp;
-  if (ramp.ramp_tuples > 0) {
-    common::require(std::isfinite(ramp.tokens_per_tuple) && ramp.tokens_per_tuple > 0.0,
-                    "PosgScheduler: rejoin_ramp.tokens_per_tuple must be finite and > 0");
-    common::require(std::isfinite(ramp.burst) && ramp.burst >= 1.0,
-                    "PosgScheduler: rejoin_ramp.burst must be finite and >= 1");
-  }
   if (config.heavy_hitter_capacity > 0) {
     merged_heavy_.emplace(config.heavy_hitter_capacity);
   }
@@ -252,13 +245,12 @@ void PosgScheduler::bill(common::InstanceId target, common::Item item) {
 }
 
 common::InstanceId PosgScheduler::ramp_admit(common::InstanceId pick) {
-  // Refill: every scheduled tuple (cluster-wide) grants tokens_per_tuple
+  // Refill: every scheduled tuple (cluster-wide) grants kRampTokensPerTuple
   // to each ramping bucket, capped at the burst depth. Tuple counts, not
   // clocks, keep the ramp deterministic.
   for (std::size_t op = 0; op < k_; ++op) {
     if (ramp_left_[op] > 0) {
-      ramp_tokens_[op] = std::min(config_.rejoin_ramp.burst,
-                                  ramp_tokens_[op] + config_.rejoin_ramp.tokens_per_tuple);
+      ramp_tokens_[op] = std::min(kRampBurst, ramp_tokens_[op] + kRampTokensPerTuple);
     }
   }
   if (ramp_left_[pick] == 0) {
@@ -268,7 +260,6 @@ common::InstanceId PosgScheduler::ramp_admit(common::InstanceId pick) {
     if (--ramp_left_[op] == 0) {
       ramp_tokens_[op] = 0.0;
       --ramps_active_;
-      ramp_completions_.push_back(op);
     }
     return op;
   };
@@ -708,8 +699,6 @@ void PosgScheduler::retire_ramp(common::InstanceId op) {
   ramp_left_[op] = 0;
   ramp_tokens_[op] = 0.0;
   --ramps_active_;
-  ramp_completions_.erase(std::remove(ramp_completions_.begin(), ramp_completions_.end(), op),
-                          ramp_completions_.end());
 }
 
 void PosgScheduler::fall_back_to_round_robin() noexcept {
@@ -723,7 +712,6 @@ void PosgScheduler::remove_instance(common::InstanceId op, bool redistribute) {
   --live_count_;
   health_.on_quarantined(op);
   derate_[op] = 1.0;
-  // A ramping rejoiner that leaves mid-ramp never collects its grant.
   retire_ramp(op);
 
   if (live_count_ > 0 && redistribute) {
@@ -947,12 +935,12 @@ void PosgScheduler::rejoin_local(common::InstanceId op) {
   reply_delta_[op] = 0.0;
   marker_estimate_[op] = -1.0;
 
-  if (config_.rejoin_ramp.ramp_tuples > 0 && found) {
+  if (found) {
     if (ramp_left_[op] == 0) {
       ++ramps_active_;
     }
-    ramp_left_[op] = config_.rejoin_ramp.ramp_tuples;
-    ramp_tokens_[op] = std::min(config_.rejoin_ramp.burst, 1.0);
+    ramp_left_[op] = kRampTuples;
+    ramp_tokens_[op] = 1.0;  // one token: its first greedy win is admitted at once
   }
 
   rebuild_greedy();
@@ -1042,9 +1030,6 @@ void PosgScheduler::restore(const CheckpointState& state) {
   serving_count_ = counts.serving;
   markers_outstanding_ = counts.markers;
   ramps_active_ = counts.ramping;
-  // Un-collected AdmissionGrant notices are informational and died with
-  // the crashed process.
-  ramp_completions_.clear();
   sketches_ = state.sketches;
 
   // Derived caches: merged billing view + global mean, then the greedy
@@ -1138,12 +1123,6 @@ common::TimeMs PosgScheduler::reattach(common::InstanceId op) {
 std::uint64_t PosgScheduler::ramp_remaining(common::InstanceId op) const {
   common::require(op < k_, "PosgScheduler: unknown instance");
   return ramp_left_[op];
-}
-
-std::vector<common::InstanceId> PosgScheduler::take_ramp_completions() {
-  std::vector<common::InstanceId> out;
-  out.swap(ramp_completions_);
-  return out;
 }
 
 void PosgScheduler::set_derate(common::InstanceId op, double factor) {
@@ -1452,9 +1431,7 @@ void PosgScheduler::register_metrics(obs::MetricsRegistry& registry, const std::
   counter(".health.degraded_transitions", [this] { return health_.degraded_transitions(); });
   counter(".health.promotions", [this] { return health_.promotions(); });
   // Per-instance billing de-rate (1.0 = healthy). The registry is the one
-  // exposition path for these — metrics::ResilienceStats carries the same
-  // values only as a programmatic snapshot / log line, never a second
-  // metrics family.
+  // exposition path for these and the health counters above.
   for (common::InstanceId op = 0; op < k_; ++op) {
     gauge(".health.derate." + std::to_string(op), [this, op] { return derate(op); });
   }

@@ -121,8 +121,8 @@ class PosgScheduler final : public Scheduler {
   /// no sketch until its tracker ships a fresh (F, W) pair, exclusion
   /// from any in-flight epoch (its abandoned marker is not resurrected; a
   /// late Δ from before the quarantine hits the stale/duplicate path and
-  /// cannot corrupt Ĉ), and a token-bucket admission ramp
-  /// (config.rejoin_ramp) that throttles its greedy wins until it has
+  /// cannot corrupt Ĉ), and a token-bucket admission ramp (kRampTuples
+  /// and its rates below) that throttles its greedy wins until it has
   /// warmed up. Throws std::invalid_argument when `op` is out of range or
   /// not quarantined.
   void rejoin(common::InstanceId op);
@@ -207,12 +207,23 @@ class PosgScheduler final : public Scheduler {
   /// back into service.
   std::uint64_t drain_cancel_count() const noexcept { return drain_cancels_; }
 
+  /// The rejoin admission ramp (extension). A rejoiner's Ĉ is seeded
+  /// from the live minimum, which still leaves it the greedy favourite
+  /// until it accumulates billing; the ramp caps how fast tuples may flow
+  /// to it so it warms up (fresh sketches, caches, JITs in a real
+  /// deployment) without a thundering herd. Every scheduled tuple grants
+  /// each ramping instance kRampTokensPerTuple tokens, up to kRampBurst; a
+  /// greedy win costs the rejoiner one token, and a win it cannot pay
+  /// goes to the best non-ramping instance instead. After kRampTuples
+  /// admitted tuples full rotation resumes. All quantities are tuple
+  /// counts, so the ramp is deterministic.
+  static constexpr std::uint64_t kRampTuples = 256;
+  static constexpr double kRampTokensPerTuple = 0.25;  ///< ≈ one greedy win in four
+  static constexpr double kRampBurst = 4.0;
+
   /// Tuples still to be admitted under `op`'s rejoin ramp (0 = not
   /// ramping).
   std::uint64_t ramp_remaining(common::InstanceId op) const;
-  /// Instances whose admission ramp completed since the last call (the
-  /// runtime drains this to send AdmissionGrant messages).
-  std::vector<common::InstanceId> take_ramp_completions();
 
   /// Straggler state machine fed by epoch drift measurements (see
   /// core/instance_health.hpp). Degraded instances are billed at
@@ -257,9 +268,6 @@ class PosgScheduler final : public Scheduler {
   const std::vector<common::TimeMs>& latency_hints() const noexcept { return latency_hints_; }
 
   // --- multi-source tier (core/instance_pool.hpp; DESIGN.md §15) ---
-
-  /// This view's source id (0 for single-source construction).
-  common::SourceId source_id() const noexcept { return source_id_; }
 
   /// The shared membership pool behind this view.
   const std::shared_ptr<InstancePool>& pool() const noexcept { return pool_; }
@@ -405,8 +413,7 @@ class PosgScheduler final : public Scheduler {
   /// reply slot with a zero Δ, and disarms its marker estimate so a late
   /// genuine reply counts stale. Drain, reattach and removal share it.
   void leave_epoch(common::InstanceId op) noexcept;
-  /// Cancels `op`'s rejoin admission ramp, with any completion notice not
-  /// yet collected.
+  /// Cancels `op`'s rejoin admission ramp.
   void retire_ramp(common::InstanceId op);
   /// Degradation ladder, bottom rung: no billed sketch is left, so abandon
   /// the epoch's markers and schedule round-robin until sketches arrive.
@@ -568,13 +575,11 @@ class PosgScheduler final : public Scheduler {
   std::vector<double> derate_;
   std::vector<common::TimeMs> marker_estimate_;
   /// Rejoin admission ramp (token bucket, tuple-count driven): tokens per
-  /// instance, tuples left to admit (0 = not ramping), instances whose
-  /// ramp just completed (awaiting AdmissionGrant), and how many ramps are
-  /// active (the fast-path gate: 0 keeps schedule() on the pre-rejoin
+  /// instance, tuples left to admit (0 = not ramping), and how many ramps
+  /// are active (the fast-path gate: 0 keeps schedule() on the pre-rejoin
   /// code path).
   std::vector<double> ramp_tokens_;
   std::vector<std::uint64_t> ramp_left_;
-  std::vector<common::InstanceId> ramp_completions_;
   std::size_t ramps_active_ = 0;
   std::uint64_t rejoin_count_ = 0;
   /// Observability (all optional): staged trace writer over a borrowed

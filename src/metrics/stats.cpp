@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/types.hpp"
 
 namespace posg::metrics {
-
-std::string ResilienceStats::summary() const {
-  std::ostringstream out;
-  out << "rejoins=" << rejoins << " health[suspect=" << suspect_transitions
-      << " degraded=" << degraded_transitions << " promoted=" << promotions << "] derate=[";
-  for (std::size_t op = 0; op < derate.size(); ++op) {
-    if (op > 0) {
-      out << ' ';
-    }
-    out << derate[op];
-  }
-  out << ']';
-  return out.str();
-}
 
 void RunningStats::add(double value) noexcept {
   ++count_;

@@ -2,38 +2,10 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 /// Numeric summaries used by tests and benchmark harnesses.
 namespace posg::metrics {
-
-/// Counters of the graceful-degradation layer (DESIGN.md "Fault model and
-/// degradation ladder"): straggler de-rating and instance rejoin.
-/// Assembled by the runtime/simulator from the scheduler accessors — the
-/// core library does not depend on metrics.
-///
-/// This struct is a programmatic snapshot for tests and the summary() log
-/// line, NOT a metrics exposition path. The obs::MetricsRegistry carries
-/// the one queryable truth for the same values: rejoin/health transitions
-/// under `posg.scheduler.rejoins` / `posg.health.*`, and per-instance
-/// de-rates under `posg.health.derate.<op>` (all registered pull-mode by
-/// their owners). Do not push these fields into a registry under new
-/// names — that recreates the double bookkeeping this comment retires.
-struct ResilienceStats {
-  /// Quarantined instances re-admitted through the rejoin handshake.
-  std::uint64_t rejoins = 0;
-  /// Health-monitor lifecycle transitions (Live → Suspect, * → Degraded,
-  /// Suspect/Degraded → Live).
-  std::uint64_t suspect_transitions = 0;
-  std::uint64_t degraded_transitions = 0;
-  std::uint64_t promotions = 0;
-  /// Current multiplicative billing de-rate per instance (1.0 = healthy).
-  std::vector<double> derate;
-
-  /// One-line human-readable report for logs and periodic sim output.
-  std::string summary() const;
-};
 
 /// Streaming mean/variance/min/max (Welford's algorithm) — O(1) memory,
 /// numerically stable, mergeable.

@@ -102,32 +102,6 @@ FaultPlan& FaultPlan::stutter(FaultDir dir, std::uint64_t frame, std::uint64_t s
   return *this;
 }
 
-FaultPlan FaultPlan::random(std::uint64_t seed, std::uint64_t horizon, std::size_t faults) {
-  common::require(horizon >= 1, "FaultPlan::random: empty horizon");
-  common::Xoshiro256StarStar rng(seed);
-  FaultPlan plan;
-  for (std::size_t i = 0; i < faults; ++i) {
-    const auto dir = rng.next_below(2) == 0 ? FaultDir::kSend : FaultDir::kRecv;
-    const std::uint64_t frame = rng.next_below(horizon);
-    switch (rng.next_below(4)) {
-      case 0:
-        plan.drop(dir, frame);
-        break;
-      case 1:
-        plan.delay(dir, frame, std::chrono::milliseconds(1 + rng.next_below(20)));
-        break;
-      case 2:
-        plan.corrupt(dir, frame, rng.next_below(64),
-                     static_cast<std::uint8_t>(1 + rng.next_below(255)));
-        break;
-      default:
-        plan.disconnect_after(dir, frame);
-        break;
-    }
-  }
-  return plan;
-}
-
 FaultPlan FaultPlan::random_gray(std::uint64_t seed, std::uint64_t horizon, std::size_t faults) {
   common::require(horizon >= 1, "FaultPlan::random_gray: empty horizon");
   common::Xoshiro256StarStar rng(seed);

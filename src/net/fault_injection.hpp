@@ -14,11 +14,11 @@
 /// A FaultInjector wraps a Socket behind the FrameTransport interface and
 /// applies a scripted FaultPlan keyed on per-direction frame indices:
 /// drop frame N, delay frame N by D, corrupt byte B of frame N, disconnect
-/// after frame N. Plans are either hand-built (regression tests pinning
-/// one failure mode) or derived from a PRNG seed (FaultPlan::random), so
-/// every failure scenario in ctest is exactly reproducible: the same plan
-/// produces the same fault sequence on every run, asserted via the
-/// injector's event log.
+/// after frame N, and the gray faults over frame ranges. Plans are either
+/// hand-built (regression tests pinning one failure mode) or derived from a
+/// PRNG seed (FaultPlan::random_gray), so every failure scenario in ctest
+/// is exactly reproducible: the same plan produces the same fault sequence
+/// on every run, asserted via the injector's event log.
 namespace posg::net {
 
 /// Direction of a frame relative to the wrapped endpoint.
@@ -82,14 +82,10 @@ class FaultPlan {
                      std::chrono::milliseconds stall);
 
   /// Derives a plan of `faults` scripted actions over the first `horizon`
-  /// frames of each direction from `seed`. Equal seeds yield equal plans
+  /// frames of each direction from `seed`, drawn from all seven kinds
+  /// (gray spans up to horizon/4). Equal seeds yield equal plans
   /// (bit-for-bit), which makes randomized fault campaigns replayable from
   /// a single integer.
-  static FaultPlan random(std::uint64_t seed, std::uint64_t horizon, std::size_t faults);
-
-  /// Like random(), but draws from all seven kinds including the gray
-  /// faults (slow/partition/stutter over spans up to horizon/4). Kept
-  /// separate so the byte-stable streams pinned on random() never move.
   static FaultPlan random_gray(std::uint64_t seed, std::uint64_t horizon, std::size_t faults);
 
   const std::vector<FaultAction>& actions() const noexcept { return actions_; }

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "sketch/serialize.hpp"
 
@@ -16,9 +17,8 @@ enum class Tag : std::uint8_t {
   kShipment = 3,
   kSyncReply = 4,
   kEndOfStream = 5,
-  kInstanceFailed = 6,
-  kRejoinAck = 7,
-  kAdmissionGrant = 8,
+  // 6, 7 and 8 are retired: no kind may reuse them, so every other tag
+  // keeps its value, and decode() refuses them as unknown.
   kDrainRequest = 9,
   kDrainComplete = 10,
   kSchedulerHello = 11,
@@ -30,62 +30,17 @@ static_assert(kMaxTupleFrameBytes == sizeof(Tag) + sizeof(common::SeqNo) + sizeo
                                          sizeof(common::TimeMs),
               "TupleFrameBuffer must fit the marker layout exactly");
 
-class Writer {
- public:
-  explicit Writer(std::vector<std::byte>& out) : out_(out) {}
-
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto offset = out_.size();
-    out_.resize(offset + sizeof(T));
-    std::memcpy(out_.data() + offset, &value, sizeof(T));
+void expect_exhausted(const common::ByteReader& reader) {
+  if (!reader.exhausted()) {
+    throw std::invalid_argument("net::decode: trailing bytes");
   }
-
-  void put_bytes(std::span<const std::byte> bytes) {
-    const auto offset = out_.size();
-    out_.resize(offset + bytes.size());
-    std::memcpy(out_.data() + offset, bytes.data(), bytes.size());
-  }
-
- private:
-  std::vector<std::byte>& out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (offset_ + sizeof(T) > bytes_.size()) {
-      throw std::invalid_argument("net::decode: truncated message");
-    }
-    T value;
-    std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return value;
-  }
-
-  std::span<const std::byte> rest() const { return bytes_.subspan(offset_); }
-
-  void expect_exhausted() const {
-    if (offset_ != bytes_.size()) {
-      throw std::invalid_argument("net::decode: trailing bytes");
-    }
-  }
-
- private:
-  std::span<const std::byte> bytes_;
-  std::size_t offset_ = 0;
-};
+}
 
 }  // namespace
 
 std::vector<std::byte> encode(const Message& message) {
   std::vector<std::byte> payload;
-  Writer writer(payload);
+  common::ByteWriter writer(payload);
   std::visit(
       [&](const auto& value) {
         using T = std::decay_t<decltype(value)>;
@@ -114,19 +69,6 @@ std::vector<std::byte> encode(const Message& message) {
           writer.put(value.delta);
         } else if constexpr (std::is_same_v<T, EndOfStream>) {
           writer.put(Tag::kEndOfStream);
-        } else if constexpr (std::is_same_v<T, InstanceFailed>) {
-          writer.put(Tag::kInstanceFailed);
-          writer.put(static_cast<std::uint64_t>(value.instance));
-          writer.put(value.epoch);
-        } else if constexpr (std::is_same_v<T, RejoinAck>) {
-          writer.put(Tag::kRejoinAck);
-          writer.put(static_cast<std::uint64_t>(value.instance));
-          writer.put(value.epoch);
-          writer.put(value.seeded_cumulated);
-        } else if constexpr (std::is_same_v<T, AdmissionGrant>) {
-          writer.put(Tag::kAdmissionGrant);
-          writer.put(static_cast<std::uint64_t>(value.instance));
-          writer.put(value.epoch);
         } else if constexpr (std::is_same_v<T, DrainRequest>) {
           writer.put(Tag::kDrainRequest);
           writer.put(static_cast<std::uint64_t>(value.instance));
@@ -141,13 +83,11 @@ std::vector<std::byte> encode(const Message& message) {
         } else if constexpr (std::is_same_v<T, SchedulerHello>) {
           writer.put(Tag::kSchedulerHello);
           writer.put(static_cast<std::uint64_t>(value.instance));
-          writer.put(value.recovery_epoch);
           writer.put(value.source);
         } else if constexpr (std::is_same_v<T, ReattachAck>) {
           writer.put(Tag::kReattachAck);
           writer.put(static_cast<std::uint64_t>(value.instance));
-          writer.put(value.epoch);
-          writer.put(value.seeded_cut);
+          writer.put(value.seed);
         }
       },
       message);
@@ -189,14 +129,14 @@ void debug_validate_frame(std::span<const std::byte> payload) {
 }
 
 Message decode(std::span<const std::byte> payload) {
-  Reader reader(payload);
+  common::ByteReader reader(payload, "net::decode: truncated message");
   const auto tag = reader.take<Tag>();
   switch (tag) {
     case Tag::kHello: {
       Hello hello;
       hello.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
       hello.source = reader.take<common::SourceId>();
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return hello;
     }
     case Tag::kTuple: {
@@ -212,7 +152,7 @@ Message decode(std::span<const std::byte> payload) {
       } else if (has_marker != 0) {
         throw std::invalid_argument("net::decode: bad marker flag");
       }
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return tuple;
     }
     case Tag::kShipment: {
@@ -226,40 +166,18 @@ Message decode(std::span<const std::byte> payload) {
       reply.source = reader.take<common::SourceId>();
       reply.epoch = reader.take<common::Epoch>();
       reply.delta = reader.take<common::TimeMs>();
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return reply;
     }
     case Tag::kEndOfStream:
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return EndOfStream{};
-    case Tag::kInstanceFailed: {
-      InstanceFailed failed;
-      failed.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
-      failed.epoch = reader.take<common::Epoch>();
-      reader.expect_exhausted();
-      return failed;
-    }
-    case Tag::kRejoinAck: {
-      RejoinAck ack;
-      ack.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
-      ack.epoch = reader.take<common::Epoch>();
-      ack.seeded_cumulated = reader.take<common::TimeMs>();
-      reader.expect_exhausted();
-      return ack;
-    }
-    case Tag::kAdmissionGrant: {
-      AdmissionGrant grant;
-      grant.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
-      grant.epoch = reader.take<common::Epoch>();
-      reader.expect_exhausted();
-      return grant;
-    }
     case Tag::kDrainRequest: {
       DrainRequest request;
       request.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
       request.epoch = reader.take<common::Epoch>();
       request.estimated_cumulated = reader.take<common::TimeMs>();
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return request;
     }
     case Tag::kDrainComplete: {
@@ -268,23 +186,21 @@ Message decode(std::span<const std::byte> payload) {
       complete.epoch = reader.take<common::Epoch>();
       complete.delta = reader.take<common::TimeMs>();
       complete.executed = reader.take<std::uint64_t>();
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return complete;
     }
     case Tag::kSchedulerHello: {
       SchedulerHello hello;
       hello.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
-      hello.recovery_epoch = reader.take<common::Epoch>();
       hello.source = reader.take<common::SourceId>();
-      reader.expect_exhausted();
+      expect_exhausted(reader);
       return hello;
     }
     case Tag::kReattachAck: {
       ReattachAck ack;
       ack.instance = static_cast<common::InstanceId>(reader.take<std::uint64_t>());
-      ack.epoch = reader.take<common::Epoch>();
-      ack.seeded_cut = reader.take<common::TimeMs>();
-      reader.expect_exhausted();
+      ack.seed = reader.take<common::TimeMs>();
+      expect_exhausted(reader);
       return ack;
     }
   }

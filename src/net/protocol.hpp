@@ -10,22 +10,18 @@
 
 /// Wire protocol between a POSG scheduler process and operator-instance
 /// processes — the distributed deployment the in-process substrates
-/// emulate. Twelve message kinds:
+/// emulate. Nine message kinds:
 ///
 ///   instance -> scheduler:  Hello (registration and rejoin),
 ///                           SchedulerHello (re-attach after a scheduler
-///                           crash-restart; carries the instance's last
-///                           observed epoch), SketchShipment (Fig. 1.B,
-///                           via sketch/serialize.hpp), SyncReply
-///                           (Fig. 1.E), DrainComplete (lossless-drain
-///                           final Δ)
+///                           crash-restart), SketchShipment (Fig. 1.B, via
+///                           sketch/serialize.hpp), SyncReply (Fig. 1.E),
+///                           DrainComplete (lossless-drain final Δ)
 ///   scheduler -> instance:  TupleMessage (data + optional piggy-backed
 ///                           SyncRequest, Fig. 1.D), EndOfStream,
-///                           InstanceFailed (quarantine notification),
-///                           RejoinAck (rejoin handshake accept),
-///                           ReattachAck (re-attach handshake accept),
-///                           AdmissionGrant (admission ramp finished),
-///                           DrainRequest (lossless-drain open)
+///                           ReattachAck (the rejoin and re-attach
+///                           handshakes' accept), DrainRequest
+///                           (lossless-drain open)
 ///
 /// Every message is one length-prefixed socket frame (net/socket.hpp)
 /// starting with a one-byte tag.
@@ -44,24 +40,11 @@ struct Hello {
 
 /// Instance -> scheduler: re-attach after a scheduler crash-restart (the
 /// recovery counterpart of Hello; see DESIGN.md §14). The instance kept
-/// its process and tracker alive; only the link died. `recovery_epoch` is
-/// the newest epoch the instance observed in a marker or ack — the
-/// scheduler compares it against its restored checkpoint epoch to detect
-/// a stale checkpoint (it can only re-seed, never rewind the instance).
+/// its process and tracker alive; only the link died.
 struct SchedulerHello {
   common::InstanceId instance;
-  common::Epoch recovery_epoch;
   /// Source view this re-attach addresses (same contract as Hello::source).
   common::SourceId source = 0;
-};
-
-/// Scheduler -> surviving instances: peer `instance` was quarantined
-/// while epoch `epoch` was current (failure detection; see
-/// runtime/scheduler_runtime.hpp). Informational — survivors may log it
-/// or adjust local expectations; the scheduler has already rebalanced.
-struct InstanceFailed {
-  common::InstanceId instance;
-  common::Epoch epoch;
 };
 
 /// One data tuple routed to an instance, with POSG's optional marker.
@@ -73,25 +56,6 @@ struct TupleMessage {
 
 /// Orderly shutdown of the data stream.
 struct EndOfStream {};
-
-/// Scheduler -> rejoining instance: the rejoin handshake's accept. The
-/// instance re-registered over the Hello path after a quarantine; the
-/// scheduler re-admitted it with Ĉ seeded to `seeded_cumulated` (the live
-/// minimum). The instance must rearm its tracker to that baseline —
-/// otherwise its first post-rejoin Δ would report ≈ −seed and zero the
-/// seed right back out (see core::InstanceTracker::rearm).
-struct RejoinAck {
-  common::InstanceId instance;
-  common::Epoch epoch;
-  common::TimeMs seeded_cumulated;
-};
-
-/// Scheduler -> rejoined instance: its token-bucket admission ramp
-/// finished; full greedy rotation resumed. Informational.
-struct AdmissionGrant {
-  common::InstanceId instance;
-  common::Epoch epoch;
-};
 
 /// Scheduler -> draining instance: elastic scale-down opened a lossless
 /// drain (DESIGN.md §11). Because the link is FIFO, every tuple routed
@@ -118,22 +82,22 @@ struct DrainComplete {
   std::uint64_t executed;
 };
 
-/// Scheduler -> re-attaching instance: the re-attach handshake's accept.
-/// `seeded_cut` is the scheduler's checkpointed/current Ĉ[op]; the
-/// instance rebases its tracker to it exactly like a RejoinAck seed
-/// (core::InstanceTracker::rearm), so any drift accumulated across the
-/// crash window is absorbed once — a Δ computed against the pre-crash
-/// baseline can never be billed again (the double-billing argument,
-/// DESIGN.md §14).
+/// Scheduler -> re-admitted instance: the accept of both re-admission
+/// handshakes — the rejoin (a quarantined instance's Hello) and the
+/// re-attach (a SchedulerHello after a scheduler restart). `seed` is the
+/// scheduler's Ĉ[op] once it re-admitted the instance: the live minimum
+/// for a rejoin, the checkpointed cut for a re-attach. The instance rebases
+/// its tracker to it (core::InstanceTracker::rearm), so its next Δ
+/// measures only drift since the handshake: work billed before it, or
+/// across the crash window, is never billed again (DESIGN.md §14).
 struct ReattachAck {
   common::InstanceId instance;
-  common::Epoch epoch;
-  common::TimeMs seeded_cut;
+  common::TimeMs seed;
 };
 
 using Message = std::variant<Hello, TupleMessage, core::SketchShipment, core::SyncReply,
-                             EndOfStream, InstanceFailed, RejoinAck, AdmissionGrant,
-                             DrainRequest, DrainComplete, SchedulerHello, ReattachAck>;
+                             EndOfStream, DrainRequest, DrainComplete, SchedulerHello,
+                             ReattachAck>;
 
 /// Encodes a message into one frame payload.
 std::vector<std::byte> encode(const Message& message);

@@ -60,7 +60,7 @@
 #include "sketch/serialize.hpp"
 #include "sketch/snapshot.hpp"
 
-// --- metrics: completion series and resilience stats ---
+// --- metrics: completion series and numeric summaries ---
 #include "metrics/completion.hpp"
 #include "metrics/stats.hpp"
 

@@ -61,10 +61,6 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
     // instead of billing twice.
     std::vector<std::vector<std::byte>> pending;
     std::string reconnect_path;
-    // Highest epoch observed on this link (markers, acks, drain requests):
-    // the SchedulerHello carries it so the scheduler knows how far this
-    // survivor's view reaches past the checkpoint it restored.
-    common::Epoch last_epoch = 0;
     std::uint64_t executed = 0;
     // Redial pacing of the current outage (see `redial`).
     std::size_t dials = 0;
@@ -72,6 +68,9 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
     common::SplitMix64 jitter{0};
     Clock::time_point next_dial{};
     bool link_down = false;
+    // The current link opened with SchedulerHello (a redial), not Hello:
+    // its ReattachAck is a re-attach, not a rejoin.
+    bool reattached = false;
     bool muted = false;
     bool ended = false;
   };
@@ -118,8 +117,7 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
       session.owned =
           std::make_unique<net::SocketTransport>(net::connect(session.reconnect_path, one_dial));
       session.link = session.owned.get();
-      session.link->send_frame(
-          net::encode(net::SchedulerHello{id_, session.last_epoch, session.source}));
+      session.link->send_frame(net::encode(net::SchedulerHello{id_, session.source}));
       for (const auto& frame : session.pending) {
         session.link->send_frame(frame);
       }
@@ -141,6 +139,7 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
     }
     session.pending.clear();
     session.link_down = false;
+    session.reattached = true;
     session.dials = 0;  // the next outage gets the full budget again
     ++stats.reconnects;
     return true;
@@ -228,30 +227,15 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         end_session(session);
         continue;
       }
-      if (std::holds_alternative<net::InstanceFailed>(message)) {
-        ++stats.peer_failures_seen;
-        continue;
-      }
-      if (const auto* ack = std::get_if<net::RejoinAck>(&message)) {
-        // Rejoin handshake accept: restart the sketch FSM and rebase C_op
-        // to the scheduler's seeded Ĉ so the next Δ measures only
-        // post-rejoin drift (see InstanceTracker::rearm).
-        session.tracker->rearm(ack->seeded_cumulated);
-        session.last_epoch = std::max(session.last_epoch, ack->epoch);
-        ++stats.rejoin_acks;
-        continue;
-      }
       if (const auto* ack = std::get_if<net::ReattachAck>(&message)) {
-        // Re-attach accept after a scheduler restart: rebase C_op to the
-        // checkpointed (or rejoin-seeded) cut — the pre-crash history was
-        // already billed by the checkpointed Ĉ and must not be billed again.
-        session.tracker->rearm(ack->seeded_cut);
-        session.last_epoch = std::max(session.last_epoch, ack->epoch);
-        ++stats.reattach_acks;
-        continue;
-      }
-      if (std::holds_alternative<net::AdmissionGrant>(message)) {
-        ++stats.admission_grants;
+        // Re-admission accept: restart the sketch FSM and rebase C_op to
+        // the scheduler's seeded Ĉ, so the next Δ measures only drift
+        // since the handshake (see InstanceTracker::rearm). After a rejoin
+        // that is the live-minimum seed; after a re-attach the
+        // checkpointed cut, already billed before the scheduler crashed
+        // and never to be billed again.
+        session.tracker->rearm(ack->seed);
+        ++(session.reattached ? stats.reattach_acks : stats.rejoin_acks);
         continue;
       }
       if (const auto* drain = std::get_if<net::DrainRequest>(&message)) {
@@ -262,7 +246,6 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
         // routed tuples — the conservation check is per scheduler).
         const common::TimeMs delta =
             session.tracker->cumulated_execution_time() - drain->estimated_cumulated;
-        session.last_epoch = std::max(session.last_epoch, drain->epoch);
         try {
           session.link->send_frame(
               net::encode(net::DrainComplete{id_, drain->epoch, delta, session.executed}));
@@ -304,7 +287,6 @@ InstanceRuntime::Stats InstanceRuntime::run_multi(const std::vector<SourceLink>&
       ++session.executed;
       stats.simulated_work += cost;
       if (tuple->marker) {
-        session.last_epoch = std::max(session.last_epoch, tuple->marker->epoch);
         if (config_.crash_on_marker_epoch != 0 &&
             tuple->marker->epoch >= config_.crash_on_marker_epoch) {
           crash();  // die between the marker's execution and its SyncReply

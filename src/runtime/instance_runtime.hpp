@@ -35,19 +35,16 @@ class InstanceRuntime {
     common::TimeMs simulated_work = 0.0;
     std::uint64_t shipments = 0;
     std::uint64_t replies_sent = 0;
-    /// InstanceFailed notifications received (peers quarantined by the
-    /// scheduler while we were running).
-    std::uint64_t peer_failures_seen = 0;
     /// Frames that failed to decode (dropped, not fatal — a corrupt frame
     /// must not take the instance down with it).
     std::uint64_t decode_errors = 0;
-    /// RejoinAcks received (tracker rearmed to the scheduler's seeded Ĉ).
+    /// ReattachAcks received on a link that opened with Hello: the rejoin
+    /// handshake (tracker rearmed to the scheduler's seeded Ĉ).
     std::uint64_t rejoin_acks = 0;
-    /// AdmissionGrants received (token-bucket ramp finished).
-    std::uint64_t admission_grants = 0;
     /// Successful reconnects to a (restarted) scheduler via reconnect_path.
     std::uint64_t reconnects = 0;
-    /// ReattachAcks received (tracker rebased to the checkpointed cut
+    /// ReattachAcks received on a link that opened with SchedulerHello:
+    /// the re-attach handshake (tracker rebased to the checkpointed cut
     /// after a scheduler restart — DESIGN.md §14).
     std::uint64_t reattach_acks = 0;
     /// True when a scripted crash (InstanceRuntimeConfig) ended the run.

@@ -109,7 +109,7 @@ void SchedulerRuntime::register_runtime_metrics() {
                       [this] { return static_cast<std::uint64_t>(recovered_ ? 1 : 0); });
   metrics_.counter_fn(metric_prefix_ + ".runtime.recovery_cold_starts",
                       [this] { return recovery_cold_starts_; });
-  metrics_.counter_fn(metric_prefix_ + ".runtime.recovery_epoch",
+  metrics_.counter_fn(metric_prefix_ + ".runtime.recovery_checkpoint_epoch",
                       [this] { return static_cast<std::uint64_t>(recovered_epoch_); });
   metrics_.counter_fn(metric_prefix_ + ".runtime.reattach_count",
                       [this] { return reattach_count_.load(std::memory_order_relaxed); });
@@ -392,10 +392,9 @@ std::uint64_t SchedulerRuntime::send_outbox(common::InstanceId op, std::vector<s
   }
   batch.clear();
   if (failed) {
-    // Quarantine first, holding no send mutex (handle_failure queues
-    // InstanceFailed on the survivors' outboxes): once the link reads as
-    // broken, the scheduler no longer picks op, so each reroute in
-    // route() strictly shrinks its candidates.
+    // Quarantine first: once the link reads as broken, the scheduler no
+    // longer picks op, so each reroute in route() strictly shrinks its
+    // candidates.
     handle_failure(op, "send failed: link writer");
   } else {
     // Counted before the send settles, so a flush() that returns sees them.
@@ -475,42 +474,27 @@ bool SchedulerRuntime::handle_failure(common::InstanceId op, const std::string& 
   if (severed_.load()) {
     return true;  // sever() closed the links itself; nobody actually failed
   }
-  common::Epoch failed_epoch = 0;
-  std::vector<common::InstanceId> survivors;
-  {
-    MutexLock lock(mutex_);
-    if (scheduler_.is_failed(op)) {
-      return true;  // EOF and epoch deadline may both report the same crash
-    }
-    if (scheduler_.live_instances() <= 1 && !config_.allow_rejoin) {
-      // Without rejoin there is no way back from an empty candidate set,
-      // so losing the last instance is fatal. With rejoin enabled the
-      // quarantine proceeds: route() throws core::NoLiveInstanceError
-      // until a peer re-registers.
-      fatal_.store(true);
-      quarantine_log_.push_back({op, reason + " (last live instance)"});
-      return false;
-    }
-    scheduler_.mark_failed(op);
-    dead_[op]->store(true);
-    failed_epoch = scheduler_.epoch();
-    quarantine_log_.push_back({op, reason});
-    for (common::InstanceId other = 0; other < k_; ++other) {
-      if (!scheduler_.is_failed(other) && !scheduler_.is_draining(other)) {
-        survivors.push_back(other);  // a drainee's next frame is its exit
-      }
-    }
+  MutexLock lock(mutex_);
+  if (scheduler_.is_failed(op)) {
+    return true;  // EOF and epoch deadline may both report the same crash
   }
-  if (!draining_.load()) {
-    // Queued, never sent here: a survivor that is itself dying is
-    // quarantined by its own reader or by the writer's failed send — an
-    // announcement never recurses.
-    const auto frame = net::encode(net::InstanceFailed{op, failed_epoch});
-    for (const common::InstanceId other : survivors) {
-      queue_frame(other, frame);
-    }
+  if (scheduler_.live_instances() <= 1 && !config_.allow_rejoin) {
+    // Without rejoin there is no way back from an empty candidate set,
+    // so losing the last instance is fatal. With rejoin enabled the
+    // quarantine proceeds: route() throws core::NoLiveInstanceError
+    // until a peer re-registers.
+    fatal_.store(true);
+    quarantine_log_.push_back({op, reason + " (last live instance)"});
+    return false;
   }
+  quarantine_locked(op, reason);
   return true;
+}
+
+void SchedulerRuntime::quarantine_locked(common::InstanceId op, std::string reason) {
+  scheduler_.mark_failed(op);
+  dead_[op]->store(true);
+  quarantine_log_.push_back({op, std::move(reason)});
 }
 
 void SchedulerRuntime::check_epoch_deadline_locked() {
@@ -550,19 +534,12 @@ void SchedulerRuntime::check_epoch_deadline_locked() {
     if (age < config_.epoch_deadline) {
       continue;
     }
-    scheduler_.mark_failed(op);
-    dead_[op]->store(true);
-    quarantine_log_.push_back({op, "epoch deadline: no feedback since the epoch started"});
+    quarantine_locked(op, "epoch deadline: no feedback since the epoch started");
   }
 }
 
 common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq) {
   common::require(started_, "SchedulerRuntime: route before start");
-  // Ramp completions are taken with the decision, under its one lock, and
-  // announced once the tuple has landed, including those taken by an
-  // attempt whose send failed before the reroute.
-  std::vector<common::InstanceId> grants;
-  common::Epoch grant_epoch = 0;
   net::TupleFrameBuffer buffer{};
   // One attempt per instance is enough: each failed send quarantines its
   // target, strictly shrinking the candidate set.
@@ -575,11 +552,6 @@ common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq)
       MutexLock lock(mutex_);
       check_epoch_deadline_locked();
       decision = scheduler_.schedule(item, seq);
-      const std::vector<common::InstanceId> done = scheduler_.take_ramp_completions();
-      if (!done.empty()) {
-        grants.insert(grants.end(), done.begin(), done.end());
-        grant_epoch = scheduler_.epoch();
-      }
     }
     const auto frame =
         net::encode_tuple(net::TupleMessage{seq, item, decision.sync_request}, buffer);
@@ -615,28 +587,13 @@ common::InstanceId SchedulerRuntime::route(common::Item item, common::SeqNo seq)
       wake_writer();
     }
     routed_[decision.instance].fetch_add(1, std::memory_order_relaxed);
-    announce_admission_grants(grants, grant_epoch);
     return decision.instance;
   }
   throw core::NoLiveInstanceError("SchedulerRuntime: no live instance left to route to");
 }
 
-void SchedulerRuntime::announce_admission_grants(const std::vector<common::InstanceId>& done,
-                                                 common::Epoch epoch) {
-  for (const common::InstanceId op : done) {
-    {
-      MutexLock lock(mutex_);
-      if (scheduler_.is_failed(op) || scheduler_.is_draining(op)) {
-        continue;  // left rotation since its ramp completed; no grant owed
-      }
-    }
-    queue_frame(op, net::encode(net::AdmissionGrant{op, epoch}));
-  }
-}
-
 void SchedulerRuntime::complete_reattach(common::InstanceId op) {
   common::TimeMs seed = 0.0;
-  common::Epoch epoch = 0;
   {
     MutexLock lock(mutex_);
     if (scheduler_.is_failed(op)) {
@@ -655,11 +612,10 @@ void SchedulerRuntime::complete_reattach(common::InstanceId op) {
       // instead of billing twice.
       seed = scheduler_.reattach(op);
     }
-    epoch = scheduler_.epoch();
     last_feedback_[op] = std::chrono::steady_clock::now();
     maybe_checkpoint_locked();
   }
-  queue_frame(op, net::encode(net::ReattachAck{op, epoch, seed}));
+  queue_frame(op, net::encode(net::ReattachAck{op, seed}));
   reattach_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -774,16 +730,14 @@ void SchedulerRuntime::rejoin_acceptor_loop(net::Listener* listener) {
         complete_reattach(op);
       } else {
         common::TimeMs seed = 0.0;
-        common::Epoch epoch = 0;
         {
           MutexLock lock(mutex_);
           scheduler_.rejoin(op);
           seed = scheduler_.estimated_loads()[op];
-          epoch = scheduler_.epoch();
           last_feedback_[op] = std::chrono::steady_clock::now();
           rejoin_log_.push_back(op);
         }
-        queue_frame(op, net::encode(net::RejoinAck{op, epoch, seed}));
+        queue_frame(op, net::encode(net::ReattachAck{op, seed}));
       }
       dead_[op]->store(false);
       readers_[op] = std::thread([this, op] { reader_loop(op); });
@@ -1048,21 +1002,6 @@ std::vector<SchedulerRuntime::DrainEvent> SchedulerRuntime::drain_log() const {
 std::size_t SchedulerRuntime::serving_instances() const {
   MutexLock lock(mutex_);
   return scheduler_.serving_instances();
-}
-
-metrics::ResilienceStats SchedulerRuntime::resilience() const {
-  MutexLock lock(mutex_);
-  metrics::ResilienceStats stats;
-  stats.rejoins = scheduler_.rejoin_count();
-  const auto& health = scheduler_.health();
-  stats.suspect_transitions = health.suspect_transitions();
-  stats.degraded_transitions = health.degraded_transitions();
-  stats.promotions = health.promotions();
-  stats.derate.reserve(k_);
-  for (common::InstanceId op = 0; op < k_; ++op) {
-    stats.derate.push_back(scheduler_.derate(op));
-  }
-  return stats;
 }
 
 }  // namespace posg::runtime

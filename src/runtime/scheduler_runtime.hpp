@@ -16,7 +16,6 @@
 #include "core/checkpoint.hpp"
 #include "core/instance_pool.hpp"
 #include "core/posg_scheduler.hpp"
-#include "metrics/stats.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics_registry.hpp"
@@ -51,7 +50,7 @@ using SchedulerRuntimeConfig = ::posg::SchedulerRuntimeConfig;
 /// of tuples (outbox plus the batch in flight):
 /// route() waits while its target's link is full (the closed loop's
 /// back-pressure, as a full socket buffer is). Control frames never wait
-/// on the cap, because the writer itself announces failures.
+/// on the cap: they are few, and the cap bounds tuples.
 ///
 /// Failure detection: EOF or a transport/decode error on a link, a failed
 /// send, or the epoch deadline each quarantine the instance via
@@ -71,6 +70,7 @@ using SchedulerRuntimeConfig = ::posg::SchedulerRuntimeConfig;
 /// Surviving instances reconnect with SchedulerHello and are reconciled
 /// via PosgScheduler::reattach (live-in-checkpoint) or rejoin (stale
 /// checkpoint says failed), answered with a ReattachAck seeding their cut.
+/// A rejoining instance's Hello gets the same ack, seeding its Ĉ.
 class SchedulerRuntime {
  public:
   struct QuarantineEvent {
@@ -142,7 +142,7 @@ class SchedulerRuntime {
 
   /// Spawns the rejoin acceptor (requires allow_rejoin and start()):
   /// accepts Hello frames from *quarantined* instance ids on `listener`,
-  /// re-admits them via PosgScheduler::rejoin, answers with a RejoinAck
+  /// re-admits them via PosgScheduler::rejoin, answers with a ReattachAck
   /// carrying the seeded Ĉ, and restarts their reader. Hellos from live or
   /// unknown ids are rejected (closed). `listener` must outlive finish().
   void enable_rejoin(net::Listener& listener);
@@ -226,9 +226,6 @@ class SchedulerRuntime {
   std::vector<DrainEvent> drain_log() const;
   /// Instances currently serving (live and not draining).
   std::size_t serving_instances() const;
-  /// Snapshot of the degradation-layer counters (de-rates, health
-  /// transitions, rejoins).
-  metrics::ResilienceStats resilience() const;
 
   // --- crash recovery observers (DESIGN.md §14) ---
   /// True when construction restored scheduler state from a checkpoint
@@ -243,7 +240,7 @@ class SchedulerRuntime {
   std::uint64_t checkpoint_failures() const noexcept {
     return checkpoint_failures_.load(std::memory_order_relaxed);
   }
-  /// ReattachAcks queued (registration-time and mid-run SchedulerHello).
+  /// SchedulerHello handshakes answered (registration-time and mid-run).
   std::uint64_t reattach_count() const noexcept {
     return reattach_count_.load(std::memory_order_relaxed);
   }
@@ -308,9 +305,6 @@ class SchedulerRuntime {
   /// private pool it created). Internally synchronized — safe from any
   /// thread.
   const std::shared_ptr<core::InstancePool>& pool() const noexcept { return pool_; }
-
-  /// The source id this runtime's view bills under (config.source_id).
-  common::SourceId source_id() const noexcept { return config_.source_id; }
 
  private:
   void reader_loop(common::InstanceId op);
@@ -384,20 +378,19 @@ class SchedulerRuntime {
   std::uint64_t send_outbox(common::InstanceId op, std::vector<std::byte>& batch);
   /// Stops and joins the link writer.
   void stop_writer();
-  /// Quarantines `op` (idempotent) and broadcasts InstanceFailed to the
-  /// survivors. Returns false when `op` was the last live instance (the
-  /// run is lost; callers decide whether that is fatal).
+  /// Quarantines `op` (idempotent). Returns false when `op` was the last
+  /// live instance (the run is lost; callers decide whether that is
+  /// fatal).
   bool handle_failure(common::InstanceId op, const std::string& reason);
+  /// The one quarantine body of handle_failure and the epoch deadline:
+  /// marks `op` failed in the scheduler, retires its reader (dead_) and
+  /// logs `reason`.
+  void quarantine_locked(common::InstanceId op, std::string reason) REQUIRES(mutex_);
   /// Epoch deadline (route()'s per-tuple check while an epoch is open):
   /// instances owing a reply turn Suspect at half the deadline and are
   /// quarantined at the deadline, except the last survivor without rejoin.
   /// The scan allocates nothing.
   void check_epoch_deadline_locked() REQUIRES(mutex_);
-  /// Sends AdmissionGrant to each instance in `done` (ramp completions
-  /// route() took under mutex_) still in rotation. Takes mutex_ only when
-  /// `done` is non-empty.
-  void announce_admission_grants(const std::vector<common::InstanceId>& done,
-                                 common::Epoch epoch);
   /// Captures a CheckpointState when an epoch completed since the last
   /// capture and hands it to the writer thread (rank-increasing
   /// kSchedulerState → kCheckpointWriter acquisition). Off the hot path:

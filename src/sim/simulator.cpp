@@ -78,8 +78,8 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
                                     SchedulerT& scheduler) {
   // The two scheduler shapes, told apart at compile time. A plain
   // core::Scheduler is the S = 1 case; the single-source features below
-  // (load reports, executed notices, resilience stats) drive or read that
-  // one scheduler, so only it gets them.
+  // (load reports, executed notices, the scheduler's metric family) drive
+  // or read that one scheduler, so only it gets them.
   constexpr bool kMulti = std::is_same_v<SchedulerT, core::MultiSourceScheduler>;
   const auto schedule = [&](common::SourceId source, common::Item item, common::SeqNo seq) {
     if constexpr (kMulti) {
@@ -311,19 +311,6 @@ Simulator::Result Simulator::replay(const std::vector<common::Item>& stream,
         feed(0, core::FeedbackEvent{
                     core::LoadReport{event.instance, event.backlog, event.mean_execution}});
         break;
-    }
-  }
-
-  // Resilience counters are a POSG-specific feature; other schedulers
-  // report all-zeroes (and an empty derate vector).
-  if (posg_scheduler != nullptr) {
-    result.resilience.rejoins = posg_scheduler->rejoin_count();
-    result.resilience.suspect_transitions = posg_scheduler->health().suspect_transitions();
-    result.resilience.degraded_transitions = posg_scheduler->health().degraded_transitions();
-    result.resilience.promotions = posg_scheduler->health().promotions();
-    result.resilience.derate.resize(k);
-    for (common::InstanceId op = 0; op < k; ++op) {
-      result.resilience.derate[op] = posg_scheduler->derate(op);
     }
   }
 

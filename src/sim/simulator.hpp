@@ -9,7 +9,6 @@
 #include "core/multi_source.hpp"
 #include "core/scheduler.hpp"
 #include "metrics/completion.hpp"
-#include "metrics/stats.hpp"
 #include "obs/metrics_registry.hpp"
 
 /// Discrete-event simulator of the paper's system model (Sec. II): a
@@ -76,10 +75,6 @@ class Simulator {
     std::vector<common::TimeMs> instance_work;
     /// Tuples routed per instance.
     std::vector<std::uint64_t> instance_tuples;
-    /// Overload-resilience counters (rejoins, health transitions, final
-    /// per-instance de-rates). Filled when the scheduler is a
-    /// PosgScheduler; zeroed otherwise.
-    metrics::ResilienceStats resilience;
     /// Tuples routed by each source's view (one entry when S = 1).
     /// Conservation over the shared pool:
     /// Σ_s source_routed[s] == Σ_op instance_tuples[op] == |stream|.
@@ -104,8 +99,8 @@ class Simulator {
   /// exactly the per-session billing InstanceRuntime performs — so
   /// sketches and sync replies flow back to the view that routed the
   /// work. With S = 1 this is run()'s decision stream. Load reports are a
-  /// single-source feature and must be disabled; executed notices and
-  /// resilience stats are run()-only.
+  /// single-source feature and must be disabled; executed notices and the
+  /// scheduler's metric family are run()-only.
   Result run_multi(const std::vector<common::Item>& stream,
                    core::MultiSourceScheduler& scheduler);
 

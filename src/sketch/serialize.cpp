@@ -1,10 +1,11 @@
 #include "sketch/serialize.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
+
+#include "common/bytes.hpp"
 
 namespace posg::sketch {
 
@@ -13,45 +14,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x504F5347;  // 'POSG'
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint64_t kFlagConservative = 1;
-
-class Writer {
- public:
-  explicit Writer(std::vector<std::byte>& out) : out_(out) {}
-
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto offset = out_.size();
-    out_.resize(offset + sizeof(T));
-    std::memcpy(out_.data() + offset, &value, sizeof(T));
-  }
-
- private:
-  std::vector<std::byte>& out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (offset_ + sizeof(T) > bytes_.size()) {
-      throw std::invalid_argument("sketch::deserialize: truncated buffer");
-    }
-    T value;
-    std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return value;
-  }
-
-  bool exhausted() const noexcept { return offset_ == bytes_.size(); }
-
- private:
-  std::span<const std::byte> bytes_;
-  std::size_t offset_ = 0;
-};
 
 }  // namespace
 
@@ -69,7 +31,7 @@ std::vector<std::byte> serialize(const DualSketch& sketch) {
   // Exact frame size including the heavy-hitter section: a single
   // allocation instead of log2(size) doubling reallocs per shipped sketch.
   bytes.reserve(serialized_size(sketch.dims(), hh ? hh->size() : 0));
-  Writer writer(bytes);
+  common::ByteWriter writer(bytes);
   writer.put(kMagic);
   writer.put(kVersion);
   writer.put(sketch.seed());
@@ -104,7 +66,7 @@ std::vector<std::byte> serialize(const DualSketch& sketch) {
 }
 
 DualSketch deserialize(std::span<const std::byte> bytes) {
-  Reader reader(bytes);
+  common::ByteReader reader(bytes, "sketch::deserialize: truncated buffer");
   if (reader.take<std::uint32_t>() != kMagic) {
     throw std::invalid_argument("sketch::deserialize: bad magic");
   }

@@ -6,6 +6,7 @@
 // the invariants).
 
 #include <cstddef>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -302,6 +303,9 @@ TEST(BoundedQueueValidateDeathTest, RejectionWhileOpenAborts) {
 
 // ------------------------------------------------------- protocol frames
 
+static_assert(std::variant_size_v<posg::net::Message> == 9,
+              "a new message kind needs an entry in FrameValidate.EveryEncodedMessageKindPasses");
+
 TEST(FrameValidate, EveryEncodedMessageKindPasses) {
   namespace net = posg::net;
   const PosgConfig config = small_config();
@@ -312,11 +316,17 @@ TEST(FrameValidate, EveryEncodedMessageKindPasses) {
       posg::core::SketchShipment{1, instance_sketch(config)},
       posg::core::SyncReply{0, 2, -1.25},
       net::EndOfStream{},
-      net::InstanceFailed{2, 5},
+      net::DrainRequest{2, 5, 41.5},
+      net::DrainComplete{2, 5, -1.25, 17},
+      net::SchedulerHello{2, 1},
+      net::ReattachAck{2, 41.5},
   };
+  std::set<std::size_t> kinds;
   for (const auto& message : messages) {
+    kinds.insert(message.index());
     net::debug_validate_frame(net::encode(message));
   }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<net::Message>);  // every kind was validated
 }
 
 TEST(FrameValidateDeathTest, EmptyFrameAborts) {

@@ -148,25 +148,6 @@ TEST(Config, RejectsNonPositiveMu) {
                                                    });
 }
 
-TEST(Config, RejectsRampRatesOnlyWhenRampEnabled) {
-  ASSERT_GT(core::PosgConfig{}.rejoin_ramp.ramp_tuples, 0u);  // default: enabled
-  check_table<core::PosgConfig>(
-      construct_scheduler,
-      {
-          {"rejoin_ramp.tokens_per_tuple", [](auto& c) { c.rejoin_ramp.tokens_per_tuple = 0.0; }},
-          {"rejoin_ramp.tokens_per_tuple", [](auto& c) { c.rejoin_ramp.tokens_per_tuple = kNaN; }},
-          {"rejoin_ramp.tokens_per_tuple", [](auto& c) { c.rejoin_ramp.tokens_per_tuple = kInf; }},
-          {"rejoin_ramp.burst", [](auto& c) { c.rejoin_ramp.burst = 0.5; }},
-          {"rejoin_ramp.burst", [](auto& c) { c.rejoin_ramp.burst = kInf; }},
-          {"rejoin_ramp.burst", [](auto& c) { c.rejoin_ramp.burst = kNaN; }},
-      },
-      {{"ramp_tuples = 0 disables ramping, so the rates are never read", [](auto& c) {
-          c.rejoin_ramp.ramp_tuples = 0;
-          c.rejoin_ramp.tokens_per_tuple = 0.0;
-          c.rejoin_ramp.burst = 0.0;
-        }}});
-}
-
 TEST(Config, RejectsZeroSources) {
   expect_rejected("sources", [] { core::MultiSourceScheduler(2, core::PosgConfig{}, 0); });
 }

@@ -424,13 +424,6 @@ TEST(Protocol, AllMessageKindsRoundTrip) {
     EXPECT_TRUE(std::holds_alternative<net::EndOfStream>(
         net::decode(net::encode(net::EndOfStream{}))));
   }
-  // InstanceFailed
-  {
-    const auto decoded =
-        std::get<net::InstanceFailed>(net::decode(net::encode(net::InstanceFailed{4, 11})));
-    EXPECT_EQ(decoded.instance, 4u);
-    EXPECT_EQ(decoded.epoch, 11u);
-  }
   // DrainRequest
   {
     const auto decoded = std::get<net::DrainRequest>(
@@ -448,12 +441,32 @@ TEST(Protocol, AllMessageKindsRoundTrip) {
     EXPECT_DOUBLE_EQ(decoded.delta, -12.5);
     EXPECT_EQ(decoded.executed, 4096u);
   }
+  // SchedulerHello
+  {
+    const auto decoded =
+        std::get<net::SchedulerHello>(net::decode(net::encode(net::SchedulerHello{4, 2})));
+    EXPECT_EQ(decoded.instance, 4u);
+    EXPECT_EQ(decoded.source, 2u);
+  }
+  // ReattachAck
+  {
+    const auto decoded =
+        std::get<net::ReattachAck>(net::decode(net::encode(net::ReattachAck{4, 256.5})));
+    EXPECT_EQ(decoded.instance, 4u);
+    EXPECT_DOUBLE_EQ(decoded.seed, 256.5);
+  }
 }
 
 TEST(Protocol, RejectsMalformedPayloads) {
   EXPECT_THROW(net::decode({}), std::invalid_argument);
   const std::vector<std::byte> unknown_tag{std::byte{0x7F}};
   EXPECT_THROW(net::decode(unknown_tag), std::invalid_argument);
+  // Tags 6-8 are retired: refused as unknown, whatever body follows.
+  for (const std::byte retired : {std::byte{6}, std::byte{7}, std::byte{8}}) {
+    std::vector<std::byte> frame(25, std::byte{0});
+    frame[0] = retired;
+    EXPECT_THROW(net::decode(frame), std::invalid_argument);
+  }
   auto truncated = net::encode(net::Hello{1});
   truncated.pop_back();
   EXPECT_THROW(net::decode(truncated), std::invalid_argument);

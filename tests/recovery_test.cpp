@@ -243,7 +243,7 @@ TEST(Recovery, RestartedRuntimeSeedsReattachCutsFromCheckpoint) {
   std::vector<net::Socket> survivors;
   for (common::InstanceId op = 0; op < k; ++op) {
     auto socket = net::connect(path);
-    socket.send_frame(net::encode(net::SchedulerHello{op, second.recovered_epoch()}));
+    socket.send_frame(net::encode(net::SchedulerHello{op}));
     survivors.push_back(std::move(socket));
   }
   registrar.join();
@@ -256,7 +256,7 @@ TEST(Recovery, RestartedRuntimeSeedsReattachCutsFromCheckpoint) {
     const auto* ack = std::get_if<net::ReattachAck>(&message);
     ASSERT_NE(ack, nullptr) << "first frame after a SchedulerHello must be the ReattachAck";
     EXPECT_EQ(ack->instance, op);
-    EXPECT_DOUBLE_EQ(ack->seeded_cut, restored_loads[op]);
+    EXPECT_DOUBLE_EQ(ack->seed, restored_loads[op]);
   }
 
   // Orderly shutdown: wait for EndOfStream, then close.

@@ -460,14 +460,13 @@ TEST(SchedulerRuntime, RejoinAcceptorRefusesBadHellos) {
 
 /// Rejoin end-to-end, in process: instance 2 crashes mid-run and is
 /// quarantined; a fresh incarnation then registers over the rejoin
-/// listener, receives the RejoinAck (tracker re-armed to the seeded C-hat),
-/// ramps back through the token bucket, and finishes the stream as a full
-/// member — the overload-resilience arc of the distributed runtime.
+/// listener, receives the ReattachAck (tracker re-armed to the seeded
+/// C-hat), ramps back through the token bucket, and finishes the stream as
+/// a full member — the overload-resilience arc of the distributed runtime.
 TEST(SchedulerRuntime, CrashedInstanceRejoinsAndRampsBackIn) {
   const std::size_t k = 3;
   auto config = test_runtime_config(k);
   config.allow_rejoin = true;
-  config.posg.rejoin_ramp.ramp_tuples = 32;  // small ramp: completes in-run
   SchedulerRuntime rt(config);
 
   std::vector<std::unique_ptr<TestInstance>> instances;
@@ -532,13 +531,13 @@ TEST(SchedulerRuntime, CrashedInstanceRejoinsAndRampsBackIn) {
   EXPECT_TRUE(instances[2]->stats.crashed);
   EXPECT_FALSE(replacement->stats.crashed);
   EXPECT_EQ(replacement->stats.rejoin_acks, 1u);
-  EXPECT_EQ(replacement->stats.admission_grants, 1u);  // ramp completed
+  EXPECT_EQ(replacement->stats.reattach_acks, 0u);
   EXPECT_GT(replacement->stats.executed, 0u);
   EXPECT_EQ(rt.live_instances(), k);
   EXPECT_TRUE(rt.quarantined().empty());
   EXPECT_EQ(rt.state(), core::PosgScheduler::State::kRun);
-  const auto resilience = rt.resilience();
-  EXPECT_EQ(resilience.rejoins, 1u);
+  EXPECT_EQ(rt.scheduler().ramp_remaining(2), 0u);  // ramp completed
+  EXPECT_EQ(rt.metrics_snapshot().counters.at("posg.scheduler.rejoins"), 1u);
 }
 
 /// With rejoin enabled, even the *last* live instance dying is survivable:

@@ -147,8 +147,7 @@ def report_resilience(counters, gauges):
 
     These rows are picked straight out of the registry snapshot — the same
     names the counters/gauges tables show — so this section is a lens, not
-    a second bookkeeping path (metrics::ResilienceStats mirrors the same
-    sources only as a log line).
+    a second bookkeeping path.
     """
     rows = []
     for name, value in sorted(counters.items()):
